@@ -2,7 +2,7 @@
 # the remaining steps directly; these targets exist for local use and
 # for regenerating committed artifacts.
 
-BENCH_RECORD ?= BENCH_PR10.json
+BENCH_RECORD ?= BENCH_PR12.json
 FUZZTIME ?= 30s
 MUVET ?= bin/muvet
 

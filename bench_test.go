@@ -83,11 +83,11 @@ func benchEngineRounds(b *testing.B, topo sim.Topology, rounds int, opts ...sim.
 	}
 }
 
-// benchEngineRoundsStep runs the identical workload in goroutine-free
-// step mode: the machines are pre-allocated outside the timer once and
-// reset per iteration, so ns/op isolates the engine's round loop (bind,
-// route, account, inline step dispatch) exactly as the goroutine cells
-// isolate theirs.
+// benchEngineRoundsStep runs the identical workload in step form: the
+// machines are pre-allocated outside the timer once and reset per
+// iteration, so ns/op isolates the engine's round loop (bind, route,
+// account, inline step dispatch) exactly as the blocking cells isolate
+// theirs.
 func benchEngineRoundsStep(b *testing.B, topo sim.Topology, rounds int, opts ...sim.Option) {
 	b.Helper()
 	b.ReportAllocs()
@@ -101,28 +101,33 @@ func benchEngineRoundsStep(b *testing.B, topo sim.Topology, rounds int, opts ...
 	}
 }
 
-// benchEngineRoundsStepWarm is benchEngineRoundsStep with one untimed
-// warm-up run: the first run at a given scale pays one-time growth of
-// the shared run-scratch pools, so cold single-iteration numbers swing
-// with whatever ran before. The warm cells measure the steady-state
-// round loop — reproducible enough at -benchtime 1x for the CI perf
-// gate to ratio allocations tightly (ROADMAP item 5's warm-iteration
-// bench-record mode).
-func benchEngineRoundsStepWarm(b *testing.B, topo sim.Topology, rounds int, opts ...sim.Option) {
+// benchWarm times run after one untimed warm-up call: the first run at
+// a given scale pays one-time growth of the shared run-scratch pools,
+// and whether a cold run finds the pool filled depends on how many GC
+// cycles whatever ran before triggered. The warm cells measure the
+// steady-state run — reproducible enough at -benchtime 1x for the CI
+// perf gate to ratio allocations tightly.
+func benchWarm(b *testing.B, run func()) {
 	b.Helper()
-	prog := bench.BroadcastSteps(topo.N(), rounds)
-	run := func() {
-		e := sim.New(topo, append([]sim.Option{sim.WithSeed(1)}, opts...)...)
-		if _, err := e.RunProgram(prog); err != nil {
-			b.Fatal(err)
-		}
-	}
 	run() // warm-up, untimed
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
 	}
+}
+
+// benchEngineRoundsStepWarm is benchEngineRoundsStep run through
+// benchWarm.
+func benchEngineRoundsStepWarm(b *testing.B, topo sim.Topology, rounds int, opts ...sim.Option) {
+	b.Helper()
+	prog := bench.BroadcastSteps(topo.N(), rounds)
+	benchWarm(b, func() {
+		e := sim.New(topo, append([]sim.Option{sim.WithSeed(1)}, opts...)...)
+		if _, err := e.RunProgram(prog); err != nil {
+			b.Fatal(err)
+		}
+	})
 }
 
 func BenchmarkEngineRoundDense64(b *testing.B) {
@@ -155,7 +160,8 @@ func BenchmarkEngineRoundBroadcastComplete512(b *testing.B) {
 // triple measures the parallel-delivery speedup directly (identical
 // results, different wall-clock); torus and powerlaw cover structured
 // and heavy-tailed degree distributions at the same scale. Setup
-// (graph generation) happens once per benchmark, outside the timer.
+// (graph generation) happens once per benchmark, outside the timer; the
+// cycle cells and the powerlaw cell run warm (see benchWarm).
 
 var benchLargeTopo = struct {
 	cycle, cycle1m, torus, powerlaw, powerlaw1m sim.Topology
@@ -170,8 +176,13 @@ func largeCycle() sim.Topology {
 
 func benchEngineLarge(b *testing.B, topo sim.Topology, workers int) {
 	b.Helper()
-	b.ResetTimer()
-	benchEngineRounds(b, topo, 4, sim.WithSimWorkers(workers))
+	program := bench.BroadcastProgram(4)
+	benchWarm(b, func() {
+		e := sim.New(topo, sim.WithSeed(1), sim.WithSimWorkers(workers))
+		if _, err := e.Run(program); err != nil {
+			b.Fatal(err)
+		}
+	})
 }
 
 func BenchmarkEngineRoundCycle65536Workers1(b *testing.B) {
@@ -187,14 +198,14 @@ func BenchmarkEngineRoundCycle65536WorkersMax(b *testing.B) {
 }
 
 // The Step triple is the A/B counterpart of the three cells above: the
-// identical broadcast workload on the identical topology, but driven
-// goroutine-free through the step runtime. The goroutine cells pay
-// 65536 goroutine spawns + barrier hand-offs per op; these pay a bind
-// phase and inline step dispatch inside the delivery workers.
+// identical broadcast workload on the identical topology, but written
+// as state machines. The blocking cells pay 65536 coroutine starts and
+// a coroutine switch per node per round on top; these pay only the
+// inline Step dispatch inside the delivery workers.
 
 func benchEngineLargeStep(b *testing.B, topo sim.Topology, workers int) {
 	b.Helper()
-	benchEngineRoundsStep(b, topo, 4, sim.WithSimWorkers(workers))
+	benchEngineRoundsStepWarm(b, topo, 4, sim.WithSimWorkers(workers))
 }
 
 func BenchmarkEngineRoundCycle65536StepWorkers1(b *testing.B) {
@@ -209,9 +220,9 @@ func BenchmarkEngineRoundCycle65536StepWorkersMax(b *testing.B) {
 	benchEngineLargeStep(b, largeCycle(), 0)
 }
 
-// BenchmarkEngineRoundCycle1MStep is the scale smoke the goroutine
-// runtime cannot reasonably serve: a full broadcast round loop over a
-// one-million-node cycle, goroutine-free. Run with -benchtime 1x in CI;
+// BenchmarkEngineRoundCycle1MStep is the step-form scale smoke: a full
+// broadcast round loop over a one-million-node cycle with no per-node
+// stack at all. Run with -benchtime 1x in CI;
 // a single op proves a routine 1M-node run completes and bounds its
 // wall-clock.
 func BenchmarkEngineRoundCycle1MStep(b *testing.B) {
@@ -222,11 +233,27 @@ func BenchmarkEngineRoundCycle1MStep(b *testing.B) {
 	benchEngineRoundsStep(b, benchLargeTopo.cycle1m, 2, sim.WithSimWorkers(0))
 }
 
+// BenchmarkEngineRoundBlockingIdle36 measures the blocking form's
+// per-round hand-off in isolation: 36 nodes on the implicit complete
+// graph Tick through 10,000 rounds without sending — the per-round shape
+// of the paper grid's E1/E2 k=4 cell, whose rounds are almost all idle.
+// ns/op divided by 10,000 is the engine cost of one such round.
+func BenchmarkEngineRoundBlockingIdle36(b *testing.B) {
+	topo := sim.NewComplete(36)
+	program := func(c *sim.Ctx) { c.Idle(10_000) }
+	benchWarm(b, func() {
+		if _, err := sim.New(topo, sim.WithSeed(1)).Run(program); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
 func BenchmarkEngineRoundTorus65536(b *testing.B) {
 	if benchLargeTopo.torus == nil {
 		benchLargeTopo.torus = graph.Torus(256, 256)
 	}
-	benchEngineLarge(b, benchLargeTopo.torus, 0)
+	b.ResetTimer()
+	benchEngineRounds(b, benchLargeTopo.torus, 4, sim.WithSimWorkers(0))
 }
 
 // BenchmarkEngineRoundPowerlaw65536 drives heavy-tailed degrees at

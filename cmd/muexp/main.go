@@ -31,9 +31,10 @@
 // BroadcastSteps — the same code the BenchmarkEngineRound* cells time)
 // on the named topology, printing one summary line with nodes, rounds,
 // messages and wall-clock. -enginemode selects the execution form:
-// "step" (default) drives goroutine-free state machines inline in the
-// delivery workers; "goroutine" runs the classic blocking program per
-// node. Both produce identical results; only wall-clock differs. This
+// "step" (default) drives state machines inline in the delivery
+// workers; "goroutine" runs the classic blocking program (the name is
+// historical: the program now runs as a coroutine the workers resume).
+// Both produce identical results; only wall-clock differs. This
 // is the CLI hook for scale smokes the benchmark harness is too heavy
 // for, e.g. a one-million-node round loop:
 //
@@ -90,7 +91,7 @@ func main() {
 	engineSpec := flag.String("engine", "",
 		"run the raw engine broadcast workload on this topology spec instead of the experiment sweep, e.g. cycle:n=1048576")
 	engineRounds := flag.Int("enginerounds", 4, "rounds for the -engine broadcast workload (≥ 1)")
-	engineMode := flag.String("enginemode", "step", "-engine execution form: step (goroutine-free) | goroutine")
+	engineMode := flag.String("enginemode", "step", "-engine execution form: step (state machine) | goroutine (blocking program, run as a coroutine)")
 	faultsSpec := flag.String("faults", "",
 		"fault-plan spec for the -engine workload, '+'-joined clauses of loss:p=..., "+
 			"crash:p=...,restart=..., edgedown:p=...,up=... (sim.ParseFaults)")

@@ -11,8 +11,8 @@ import "mucongest/internal/sim"
 // and cmd/muexp's -engine mode share these constructors so the
 // benchmarked workload and the CLI-reproducible one are the same code.
 
-// BroadcastProgram returns the blocking (goroutine-per-node) form of
-// the broadcast workload.
+// BroadcastProgram returns the blocking form of the broadcast workload
+// (a func(*sim.Ctx) the engine runs as a coroutine per node).
 func BroadcastProgram(rounds int) func(*sim.Ctx) {
 	return func(c *sim.Ctx) {
 		for r := 0; r < rounds; r++ {
@@ -39,7 +39,7 @@ func (s *broadcastStep) Step(c *sim.Ctx, in []sim.Incoming) bool {
 	return true
 }
 
-// BroadcastSteps returns the goroutine-free step form of the broadcast
+// BroadcastSteps returns the state-machine step form of the broadcast
 // workload for an n-node topology: one pre-allocated machine per node,
 // driven inline by the engine's delivery workers. The returned Program
 // is reusable across runs (machines self-reset as they terminate).

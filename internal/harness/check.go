@@ -91,8 +91,8 @@ func (s simStep) Step(c *sim.Ctx, in []sim.Incoming) bool { return s.m.Step(c, i
 // violation list. The step-form twin of the behavior is checked two
 // ways against the blocking reference run: through refsim.DriveSteps on
 // the reference engine (certifying the hand-written machine itself) and
-// natively stepped on the production engine (certifying the
-// goroutine-free step runtime). It then checks the metamorphic
+// natively stepped on the production engine (certifying the engine's
+// step dispatch). It then checks the metamorphic
 // invariants the reference run's ledger implies.
 func CheckScenario(sc Scenario, workers ...int) (Outcome, error) {
 	g, err := BuildTopology(sc)
@@ -185,7 +185,7 @@ func CheckScenario(sc Scenario, workers ...int) (Outcome, error) {
 		if err := compareResults(refRes, stepRefRes); err != nil {
 			return out, fmt.Errorf("reference-driven step form: %w", err)
 		}
-		// Natively stepped on the production engine: goroutine-free.
+		// Natively stepped on the production engine.
 		prog := sim.Steps(func(c *sim.Ctx) sim.StepProgram { return simStep{mkNode(c)} })
 		for _, w := range workers {
 			res, runErr := sim.New(g, engineOpts(w)...).RunProgram(prog)

@@ -22,7 +22,7 @@ const corpusSize = 200
 // rewrites: 200 seeded scenarios spanning the topology registry, strict
 // and lenient μ, every inbox order and multi-shard node counts, each
 // cross-checked between the reference engine and the production engine
-// in both execution modes (goroutine and step) at workers 1 and 4 —
+// in both execution forms (blocking and step) at workers 1 and 4 —
 // digests, PeakWords, violation records and abort identity all
 // byte-identical — plus the metamorphic invariants.
 //

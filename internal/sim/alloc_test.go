@@ -13,9 +13,8 @@ import (
 // meter, the barrier — must be reused once warmed up. It measures the
 // allocation *delta* between a short run and a long run of the same
 // broadcast workload on a mid-size multi-shard cycle, so setup and
-// warm-up allocations (goroutines, channels on a cold scratch pool,
-// first-round buffer growth) cancel out and only the per-round cost
-// remains.
+// warm-up allocations (coroutines, a cold scratch pool, first-round
+// buffer growth) cancel out and only the per-round cost remains.
 func TestSteadyStateRoundAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc accounting is meaningless under -race")
@@ -56,11 +55,11 @@ func TestSteadyStateRoundAllocFree(t *testing.T) {
 			runErr = err
 		}
 	}
-	// The step-mode twin drives the same broadcast workload through the
-	// goroutine-free runtime: its per-round path (step dispatch, inline
-	// Step calls, outbox staging) must be exactly as allocation-free as
-	// the goroutine path. The machines are pre-allocated outside the
-	// measured runs, mirroring how the goroutine closure is shared.
+	// The step-form twin drives the same broadcast workload as state
+	// machines: its per-round path (inline Step calls, outbox staging)
+	// must be exactly as allocation-free as the blocking form's coroutine
+	// resume. The machines are pre-allocated outside the measured runs,
+	// mirroring how the blocking closure is shared.
 	stepProgs := make([]allocBroadcastStep, n)
 	runStep := func(rounds int, workers int) {
 		for i := range stepProgs {

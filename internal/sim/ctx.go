@@ -7,8 +7,8 @@ import (
 )
 
 // Ctx is a node's handle to the simulation: its identity, topology view,
-// messaging, memory meter, output channel and RNG. A Ctx is owned by the
-// node goroutine and must not be shared.
+// messaging, memory meter, output channel and RNG. A Ctx belongs to its
+// node's program and must not be shared with other nodes or goroutines.
 //
 // Topology state is materialized lazily so that engine setup stays O(1)
 // per node even on implicit topologies like Complete: the neighbor slice
@@ -254,7 +254,7 @@ func (c *Ctx) Broadcast(m Msg) {
 }
 
 // Tick ends the node's current round: queued messages are handed to the
-// engine, the node blocks until every node reaches the barrier, and the
+// engine, the node waits until every node reaches the barrier, and the
 // messages that arrived are returned. The returned inbox counts toward
 // the node's memory until it drops the slice.
 //
@@ -264,32 +264,32 @@ func (c *Ctx) Broadcast(m Msg) {
 // `-tags simdebug` to poison retired buffers and surface violations of
 // this contract as sentinel messages (From/Kind = -1).
 //
+// Tick yields the node's coroutine back to the delivery worker driving
+// it; the engine stages the outbox and counts the tick, and resumes the
+// node with its next inbox (see coroutine in step.go).
+//
 //muvet:hotpath
 func (c *Ctx) Tick() []Incoming {
 	rt := c.rt
-	if rt.step != nil {
-		// A stepped node blocking here would deadlock the delivery worker
-		// driving it; fail as a node error instead.
+	co := rt.co
+	if co == nil {
+		// Only a blocking program runs as a coroutine; a StepProgram has
+		// no coroutine to yield from. Fail as a node error.
 		panic(fmt.Sprintf("sim: node %d runs a step program; the engine owns its round boundary (return true from Step instead of calling Tick)", c.id))
 	}
-	rt.ticks++
-	if out := c.takeOutbox(); len(out) > 0 {
-		c.eng.senderOut[c.id] = out
-	}
-	c.eng.arrive()
-	in := <-rt.resume
-	// The crash check precedes the abort check: the fault point only
-	// crashes nodes on non-aborted rounds, and a crashing node must
-	// unwind through the crashAck handshake, not the abort path. The
-	// resume receive orders the engine's serial crashing write before
-	// this read.
+	// yield reports false when the engine stops the coroutine to unwind
+	// it: the node is crashing, or its run is exiting by panic. The
+	// crash check precedes the abort check: the fault point only crashes
+	// nodes on non-aborted rounds, and a crashing node must unwind as a
+	// crash, not as an abort.
+	resumed := co.yield(struct{}{})
 	if rt.crashing {
 		panic(errCrash)
 	}
-	if c.eng.aborted {
+	if !resumed || c.eng.aborted {
 		panic(errAbort)
 	}
-	return in
+	return co.in
 }
 
 // Idle performs k rounds with no sends, discarding any received

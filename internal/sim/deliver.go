@@ -58,15 +58,15 @@ const (
 	// destination inboxes, applies the inbox order and charges memory.
 	phaseAccount
 	// phaseAccountResume is phaseAccount fused with the resume fan-out:
-	// each node is resumed as soon as its own inbox is ready (non-strict
+	// each node is stepped as soon as its own inbox is ready (non-strict
 	// runs only — strict aborts need all shards accounted first).
 	phaseAccountResume
-	// phaseResume hands every live node its inbox (strict runs, after
-	// the abort decision).
+	// phaseResume steps every live node with its inbox (strict runs,
+	// after the abort decision).
 	phaseResume
-	// phaseBind materializes the shard's node contexts and binds each
-	// node's program form at run start (generic Program path only —
-	// see bindShard in step.go).
+	// phaseBind materializes the shard's node contexts, binds each
+	// node's program form and runs its first step at run start (see
+	// bindNode in step.go).
 	phaseBind
 )
 
@@ -98,17 +98,10 @@ type shardState struct {
 
 	// Barrier bookkeeping staged by phaseRoute and drained (and reset)
 	// by the engine between phases: how many of the shard's nodes
-	// terminated at this barrier (newlyFinishedG counts the
-	// goroutine-form subset, which the engine subtracts from the
-	// arrival-barrier population), and the error of the lowest-id node
+	// terminated at this barrier, and the error of the lowest-id node
 	// that failed (excluding the engine's own abort sentinel).
-	newlyFinished  int
-	newlyFinishedG int
-	err            error
-
-	// gor stages the shard's goroutine-form nodes during phaseBind,
-	// consumed (and scrubbed) by bindNodes once every shard is bound.
-	gor []goSpawn
+	newlyFinished int
+	err           error
 }
 
 // overrun is one node's μ overrun at the current barrier, staged
@@ -172,12 +165,7 @@ func (e *Engine) initShards(sc *runScratch) {
 			st.frng = rand.New(rand.NewSource(FaultStreamSeed(e.seed, 0, s, FaultKindCrash)))
 		}
 		st.newlyFinished = 0
-		st.newlyFinishedG = 0
 		st.err = nil
-		for i := range st.gor {
-			st.gor[i] = goSpawn{}
-		}
-		st.gor = st.gor[:0]
 	}
 }
 
@@ -198,11 +186,13 @@ func (e *Engine) shardPhase(k phaseKind, s int) {
 	case phaseResume:
 		for id := lo; id < hi; id++ {
 			if rt := &e.nodes[id]; !rt.finished && !rt.parked {
-				e.resumeNode(id, rt)
+				e.stepNode(&e.ctxs[id], rt)
 			}
 		}
 	case phaseBind:
-		e.bindShard(e.shards[s], lo, hi)
+		for id := lo; id < hi; id++ {
+			e.bindNode(id)
+		}
 	}
 }
 
@@ -218,8 +208,8 @@ func (e *Engine) shardPhase(k phaseKind, s int) {
 // is newly set are counted and their errors harvested into the shard
 // scratch — the engine folds those into active/runErr between phases.
 // The drop check reads the done bit, not finished: done is written only
-// by the node itself before its barrier arrival, so it is immutable
-// during the phase and safe to read across shards; finished is the
+// by the phase that ran the node's last step, so it is immutable during
+// the route phase and safe to read across shards; finished is the
 // owning shard's acknowledgment, written in its account phase.
 //
 //muvet:hotpath
@@ -258,13 +248,6 @@ func (e *Engine) routeShard(st *shardState, lo, hi int) {
 		}
 		if rt.done {
 			st.newlyFinished++
-			// A node the abort path terminated while parked has no
-			// goroutine behind its done bit (it left the barrier
-			// population when it crashed), so it must not be subtracted
-			// from the arrival population again.
-			if rt.step == nil && !rt.parked {
-				st.newlyFinishedG++
-			}
 			if rt.nodeErr != nil {
 				if st.err == nil && !errors.Is(rt.nodeErr, errAbort) {
 					st.err = rt.nodeErr
@@ -311,8 +294,8 @@ func (e *Engine) routeShard(st *shardState, lo, hi int) {
 }
 
 // accountShard delivers, orders and accounts the inboxes of the shard's
-// destination range [lo, hi), then (when resume is set) hands each node
-// its inbox. OrderRandom must consume the shard RNG once per non-empty
+// destination range [lo, hi), then (when resume is set) steps each node
+// with its inbox. OrderRandom must consume the shard RNG once per non-empty
 // inbox in ascending node id: the determinism golden tests pin this draw
 // sequence. Memory is evaluated for every live node — including nodes
 // that received nothing — so OverRounds counts charge-only and quiet
@@ -350,7 +333,7 @@ func (e *Engine) accountShard(st *shardState, s, lo, hi int, resume bool) {
 		if rt.parked {
 			// Crashed and awaiting restart: nothing was delivered (the
 			// route phase dropped it), the node holds no memory, and
-			// there is no goroutine or step machine to resume.
+			// there is no program to step.
 			continue
 		}
 		if len(rt.inbox) > 0 && order != OrderBySender {
@@ -375,28 +358,7 @@ func (e *Engine) accountShard(st *shardState, s, lo, hi int, resume bool) {
 			st.over = append(st.over, overrun{node: id, words: total})
 		}
 		if resume {
-			e.resumeNode(id, rt)
+			e.stepNode(&e.ctxs[id], rt)
 		}
 	}
-}
-
-// resumeNode hands the filled buffer to the node but keeps the backing
-// array: the next delivery for this node can only run after the node
-// has ticked (or stepped) again, so truncating here is safe under the
-// Tick aliasing contract. Stepped nodes are driven to their next round
-// boundary inline on this worker instead of through the resume channel
-// — this dispatch is the whole of the step-mode "fan-out".
-//
-//muvet:hotpath
-func (e *Engine) resumeNode(id int, rt *nodeRT) {
-	if rt.step != nil {
-		e.stepNode(&e.ctxs[id], rt)
-		return
-	}
-	in := rt.inbox
-	if len(in) == 0 {
-		in = nil
-	}
-	rt.inbox = rt.inbox[:0]
-	rt.resume <- in
 }

@@ -191,26 +191,12 @@ type Engine struct {
 	// byte-identical and allocation-free.
 	faults    FaultPlan
 	hasFaults bool
-	crashAck  chan struct{} // crash unwind handshake (see crashNode)
 	crashes   int64
 	restarts  int64
-	parkedN   int       // currently parked nodes
-	restartG  []goSpawn // goroutine-form restarts staged this fault point
+	parkedN   int // currently parked nodes
 
-	// Zero-channel barrier: every goroutine-form node that was resumed
-	// into a round arrives back at the engine exactly once — by
-	// publishing its outbox into senderOut and (when terminating) its
-	// finished/err state into its nodeRT slot, then decrementing
-	// arrivals. Only the node whose decrement reaches zero performs one
-	// send on wake; the engine blocks on wake once per round instead of
-	// draining n per-node signals from a shared channel. Stepped nodes
-	// are not in the population: the delivery phases drive them inline,
-	// so a pure-step run never touches arrivals or wake.
-	arrivals atomic.Int64
-	wake     chan struct{}
-
-	// senderOut stages each sender's outbox for the round, written
-	// directly by the node goroutine at Tick time; a non-nil entry
+	// senderOut stages each sender's outbox for the round, written by
+	// the worker that stepped the node; a non-nil entry
 	// doubles as the "has staged messages" bit the route phase scans,
 	// replacing the old sorted sender-id list.
 	senderOut [][]routed
@@ -230,16 +216,15 @@ type routed struct {
 }
 
 type nodeRT struct {
-	// step is non-nil for a node running the goroutine-free step form:
-	// the delivery workers drive it inline (see step.go) instead of
-	// resuming a goroutine through the resume channel, and the node
-	// never joins the arrival barrier.
-	step   StepProgram
-	resume chan []Incoming
+	// step is the node's bound program, driven inline by the delivery
+	// workers (see step.go): the node's own StepProgram, or co for a
+	// blocking program (co is nil for a stepped node).
+	step StepProgram
+	co   *coroutine
 	// inbox is the node's delivery buffer. It is filled by deliver while
-	// the node is blocked in Tick, handed to the node at resume, and
-	// reused (overwritten) once the node reaches its next Tick — see the
-	// Tick documentation for the resulting aliasing contract.
+	// the node waits at its round boundary, handed to the node at resume,
+	// and reused (overwritten) once the node reaches its next Tick — see
+	// the Tick documentation for the resulting aliasing contract.
 	inbox []Incoming
 	// inboxWords is the memory charge of the inbox delivered at the last
 	// barrier. It stays charged until the next barrier overwrites it:
@@ -249,39 +234,36 @@ type nodeRT struct {
 	live       int64 // words charged by the algorithm
 	peak       int64
 	ticks      int
-	// done is the node's barrier-published termination bit: set by the
-	// node goroutine (with nodeErr) before its final arrival decrement,
-	// never cleared. Stable while the engine owns the round, so the
-	// route phase's drop check may read any node's done flag.
-	done    bool
-	nodeErr error
+	nodeErr    error
+	// done is the node's termination bit: set (with nodeErr) by the
+	// phase that ran the node's last step, never cleared. Stable while
+	// the engine owns the round, so the route phase's drop check may
+	// read any node's done flag.
+	done bool
 	// finished is the engine-side acknowledgment of done, set by the
 	// owning shard's account phase. Only same-shard phase code reads it
 	// concurrently, keeping cross-shard reads on the immutable done bit.
 	finished bool
-	// Fault-layer state, all written at the serial fault point (or, for
-	// crashing, read once by the unwinding node under the resume
-	// channel's happens-before edge). parked means the node crashed and
-	// awaits restart at restartRound; it stays set on a node the abort
-	// path terminates while parked, marking that no goroutine backs the
-	// done bit (the barrier population must not be decremented for it).
+	// Fault-layer state, all written at the serial fault point. parked
+	// means the node crashed and awaits restart at restartRound; it
+	// stays set on a node the abort path terminates while parked.
 	parked       bool
-	crashing     bool // node is being unwound by crashNode right now
+	crashing     bool // node's program is being unwound by crashNode right now
+	violation    bool // a Violation was already recorded for this node (dedup)
 	restartRound int
 	restarts     int
+	vioIdx       int // index of this node's Violation in the run's slice
 	outputs      []any
-	violation    bool // a Violation was already recorded for this node (dedup)
-	vioIdx       int  // index of this node's Violation in the run's slice
 }
 
 // runScratch is the per-run state whose allocation and zeroing dominate
-// engine setup at large n: the node runtime slots (with their resume
-// channels and inbox buffers), the Ctx slots (with their outbox and
-// bandwidth-meter buffers), the staged-outbox table and the shard
-// scratch. It is recycled across runs — of any engine, experiment
-// sweeps run thousands back to back — through scratchPool. Everything
-// semantic is reset in grab/initShards; only buffer capacities, resume
-// channels and shard RNG sources survive, none of which is observable.
+// engine setup at large n: the node runtime slots (with their inbox
+// buffers), the Ctx slots (with their outbox and bandwidth-meter
+// buffers), the staged-outbox table and the shard scratch. It is
+// recycled across runs — of any engine, experiment sweeps run
+// thousands back to back — through scratchPool. Everything semantic is
+// reset in grab/initShards; only buffer capacities and shard RNG
+// sources survive, none of which is observable.
 // release scrubs every reference to run-owned data before the state is
 // pooled, so a pooled runScratch keeps nothing alive.
 type runScratch struct {
@@ -289,7 +271,6 @@ type runScratch struct {
 	ctxs      []Ctx
 	senderOut [][]routed
 	shards    []*shardState
-	gor       []goSpawn // spawn list for a generic Program's goroutine nodes
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
@@ -328,13 +309,14 @@ func grab(n int) *runScratch {
 }
 
 // release scrubs the references the finished run left behind (outputs
-// now belong to the Result, topology views and errors to nobody) and
-// returns the scratch to the pool. Buffer capacities, resume channels
-// and shard state stay for the next run to reuse.
+// now belong to the Result, programs, topology views and errors to
+// nobody) and returns the scratch to the pool. Buffer capacities and
+// shard state stay for the next run to reuse.
 func (sc *runScratch) release() {
 	for i := range sc.nodes {
 		rt := &sc.nodes[i]
 		rt.step = nil
+		rt.co = nil
 		rt.outputs = nil
 		rt.nodeErr = nil
 		c := &sc.ctxs[i]
@@ -349,12 +331,6 @@ func (sc *runScratch) release() {
 	for _, st := range sc.shards {
 		st.err = nil
 	}
-	// The spawn list holds func values referencing the finished run's
-	// program; scrub them so the pooled scratch keeps nothing alive.
-	for i := range sc.gor {
-		sc.gor[i] = goSpawn{}
-	}
-	sc.gor = sc.gor[:0]
 	scratchPool.Put(sc)
 }
 
@@ -388,23 +364,22 @@ func (e *Engine) N() int { return e.n }
 // program receives the node's Ctx; returning from program terminates the
 // node. Run returns an error if the round limit was hit, a node
 // panicked, or (in strict mode) μ was violated. Every node runs the
-// classic blocking form on its own goroutine; use RunProgram with a
-// Steps program for goroutine-free execution.
+// classic blocking form; use RunProgram with a Steps program to write
+// nodes as explicit state machines instead.
 func (e *Engine) Run(program func(*Ctx)) (*Result, error) {
 	return e.RunProgram(Func(program))
 }
 
 // RunProgram executes p on every node and returns the aggregated
-// result. p picks each node's execution form (see Program): stepped
-// nodes are driven inline by the delivery workers, goroutine nodes run
-// the classic blocking path, and the two interleave freely in one run.
-// Both forms, at every worker count, produce bit-for-bit identical
-// results — the golden-digest and differential-oracle suites pin this.
+// result. p picks each node's execution form (see Program): both forms
+// are driven inline by the delivery workers — a blocking program as a
+// coroutine — and the two interleave freely in one run. Both forms, at
+// every worker count, produce bit-for-bit identical results — the
+// golden-digest and differential-oracle suites pin this.
 func (e *Engine) RunProgram(p Program) (*Result, error) {
 	sc := grab(e.n)
 	e.nodes = sc.nodes
 	e.ctxs = sc.ctxs
-	e.wake = make(chan struct{}, 1)
 	e.round = 0
 	e.aborted = false
 	e.runErr = nil
@@ -414,87 +389,45 @@ func (e *Engine) RunProgram(p Program) (*Result, error) {
 	e.restarts = 0
 	e.parkedN = 0
 	e.prog = p
-	if e.hasFaults && e.crashAck == nil {
-		e.crashAck = make(chan struct{})
-	}
 	var violations []Violation
 
 	e.initShards(sc)
 	e.senderOut = sc.senderOut
 	e.startPool()
 	defer e.stopPool()
+	// A run that exits normally has finished every coroutine (every node
+	// terminated); one exiting by panic must not leave any suspended.
+	returned := false
+	defer func() {
+		if !returned {
+			e.stopCoroutines()
+		}
+	}()
 
-	// activeG counts the live goroutine-form nodes — the population of
-	// the arrival barrier. Stepped nodes never arrive: the delivery
-	// phases drive them inline, so phase completion is their barrier.
-	var activeG int
-	if f, ok := p.(Func); ok {
-		// Fast path for the homogeneous goroutine form: no bind phase —
-		// each node builds its Ctx on its own goroutine, parallelizing
-		// setup across nodes regardless of the worker count.
-		program := (func(*Ctx))(f)
-		for i := range e.nodes {
-			if e.nodes[i].resume == nil {
-				e.nodes[i].resume = make(chan []Incoming, 1)
-			}
-		}
-		// The barrier must be armed before any node can arrive at it.
-		e.arrivals.Store(int64(e.n))
-		// All node goroutines run one shared closure and claim their id from
-		// a counter: `go nodeMain()` on a pre-built func value allocates
-		// nothing per spawn, where `go runNode(ctx, program)` would heap-
-		// allocate a closure per node. Ids are claimed exactly once, so
-		// which OS-level goroutine serves which node is irrelevant.
-		var nextID atomic.Int64
-		ctxs := sc.ctxs
-		nodeMain := func() {
-			id := int(nextID.Add(1) - 1)
-			runNode(newCtx(e, ctxs, id), program)
-		}
-		for i := 0; i < e.n; i++ {
-			go nodeMain()
-		}
-		activeG = e.n
-	} else {
-		activeG = e.bindNodes(sc, p)
-	}
+	// Bind every node and run its first step: by the time the phase
+	// completes, every node has staged its round-0 sends.
+	e.runPhase(phaseBind)
 
 	active := e.n
 	for active > 0 {
-		// Wait for the barrier: the last arriving goroutine node performs
-		// the one wake. Every node's pre-arrival writes (its senderOut
-		// entry, its done/nodeErr slots, ticks, outputs, memory counters)
-		// happen before this receive via the arrival counter, so the
-		// phases may read them freely. Stepped nodes published theirs
-		// inside the previous phase (or the bind phase), which completed
-		// before this iteration; a pure-step round skips the wait — and
-		// every channel operation — entirely.
-		if activeG > 0 {
-			<-e.wake
-		}
-		// Serial fault point: with every node quiescent (goroutine nodes
-		// parked in Tick, stepped nodes between phases), draw this
-		// round's crash decisions and perform due restarts. Worker count
-		// and execution mode are invisible here by construction.
+		// Serial fault point: with every node quiescent between phases,
+		// draw this round's crash decisions and perform due restarts.
+		// Worker count and execution form are invisible here by
+		// construction.
 		if e.hasFaults {
-			activeG += e.applyFaults()
+			e.applyFaults()
 		}
-		// The route phase also performs the barrier bookkeeping the old
-		// serial collect loop did — poisoning retired inboxes, counting
-		// newly finished nodes and harvesting their errors per shard — so
-		// it parallelizes with routing.
+		// The route phase also performs the barrier bookkeeping — poisoning
+		// retired inboxes, counting newly finished nodes and harvesting
+		// their errors per shard — so it parallelizes with routing.
 		e.runPhase(phaseRoute)
-		// Node errors are applied only after the whole barrier completed:
-		// e.aborted may not change while stragglers are still reading it
-		// on their way out of the previous Tick. Shards are drained in
-		// ascending order and each harvests in ascending node id, so the
-		// reported error is deterministically the lowest failing node's.
+		// Shards are drained in ascending order and each harvests in
+		// ascending node id, so the reported error is deterministically
+		// the lowest failing node's.
 		var nodeErr error
 		for _, st := range e.shards {
 			active -= st.newlyFinished
 			st.newlyFinished = 0
-			activeG -= st.newlyFinishedG
-			st.newlyFinishedG = 0
 			if st.err != nil {
 				if nodeErr == nil {
 					nodeErr = st.err
@@ -520,10 +453,7 @@ func (e *Engine) RunProgram(p Program) (*Result, error) {
 		}
 		if e.strict {
 			// Strict mode needs every shard's accounting before the abort
-			// decision, so delivery and resume are separate phases. The
-			// barrier is re-armed — with the goroutine-node population
-			// only — after the abort decision and before the first node
-			// is resumed or stepped.
+			// decision, so delivery and resume are separate phases.
 			e.runPhase(phaseAccount)
 			e.mergeRound(r, &violations)
 			if len(violations) > 0 {
@@ -532,19 +462,15 @@ func (e *Engine) RunProgram(p Program) (*Result, error) {
 					e.runErr = fmt.Errorf("%w: %v", ErrMemory, violations[0])
 				}
 			}
-			e.arrivals.Store(int64(activeG))
 			e.runPhase(phaseResume)
 		} else {
-			// Fused fast path: each shard resumes (or steps) its own nodes
-			// as soon as their inboxes are ordered and accounted — no
-			// second barrier. Re-arm before the phase starts: resumed
-			// goroutine nodes may reach their next Tick while other shards
-			// are still accounting.
-			e.arrivals.Store(int64(activeG))
+			// Fused fast path: each shard steps its own nodes as soon as
+			// their inboxes are ordered and accounted — no second barrier.
 			e.runPhase(phaseAccountResume)
 			e.mergeRound(r, &violations)
 		}
 	}
+	returned = true
 
 	var faultDrops int64
 	for _, st := range e.shards {
@@ -570,24 +496,11 @@ func (e *Engine) RunProgram(p Program) (*Result, error) {
 			res.Rounds = rt.ticks
 		}
 	}
-	// Every node has terminated (a goroutine node's final barrier
-	// arrival is its last touch of run state; a stepped node's last
-	// touch was inside a completed phase), so the scratch can go back
-	// to the pool.
+	// Every node has terminated, its last touch of run state inside a
+	// completed phase, so the scratch can go back to the pool.
 	sc.release()
 	e.nodes, e.ctxs, e.senderOut, e.shards, e.prog = nil, nil, nil, nil, nil
 	return res, e.runErr
-}
-
-// arrive is a node's barrier arrival: all of its round state is
-// published (plain writes sequenced before the decrement), and the last
-// arrival hands the round to the engine with a single channel send.
-//
-//muvet:hotpath
-func (e *Engine) arrive() {
-	if e.arrivals.Add(-1) == 0 {
-		e.wake <- struct{}{}
-	}
 }
 
 // mergeRound folds the per-shard μ overruns of one barrier into the
@@ -690,40 +603,7 @@ func poisonStale(rt *nodeRT) {
 
 var errAbort = errors.New("sim: run aborted")
 
-// errCrash unwinds a goroutine-form node the fault layer crashed: the
-// node's Tick panics it after the crash resume, and runNode's recover
-// turns it into the crashAck handshake instead of a termination.
+// errCrash unwinds a blocking node the fault layer crashed: the node's
+// Tick panics it when crashNode resumes the node with its crashing flag
+// set.
 var errCrash = errors.New("sim: node crashed by fault injection")
-
-func runNode(ctx *Ctx, program func(*Ctx)) {
-	defer func() {
-		var err error
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok && errors.Is(e, errCrash) {
-				// Crashed by the fault layer: the node is parked, not
-				// terminated. Publish nothing and do not arrive — the
-				// fault point already removed this node from the barrier
-				// population and owns the slot until restart.
-				ctx.eng.crashAck <- struct{}{}
-				return
-			}
-			if e, ok := r.(error); ok && (errors.Is(e, errAbort) || errors.Is(e, ErrMemory)) {
-				err = e
-			} else {
-				err = fmt.Errorf("sim: node %d panicked: %v", ctx.id, r)
-			}
-		}
-		// Final barrier arrival: publish the termination bit, the error
-		// and any last staged sends, then decrement. A node arrives at
-		// every barrier it was resumed into exactly once — here or in
-		// Tick — so the engine's arrival count stays exact.
-		rt := ctx.rt
-		rt.nodeErr = err
-		rt.done = true
-		if out := ctx.takeOutbox(); len(out) > 0 {
-			ctx.eng.senderOut[ctx.id] = out
-		}
-		ctx.eng.arrive()
-	}()
-	program(ctx)
-}

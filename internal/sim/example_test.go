@@ -7,11 +7,10 @@ import (
 	"mucongest/internal/sim"
 )
 
-// The engine quickstart: every node runs an ordinary Go function on its
-// own goroutine, rounds are synchronized by Ctx.Tick, and the memory
-// bound μ is enforced by the engine's word accounting. Here each node
-// of a 4-cycle broadcasts its id and node 0 reports the sum of its
-// neighbors' ids.
+// The engine quickstart: every node runs an ordinary Go function,
+// rounds are synchronized by Ctx.Tick, and the memory bound μ is
+// enforced by the engine's word accounting. Here each node of a 4-cycle
+// broadcasts its id and node 0 reports the sum of its neighbors' ids.
 func ExampleEngine_Run() {
 	g := graph.Cycle(4)
 	engine := sim.New(g, sim.WithMu(16), sim.WithSeed(1))

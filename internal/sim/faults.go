@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 )
 
 // Fault injection: seeded, deterministic failure processes layered on
@@ -26,7 +25,7 @@ import (
 // the node RNGs — so enabling faults does not perturb any existing
 // stream, fault-free runs reproduce every historical golden digest,
 // and faulty runs are bit-for-bit identical across worker counts and
-// across the goroutine/step execution modes. The refsim reference
+// across the blocking/step execution forms. The refsim reference
 // engine reproduces the draws from the exported derivation alone; the
 // differential harness certifies the parity.
 
@@ -285,20 +284,17 @@ func edgeFailsAt(seed int64, round, u, v int, p float64) bool {
 	return float64(x>>11)/(1<<53) < p
 }
 
-// applyFaults is the engine's serial per-round fault point, run right
-// after the barrier wake and before the route phase — the one moment
-// every node is quiescent (goroutine nodes parked in Tick's resume
-// receive, stepped nodes between phases). It performs the restarts due
-// this round, then draws crash decisions from per-shard streams keyed
-// (seed, round, shard) in ascending shard and node order. Returns the
-// net change to the arrival-barrier population (restarted goroutine
-// nodes minus crashed goroutine nodes).
+// applyFaults is the engine's serial per-round fault point, run before
+// the route phase — the one moment every node is quiescent between
+// phases. It performs the restarts due this round, then draws crash
+// decisions from per-shard streams keyed (seed, round, shard) in
+// ascending shard and node order.
 //
 // On an aborted run it instead terminates every parked node — their
-// goroutines are long unwound, so the engine publishes the done bit
+// programs are long unwound, so the engine publishes the done bit
 // itself and the route phase harvests them like any other finished
 // node, letting the run end.
-func (e *Engine) applyFaults() int {
+func (e *Engine) applyFaults() {
 	if e.aborted {
 		for i := range e.nodes {
 			if rt := &e.nodes[i]; rt.parked && !rt.done {
@@ -306,14 +302,13 @@ func (e *Engine) applyFaults() int {
 				e.parkedN--
 			}
 		}
-		return 0
+		return
 	}
 	fp := e.faults
 	if !fp.Crash && e.parkedN == 0 {
-		return 0 // loss/churn-only plan with nothing parked: no per-node walk
+		return // loss/churn-only plan with nothing parked: no per-node walk
 	}
 	round := e.round
-	deltaG := 0
 	for s := 0; s < e.nshards; s++ {
 		lo := s * ShardSpan
 		hi := lo + ShardSpan
@@ -330,9 +325,7 @@ func (e *Engine) applyFaults() int {
 				// A node restarted this round consumes no crash draw and
 				// cannot crash again until the next fault point.
 				if rt.restartRound == round {
-					if e.restartNode(id, rt) {
-						deltaG++
-					}
+					e.restartNode(id, rt)
 				}
 				continue
 			}
@@ -340,55 +333,27 @@ func (e *Engine) applyFaults() int {
 				continue
 			}
 			if st.frng.Float64() < fp.CrashP {
-				if e.crashNode(id, rt, round) {
-					deltaG--
-				}
+				e.crashNode(rt, round)
 			}
 		}
 	}
-	// Spawn the goroutine-form restarts behind a mini-barrier so every
-	// one reaches its first Tick — staging its round-r sends exactly
-	// like bindNodes' initial spawn — before routing begins. No other
-	// node can arrive concurrently: the whole population is parked.
-	if n := len(e.restartG); n > 0 {
-		e.arrivals.Store(int64(n))
-		gor := e.restartG
-		ctxs := e.ctxs
-		var next atomic.Int64
-		nodeMain := func() {
-			g := gor[next.Add(1)-1]
-			runNode(&ctxs[g.id], g.fn)
-		}
-		for range gor {
-			go nodeMain()
-		}
-		<-e.wake
-		for i := range e.restartG {
-			e.restartG[i] = goSpawn{}
-		}
-		e.restartG = e.restartG[:0]
-	}
-	return deltaG
 }
 
 // crashNode parks one node: a stepped node's machine is discarded, a
-// goroutine node is unwound through the errCrash panic handshake (it is
-// parked in Tick; the nil resume plus the crashing flag panic it out,
-// and crashAck confirms the goroutine is gone before the fault point
-// moves on). The node's staged sends from the round boundary it already
-// passed still route — fail-stop at the barrier, not retroactive — but
-// from this round on it receives nothing and holds no memory. Reports
-// whether a goroutine left the barrier population.
-func (e *Engine) crashNode(id int, rt *nodeRT, round int) (wasGoroutine bool) {
-	if rt.step != nil {
-		rt.step = nil
-	} else {
+// blocking node is unwound with its crashing flag set, so its Tick
+// panics errCrash, the program's deferred code runs and its coroutine
+// finishes. The node's staged sends from the round
+// boundary it already passed still route — fail-stop at the barrier,
+// not retroactive — but from this round on it receives nothing and
+// holds no memory.
+func (e *Engine) crashNode(rt *nodeRT, round int) {
+	if rt.co != nil {
 		rt.crashing = true
-		rt.resume <- nil
-		<-e.crashAck
+		rt.co.unwind()
 		rt.crashing = false
-		wasGoroutine = true
 	}
+	rt.step = nil
+	rt.co = nil
 	rt.parked = true
 	rt.restartRound = round + e.faults.RestartDelay()
 	rt.live = 0
@@ -396,18 +361,16 @@ func (e *Engine) crashNode(id int, rt *nodeRT, round int) (wasGoroutine bool) {
 	rt.inbox = rt.inbox[:0]
 	e.crashes++
 	e.parkedN++
-	return wasGoroutine
 }
 
 // restartNode revives a parked node through the bound Program, exactly
 // like run-start binding: the Ctx slot is rebuilt from scratch (fresh
 // topology views, a private RNG replaying its stream from the start, a
 // reset bandwidth meter, Round() back at 0 — only Restarts() tells a
-// restarted execution from a fresh one), Node is re-invoked, and a
-// stepped node runs its first step inline while a goroutine node is
-// staged for the mini-barrier spawn. Emitted outputs, the peak-memory
+// restarted execution from a fresh one), Node is re-invoked, and the
+// node runs its first step inline. Emitted outputs, the peak-memory
 // high-water mark and any recorded μ violation survive the crash.
-func (e *Engine) restartNode(id int, rt *nodeRT) (isGoroutine bool) {
+func (e *Engine) restartNode(id int, rt *nodeRT) {
 	rt.parked = false
 	rt.restartRound = 0
 	rt.restarts++
@@ -419,22 +382,7 @@ func (e *Engine) restartNode(id int, rt *nodeRT) (isGoroutine bool) {
 	c.outbox = c.outbox[:0]
 	clear(c.sent)
 	c.sentRound = 0
-	c = newCtx(e, e.ctxs, id)
-	step, fn := e.prog.Node(c)
-	if step != nil {
-		rt.step = step
-		e.stepNode(c, rt)
-		return false
-	}
-	if fn == nil {
-		panic(fmt.Sprintf("sim: Program.Node returned neither form (nil StepProgram and nil func) for node %d", id))
-	}
-	rt.step = nil
-	if rt.resume == nil {
-		rt.resume = make(chan []Incoming, 1)
-	}
-	e.restartG = append(e.restartG, goSpawn{id: id, fn: fn})
-	return true
+	e.bindNode(id)
 }
 
 // EdgeIsDown reports whether the undirected edge {u, v} is down at

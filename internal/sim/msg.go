@@ -3,18 +3,15 @@
 // model (one O(log n)-bit message per directed edge per round) extended
 // with a per-node memory budget of μ words.
 //
-// Each node runs its algorithm as an ordinary Go function on its own
-// goroutine; rounds are synchronized with a barrier hidden behind
-// Ctx.Tick. The barrier is zero-channel on the node side: each node
-// publishes its outbox and termination state into per-node slots and
-// decrements one atomic arrival counter — only the last arrival wakes
-// the engine, so barrier cost does not funnel n signals through a
-// shared channel. Between barriers all nodes compute in parallel, which
-// both matches the model (local computation is free) and exploits
-// multicore hardware. The engine's own per-round work — barrier
-// bookkeeping, routing, inbox ordering, memory accounting, resume — is
-// sharded by destination ranges across a worker pool (WithSimWorkers);
-// results are bit-for-bit identical for every worker count, so
+// Each node runs its algorithm as an ordinary Go function; rounds are
+// synchronized with a barrier hidden behind Ctx.Tick. The function runs
+// as a coroutine: Tick yields it back to the engine, which resumes it
+// with the next round's inbox (a node may instead be written as an
+// explicit StepProgram state machine). The engine's per-round work —
+// barrier bookkeeping, routing, inbox ordering, memory accounting and
+// resuming the nodes — is sharded by destination ranges across a worker
+// pool (WithSimWorkers), and each worker runs the node code of its own
+// shards; results are bit-for-bit identical for every worker count, so
 // parallelism is purely a wall-clock knob.
 //
 // Model mapping conventions (README.md, "Layout"):

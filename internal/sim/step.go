@@ -3,29 +3,30 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"iter"
 )
 
-// Step-function execution: a node program written as an explicit state
-// machine instead of a blocking func. The shard workers drive stepped
-// nodes inline inside the account/resume phases — no per-node
-// goroutine, no resume channel, no per-node stack, and no barrier
-// arrival: the phase completing *is* the node's arrival. Only nodes
-// running the classic blocking form participate in the zero-channel
-// barrier, so a pure-step run performs zero channel operations per
-// round.
+// Node execution: every node is driven inline by the delivery workers
+// inside the account/resume phases — no per-node goroutine of its own,
+// no resume channel and no barrier arrival: the phase completing *is*
+// the node's arrival. A node program takes one of two forms.
 //
-// The two forms are observably identical. Step call k executes exactly
-// the code a blocking program runs between its (k-1)-th and k-th Tick:
-// the first Step receives a nil inbox (a blocking program has received
-// nothing before its first Tick), returning true is Tick (the staged
-// outbox is handed to the engine, the next Step receives the delivered
-// inbox), and returning false is the program returning. Ctx.Round
-// inside Step k reports k-1, the same value a blocking program sees
-// between those Ticks. The inbox slice passed to Step aliases an
+// A StepProgram is an explicit state machine. Step call k executes
+// exactly the code a blocking program runs between its (k-1)-th and
+// k-th Tick: the first Step receives a nil inbox (a blocking program has
+// received nothing before its first Tick), returning true is Tick (the
+// staged outbox is handed to the engine, the next Step receives the
+// delivered inbox), and returning false is the program returning.
+// Ctx.Round inside Step k reports k-1, the same value a blocking program
+// sees between those Ticks. The inbox slice passed to Step aliases an
 // engine-owned buffer under the same contract as Tick's return value:
 // it is valid only until the node's next Step (simdebug poisons retired
 // buffers here too).
+//
+// A blocking func(*Ctx) runs as an iter.Pull coroutine wrapped in the
+// internal coroutine StepProgram: its Step resumes the program, and
+// Ctx.Tick yields back to the worker. Both forms therefore share one
+// dispatch path and are observably identical.
 
 // StepProgram is a node program in explicit state-machine form. The
 // engine calls Step once per round with the messages delivered at the
@@ -40,10 +41,10 @@ type StepProgram interface {
 
 // Program is the generalized node-program surface of Engine.RunProgram:
 // Node picks each node's execution form. Returning a non-nil
-// StepProgram makes the node goroutine-free (stepped inline by the
-// delivery workers); returning a nil StepProgram and a non-nil func
-// runs the node as a classic blocking goroutine. Mixed runs — some
-// nodes stepped, some blocking — are valid and stay deterministic.
+// StepProgram runs the node as that state machine; returning a nil
+// StepProgram and a non-nil func runs the node in the classic blocking
+// form, as a coroutine. Mixed runs — some nodes stepped, some blocking —
+// are valid and stay deterministic.
 //
 // Node is called once per node during engine setup — and once more per
 // fault-layer restart of a node (see WithFaults), which re-binds the
@@ -54,99 +55,95 @@ type Program interface {
 }
 
 // Func adapts a classic blocking program to the Program surface; it is
-// what Engine.Run wraps its argument in. Every node runs the same func
-// on its own goroutine.
+// what Engine.Run wraps its argument in. Every node runs the same func.
 type Func func(*Ctx)
 
-// Node implements Program: every node takes the goroutine form.
+// Node implements Program: every node takes the blocking form.
 func (f Func) Node(*Ctx) (StepProgram, func(*Ctx)) { return nil, f }
 
 // Steps adapts a per-node StepProgram factory to the Program surface:
-// every node runs goroutine-free. The factory may be called
+// every node runs as a state machine. The factory may be called
 // concurrently for distinct nodes.
 type Steps func(c *Ctx) StepProgram
 
 // Node implements Program: every node takes the step form.
 func (s Steps) Node(c *Ctx) (StepProgram, func(*Ctx)) { return s(c), nil }
 
-// goSpawn is one goroutine-form node staged by bindShard for spawning
-// after every shard is bound.
-type goSpawn struct {
-	id int
-	fn func(*Ctx)
+// coroutine is the StepProgram a blocking node runs as: the program is
+// an iter.Pull coroutine, Step resumes it with the delivered inbox, and
+// Ctx.Tick yields from it.
+type coroutine struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	in    []Incoming // the inbox the resumed Tick returns
 }
 
-// bindShard materializes the shard's node contexts and binds each
-// node's program form. Stepped nodes run their first step inline — the
-// code a blocking program executes before its first Tick — so by the
-// time the bind phase completes, every stepped node has staged its
-// round-0 sends exactly like a freshly spawned goroutine node arriving
-// at the first barrier. Goroutine nodes get their resume channel and
-// are staged in the shard scratch for spawning once binding completes
-// (spawning here would let them race the still-binding shards at the
-// barrier).
-func (e *Engine) bindShard(st *shardState, lo, hi int) {
-	for id := lo; id < hi; id++ {
-		c := newCtx(e, e.ctxs, id)
-		step, fn := e.prog.Node(c)
-		rt := &e.nodes[id]
-		if step != nil {
-			rt.step = step
-			e.stepNode(c, rt)
-			continue
-		}
+// newCoroutine binds fn as c's program without running any of it.
+func newCoroutine(c *Ctx, fn func(*Ctx)) *coroutine {
+	co := new(coroutine)
+	co.next, co.stop = iter.Pull(func(yield func(struct{}) bool) {
+		co.yield = yield
+		fn(c)
+	})
+	return co
+}
+
+// Step resumes the program until its next Tick (true) or its return
+// (false). A panic inside the program propagates out of next, finishing
+// the coroutine, into stepSafe.
+func (co *coroutine) Step(_ *Ctx, in []Incoming) bool {
+	//muvet:allow stepalias(handed to the resumed Tick, which returns it under the same aliasing contract; cleared before Step returns)
+	co.in = in
+	_, ok := co.next()
+	co.in = nil
+	return ok
+}
+
+// unwind finishes a suspended coroutine: stop resumes it with yield
+// reporting false, so its Tick panics (errCrash for a crashing node,
+// errAbort otherwise) and the program's deferred code runs. stop
+// re-raises that panic here; the caller has already decided what the
+// node's end means, so it is discarded.
+func (co *coroutine) unwind() {
+	defer func() { _ = recover() }()
+	co.stop()
+}
+
+// bindNode materializes node id's Ctx, binds its program form and runs
+// its first step inline — the code a blocking program executes before
+// its first Tick — so the node has staged its round-0 sends by the time
+// the bind phase completes. Restarts re-bind through here too.
+func (e *Engine) bindNode(id int) {
+	c := newCtx(e, e.ctxs, id)
+	rt := &e.nodes[id]
+	step, fn := e.prog.Node(c)
+	if step == nil {
 		if fn == nil {
 			panic(fmt.Sprintf("sim: Program.Node returned neither form (nil StepProgram and nil func) for node %d", id))
 		}
-		if rt.resume == nil {
-			rt.resume = make(chan []Incoming, 1)
+		rt.co = newCoroutine(c, fn)
+		step = rt.co
+	}
+	rt.step = step
+	e.stepNode(c, rt)
+}
+
+// stopCoroutines unwinds every coroutine a run that is exiting by panic
+// left suspended, so none leaks. Finished coroutines ignore the stop.
+func (e *Engine) stopCoroutines() {
+	for i := range e.nodes {
+		if co := e.nodes[i].co; co != nil {
+			co.unwind()
 		}
-		st.gor = append(st.gor, goSpawn{id: id, fn: fn})
 	}
 }
 
-// bindNodes binds every node's program form through the delivery pool
-// (parallel at large n), then spawns the goroutine-form nodes the
-// shards staged. Returns the goroutine-node count — the population of
-// the arrival barrier.
-func (e *Engine) bindNodes(sc *runScratch, p Program) int {
-	// e.prog was set by RunProgram and stays set for the whole run: the
-	// fault layer re-invokes Node on restart.
-	e.runPhase(phaseBind)
-	gor := sc.gor[:0]
-	for _, st := range e.shards {
-		gor = append(gor, st.gor...)
-		for i := range st.gor {
-			st.gor[i] = goSpawn{}
-		}
-		st.gor = st.gor[:0]
-	}
-	sc.gor = gor
-	if len(gor) == 0 {
-		return 0
-	}
-	// Arm the barrier before the first spawn can arrive at it. The spawn
-	// loop reuses the Func fast path's trick: one shared closure and an
-	// id-claim counter, so spawning allocates one closure per run — `go
-	// runNode(...)` with arguments would heap-allocate per node.
-	e.arrivals.Store(int64(len(gor)))
-	var next atomic.Int64
-	ctxs := e.ctxs
-	nodeMain := func() {
-		g := gor[next.Add(1)-1]
-		runNode(&ctxs[g.id], g.fn)
-	}
-	for range gor {
-		go nodeMain()
-	}
-	return len(gor)
-}
-
-// stepNode drives one round of a stepped node inline on the calling
-// delivery worker: hand the inbox to Step, and either stage the
-// resulting outbox (continue) or record termination (return/panic).
-// This is the step-mode twin of resumeNode + the node's Tick, minus
-// the channel hop, the goroutine park and the barrier arrival.
+// stepNode drives one round of a node inline on the calling delivery
+// worker: hand the inbox to Step, and either stage the resulting outbox
+// (continue) or record termination (return/panic). The inbox buffer is
+// truncated but kept: the node's next delivery runs only after it has
+// stepped again, which is safe under the Tick aliasing contract.
 //
 //muvet:hotpath
 func (e *Engine) stepNode(c *Ctx, rt *nodeRT) {
@@ -155,10 +152,11 @@ func (e *Engine) stepNode(c *Ctx, rt *nodeRT) {
 		in = nil
 	}
 	rt.inbox = rt.inbox[:0]
-	if e.aborted {
-		// Aborted runs unwind goroutine nodes via the errAbort panic,
-		// which the error harvest filters out; terminating with a nil
-		// error is the observably identical step-mode ending.
+	if e.aborted && rt.co == nil {
+		// An aborted run resumes a blocking node so its Tick panics
+		// errAbort and its deferred code runs; the error harvest filters
+		// that sentinel out. A stepped node has nothing to unwind:
+		// terminating with a nil error is the observably identical end.
 		e.finishStep(c, rt, nil)
 		return
 	}
@@ -173,11 +171,11 @@ func (e *Engine) stepNode(c *Ctx, rt *nodeRT) {
 	}
 }
 
-// stepSafe runs one Step call, translating a panic into the same node
-// error runNode's recover produces for goroutine programs — the error
-// strings are part of the determinism contract. (Not a hot path: the
-// deferred recover is open-coded and allocation-free on the non-panic
-// path, but hotalloc cannot see that.)
+// stepSafe runs one Step call, translating a panic into the node error
+// the determinism contract pins: the abort and memory sentinels pass
+// through, anything else becomes "sim: node %d panicked: %v". (Not a
+// hot path: the deferred recover is open-coded and allocation-free on
+// the non-panic path, but hotalloc cannot see that.)
 func (e *Engine) stepSafe(c *Ctx, p StepProgram, in []Incoming) (cont bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -192,10 +190,8 @@ func (e *Engine) stepSafe(c *Ctx, p StepProgram, in []Incoming) (cont bool, err 
 	return p.Step(c, in), nil
 }
 
-// finishStep is a stepped node's termination: the step-mode twin of
-// runNode's deferred final arrival, publishing the termination bit, the
-// error and any last staged sends. No arrival decrement — stepped nodes
-// never enter the barrier population.
+// finishStep is a node's termination: it publishes the termination bit,
+// the error and any last staged sends.
 //
 //muvet:hotpath
 func (e *Engine) finishStep(c *Ctx, rt *nodeRT, err error) {
