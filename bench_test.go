@@ -149,8 +149,9 @@ func BenchmarkEngineRoundReversed64(b *testing.B) {
 // BenchmarkEngineRoundBroadcastComplete512 isolates the per-message
 // send path at high fan-out: 512 nodes broadcasting on the implicit
 // complete topology is ~262k Send meters + routed appends per round,
-// all through the IndexedTopology port arithmetic (no materialized
-// adjacency), so ns/op tracks Ctx.Broadcast/Send overhead directly.
+// every port resolved by the topology's NeighborAt arithmetic (no
+// materialized adjacency), so ns/op tracks Ctx.Broadcast/Send overhead
+// directly.
 func BenchmarkEngineRoundBroadcastComplete512(b *testing.B) {
 	benchEngineRounds(b, sim.NewComplete(512), 4)
 }
@@ -259,10 +260,10 @@ func BenchmarkEngineRoundTorus65536(b *testing.B) {
 // BenchmarkEngineRoundPowerlaw65536 drives heavy-tailed degrees at
 // 65536 nodes on the compact CSR adjacency, goroutine-free and warm:
 // the per-round engine cost on the representation and runtime the
-// large-n experiments actually use. Through PR9 this cell ran the
-// explicit graph.Graph in goroutine mode, cold — 1.05 s and 112 MB per
-// op (BENCH_PR9.json); the CSR + step + warm combination is the
-// tentpole speedup the PR10 baseline records.
+// large-n experiments actually use. Before the CSR layer this cell ran
+// the explicit graph.Graph in goroutine mode, cold — 1.05 s and 112 MB
+// per op; both that baseline and the one recording the CSR + step +
+// warm speedup are in git history.
 func BenchmarkEngineRoundPowerlaw65536(b *testing.B) {
 	if benchLargeTopo.powerlaw == nil {
 		benchLargeTopo.powerlaw = graph.BarabasiAlbertCSR(65536, 3, rand.New(rand.NewSource(1)))

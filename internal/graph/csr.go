@@ -14,9 +14,9 @@ import (
 // (rows sorted ascending, so ports agree), a fraction of the memory
 // (12 bytes per directed edge end + 8 per node instead of a Go slice
 // per node), and cache-friendly sequential layout for the delivery
-// loop. CSR implements sim.Topology together with all three optional
-// fast paths (DegreeTopology, IndexedTopology, PortedTopology), so the
-// engine never needs to materialize a neighbor slice for it.
+// loop. CSR implements sim.Topology, whose Degree, NeighborAt and
+// PortOf it answers from the flat rows, so the engine never needs to
+// materialize a neighbor slice for it.
 //
 // Node ids are stored as int32: a CSR graph holds at most 2^31-1
 // nodes, far beyond the 1M–10M node target.
@@ -26,10 +26,11 @@ type CSR struct {
 	offsets []int64 // len n+1; row v is adj[offsets[v]:offsets[v+1]], sorted
 	adj     []int32
 
-	// Neighbors materializes []int rows only on demand (the engine's
-	// fast paths never call it). The cache table is published once via
-	// tab, entries once via CompareAndSwap, so the warm path is
-	// lock-free and every caller sees one canonical slice per node.
+	// Neighbors materializes []int rows only on demand (the engine
+	// itself never calls it, only programs asking Ctx.Neighbors do).
+	// The cache table is published once via tab, entries once via
+	// CompareAndSwap, so the warm path is lock-free and every caller
+	// sees one canonical slice per node.
 	mu  sync.Mutex
 	tab atomic.Pointer[[]atomic.Pointer[[]int]]
 }

@@ -8,13 +8,15 @@ import (
 
 // csrMatchesGraph asserts the two representations are edge-for-edge and
 // port-for-port identical: same n, m, degrees, neighbor rows (in
-// order), NeighborAt and PortOf answers.
+// order), and NeighborAt and PortOf answers that agree with the row on
+// both sides, including -1 for non-neighbors.
 func csrMatchesGraph(t *testing.T, name string, c *CSR, g *Graph) {
 	t.Helper()
-	if c.N() != g.N() || c.M() != g.M() {
-		t.Fatalf("%s: CSR n=%d m=%d, graph n=%d m=%d", name, c.N(), c.M(), g.N(), g.M())
+	n := g.N()
+	if c.N() != n || c.M() != g.M() {
+		t.Fatalf("%s: CSR n=%d m=%d, graph n=%d m=%d", name, c.N(), c.M(), n, g.M())
 	}
-	for v := 0; v < g.N(); v++ {
+	for v := 0; v < n; v++ {
 		if c.Degree(v) != g.Degree(v) {
 			t.Fatalf("%s: node %d degree CSR %d, graph %d", name, v, c.Degree(v), g.Degree(v))
 		}
@@ -28,14 +30,25 @@ func csrMatchesGraph(t *testing.T, name string, c *CSR, g *Graph) {
 				t.Fatalf("%s: node %d port %d: CSR %d, graph %d", name, v, p, cn[p], u)
 			}
 			if got := c.NeighborAt(v, p); got != u {
-				t.Fatalf("%s: NeighborAt(%d,%d) = %d, want %d", name, v, p, got, u)
+				t.Fatalf("%s: CSR NeighborAt(%d,%d) = %d, want %d", name, v, p, got, u)
+			}
+			if got := g.NeighborAt(v, p); got != u {
+				t.Fatalf("%s: graph NeighborAt(%d,%d) = %d, want %d", name, v, p, got, u)
 			}
 			if got := c.PortOf(v, u); got != p {
-				t.Fatalf("%s: PortOf(%d,%d) = %d, want %d", name, v, u, got, p)
+				t.Fatalf("%s: CSR PortOf(%d,%d) = %d, want %d", name, v, u, got, p)
+			}
+			if got := g.PortOf(v, u); got != p {
+				t.Fatalf("%s: graph PortOf(%d,%d) = %d, want %d", name, v, u, got, p)
 			}
 		}
-		if c.PortOf(v, v) != -1 {
-			t.Fatalf("%s: PortOf(%d,%d) should be -1", name, v, v)
+		for _, id := range []int{v, -1, n} {
+			if got := c.PortOf(v, id); got != -1 {
+				t.Fatalf("%s: CSR PortOf(%d,%d) = %d, want -1", name, v, id, got)
+			}
+			if got := g.PortOf(v, id); got != -1 {
+				t.Fatalf("%s: graph PortOf(%d,%d) = %d, want -1", name, v, id, got)
+			}
 		}
 	}
 }

@@ -88,6 +88,21 @@ func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
 // Degree returns deg(v).
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
+// NeighborAt returns v's neighbor on the given port (its index in the
+// sorted neighbor list).
+func (g *Graph) NeighborAt(v, port int) int { return g.adj[v][port] }
+
+// PortOf returns the port of neighbor id as seen from v via binary
+// search over v's sorted list, or -1 when not adjacent.
+func (g *Graph) PortOf(v, id int) int {
+	a := g.adj[v]
+	i := sort.SearchInts(a, id)
+	if i < len(a) && a[i] == id {
+		return i
+	}
+	return -1
+}
+
 // MaxDegree returns Δ.
 func (g *Graph) MaxDegree() int {
 	d := 0
@@ -108,11 +123,7 @@ func (g *Graph) AvgDegree() float64 {
 }
 
 // HasEdge reports whether {u,v} is present, via binary search.
-func (g *Graph) HasEdge(u, v int) bool {
-	a := g.adj[u]
-	i := sort.SearchInts(a, v)
-	return i < len(a) && a[i] == v
-}
+func (g *Graph) HasEdge(u, v int) bool { return g.PortOf(u, v) >= 0 }
 
 // Edges returns all edges with U < V in lexicographic order.
 func (g *Graph) Edges() []Edge {

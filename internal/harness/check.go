@@ -14,9 +14,9 @@ import (
 // the topo registry: the explicit *graph.Graph by default, or — for
 // compact scenarios — the registry's compact representation
 // (topo.Spec.BuildTopology: CSR adjacency or engine-native implicit
-// arithmetic), which answers through the DegreeTopology /
-// IndexedTopology / PortedTopology fast paths the explicit graph does
-// not implement.
+// arithmetic). Both satisfy the same sim.Topology contract; the compact
+// forms answer Degree / NeighborAt / PortOf from flat rows or
+// arithmetic instead of per-node slices.
 func BuildTopology(sc Scenario) (sim.Topology, error) {
 	spec, err := topo.Parse(sc.TopoSpec)
 	if err != nil {

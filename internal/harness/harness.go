@@ -61,8 +61,9 @@ type Scenario struct {
 	// representations are edge-for-edge identical — CheckScenario
 	// certifies that differentially by running the reference engine on
 	// both and requiring byte-identical results, while the production
-	// engine runs exercise the DegreeTopology / IndexedTopology /
-	// PortedTopology fast paths the explicit graph does not implement.
+	// engine runs exercise the compact Degree / NeighborAt / PortOf
+	// implementations (flat CSR rows, implicit arithmetic) in place of
+	// the explicit graph's.
 	Compact bool
 	// Behavior names the node program (see behaviors.go); Rounds is its
 	// horizon. FailNode/FailRound parameterize the node-error behavior
@@ -173,8 +174,8 @@ func Corpus(masterSeed int64, k int) []Scenario {
 // comparison is O(n · rounds) three times over); one in eight spans
 // multiple delivery shards (n > sim.ShardSpan) on a cheap family,
 // exercising the per-shard RNG stream derivation; complete forces the
-// compact draw half the time so the implicit all-to-all fast paths
-// stay covered regardless of the general compact rate in Generate.
+// compact draw half the time so the implicit all-to-all port arithmetic
+// stays covered regardless of the general compact rate in Generate.
 func drawTopo(rng *rand.Rand) (spec string, n int, compact bool) {
 	if rng.Intn(8) == 0 {
 		n = sim.ShardSpan + 1 + rng.Intn(700)

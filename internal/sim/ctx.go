@@ -10,20 +10,16 @@ import (
 // messaging, memory meter, output channel and RNG. A Ctx belongs to its
 // node's program and must not be shared with other nodes or goroutines.
 //
-// Topology state is materialized lazily so that engine setup stays O(1)
-// per node even on implicit topologies like Complete: the neighbor slice
-// is fetched on first Neighbors (or first port use without a topology
-// fast path), the id→port map on first PortOf without one, and the
-// private RNG on first Rand.
+// The topology view holds only the degree: ports resolve through the
+// Topology on every use, so engine setup stays O(1) per node even on
+// implicit topologies like Complete. The private RNG is created on
+// first Rand.
 type Ctx struct {
 	eng *Engine
 	rt  *nodeRT // this node's runtime slot, cached off the hot paths
 	id  int
 	deg int
-	at  IndexedTopology // cached engine fast path (nil when unsupported)
-	nbr []int           // lazily materialized neighbor list (nil until needed)
-	prt map[int]int     // lazy id -> port fallback (topologies without PortOf)
-	rng *rand.Rand      // lazily created on first Rand
+	rng *rand.Rand // lazily created on first Rand
 
 	outbox []routed
 	spare  []routed // retired outbox buffer, recycled by takeOutbox
@@ -45,13 +41,7 @@ type Ctx struct {
 // one allocation per run, not per node — and returns it.
 func newCtx(e *Engine, ctxs []Ctx, id int) *Ctx {
 	c := &ctxs[id]
-	c.eng, c.rt, c.id, c.at = e, &e.nodes[id], id, e.topoAt
-	if e.topoDeg != nil {
-		c.deg = e.topoDeg.Degree(id)
-	} else {
-		c.nbr = e.topo.Neighbors(id)
-		c.deg = len(c.nbr)
-	}
+	c.eng, c.rt, c.id, c.deg = e, &e.nodes[id], id, e.topo.Degree(id)
 	switch {
 	case e.edgeCap > math.MaxInt32:
 		c.sentCap = math.MaxInt32
@@ -63,15 +53,6 @@ func newCtx(e *Engine, ctxs []Ctx, id int) *Ctx {
 		c.sentCap = uint32(e.edgeCap)
 	}
 	return c
-}
-
-// neighbors returns the materialized neighbor list, fetching it from the
-// topology on first use.
-func (c *Ctx) neighbors() []int {
-	if c.nbr == nil {
-		c.nbr = c.eng.topo.Neighbors(c.id)
-	}
-	return c.nbr
 }
 
 // ID returns this node's id in 0..N-1.
@@ -88,33 +69,17 @@ func (c *Ctx) Degree() int { return c.deg }
 
 // Neighbors returns this node's neighbor ids. The slice must not be
 // modified.
-func (c *Ctx) Neighbors() []int { return c.neighbors() }
+func (c *Ctx) Neighbors() []int { return c.eng.topo.Neighbors(c.id) }
 
 // Neighbor returns the id of the neighbor on the given port.
-func (c *Ctx) Neighbor(port int) int {
-	if c.nbr == nil && c.at != nil {
-		return c.at.NeighborAt(c.id, port)
-	}
-	return c.neighbors()[port]
-}
+//
+//muvet:hotpath
+func (c *Ctx) Neighbor(port int) int { return c.eng.topo.NeighborAt(c.id, port) }
 
 // PortOf returns the port of neighbor id, or -1 if id is not adjacent.
-func (c *Ctx) PortOf(id int) int {
-	if c.eng.topoPort != nil {
-		return c.eng.topoPort.PortOf(c.id, id)
-	}
-	if c.prt == nil {
-		nbr := c.neighbors()
-		c.prt = make(map[int]int, len(nbr))
-		for p, u := range nbr {
-			c.prt[u] = p
-		}
-	}
-	if p, ok := c.prt[id]; ok {
-		return p
-	}
-	return -1
-}
+//
+//muvet:hotpath
+func (c *Ctx) PortOf(id int) int { return c.eng.topo.PortOf(c.id, id) }
 
 // Rand returns this node's deterministic private RNG. The stream depends
 // only on the engine seed and the node id.
@@ -181,18 +146,12 @@ func (c *Ctx) growSent(n int) {
 //muvet:hotpath
 func (c *Ctx) Send(port int, m Msg) {
 	c.meter(port)
-	var to int
-	if c.nbr != nil {
-		to = c.nbr[port]
-	} else if c.at != nil {
-		to = c.at.NeighborAt(c.id, port)
-	} else {
-		to = c.neighbors()[port]
-	}
-	c.outbox = append(c.outbox, routed{from: c.id, to: to, msg: m})
+	c.outbox = append(c.outbox, routed{from: c.id, to: c.eng.topo.NeighborAt(c.id, port), msg: m})
 }
 
 // SendID queues one message to the adjacent node with the given id.
+//
+//muvet:hotpath
 func (c *Ctx) SendID(id int, m Msg) {
 	p := c.PortOf(id)
 	if p < 0 {
@@ -237,18 +196,9 @@ func (c *Ctx) Broadcast(m Msg) {
 		copy(grown, out)
 		out = grown
 	}
-	if nbr := c.nbr; nbr != nil {
-		for _, u := range nbr {
-			out = append(out, routed{from: c.id, to: u, msg: m})
-		}
-	} else if at := c.at; at != nil {
-		for p := 0; p < deg; p++ {
-			out = append(out, routed{from: c.id, to: at.NeighborAt(c.id, p), msg: m})
-		}
-	} else {
-		for _, u := range c.neighbors() {
-			out = append(out, routed{from: c.id, to: u, msg: m})
-		}
+	topo := c.eng.topo
+	for p := 0; p < deg; p++ {
+		out = append(out, routed{from: c.id, to: topo.NeighborAt(c.id, p), msg: m})
 	}
 	c.outbox = out
 }

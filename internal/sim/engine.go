@@ -165,14 +165,6 @@ type Engine struct {
 	maxRounds int
 	workers   int // configured; 0 = GOMAXPROCS, resolved at Run
 
-	// Optional topology fast paths (resolved once in New): degree, the
-	// neighbor on a port, and the port of a neighbor id without
-	// materializing adjacency slices. Implicit topologies like Complete
-	// provide all three, keeping per-node setup O(1).
-	topoDeg  DegreeTopology
-	topoAt   IndexedTopology
-	topoPort PortedTopology
-
 	n     int
 	round int
 	nodes []nodeRT
@@ -309,7 +301,7 @@ func grab(n int) *runScratch {
 }
 
 // release scrubs the references the finished run left behind (outputs
-// now belong to the Result, programs, topology views and errors to
+// now belong to the Result, programs, engine references and errors to
 // nobody) and returns the scratch to the pool. Buffer capacities and
 // shard state stay for the next run to reuse.
 func (sc *runScratch) release() {
@@ -320,8 +312,7 @@ func (sc *runScratch) release() {
 		rt.outputs = nil
 		rt.nodeErr = nil
 		c := &sc.ctxs[i]
-		c.eng, c.rt, c.at = nil, nil, nil
-		c.nbr, c.prt, c.rng = nil, nil, nil
+		c.eng, c.rt, c.rng = nil, nil, nil
 		// Reset the bandwidth meter with the slot: stale stamps must not
 		// alias a future run's stamp space once sentRound restarts (its
 		// wraparound bound is per run, not per pooled-slot lifetime).
@@ -345,9 +336,6 @@ func New(topo Topology, opts ...Option) *Engine {
 		n:         topo.N(),
 		workers:   int(defaultWorkers.Load()),
 	}
-	e.topoDeg, _ = topo.(DegreeTopology)
-	e.topoAt, _ = topo.(IndexedTopology)
-	e.topoPort, _ = topo.(PortedTopology)
 	for _, o := range opts {
 		o(e)
 	}
@@ -546,7 +534,7 @@ func (e *Engine) startPool() {
 	e.workCh = make(chan phaseKind)
 	e.workDone = make(chan struct{}, w)
 	for i := 0; i < w; i++ {
-		go e.deliveryWorker()
+		go e.deliveryWorker(e.workCh)
 	}
 }
 
@@ -578,8 +566,12 @@ func (e *Engine) runPhase(k phaseKind) {
 	}
 }
 
-func (e *Engine) deliveryWorker() {
-	for k := range e.workCh {
+// deliveryWorker takes its channel as an argument rather than reading
+// e.workCh: the workers scheduled first can drain every phase of a run,
+// so a worker may first run after stopPool has nilled the field, and
+// ranging over a nil channel would park it forever.
+func (e *Engine) deliveryWorker(work <-chan phaseKind) {
+	for k := range work {
 		for {
 			s := int(e.cursor.Add(1) - 1)
 			if s >= e.nshards {

@@ -84,18 +84,21 @@ func (p FaultPlan) upRounds() int {
 
 // String renders the plan in canonical spec form: clauses in the fixed
 // order loss, crash, edgedown, every parameter explicit, probabilities
-// in shortest round-tripping decimal form. ParseFaults(p.String())
-// reproduces p exactly; the empty plan prints as "".
+// in shortest round-tripping decimal form, and the restart and up
+// lengths as the effective values the engine runs with (a hand-built
+// zero prints as 1). ParseFaults(p.String()) reproduces every parsed
+// plan exactly and every hand-built one up to that clamping; the empty
+// plan prints as "".
 func (p FaultPlan) String() string {
 	var parts []string
 	if p.Loss {
 		parts = append(parts, "loss:p="+formatProb(p.LossP))
 	}
 	if p.Crash {
-		parts = append(parts, fmt.Sprintf("crash:p=%s,restart=%d", formatProb(p.CrashP), p.Restart))
+		parts = append(parts, fmt.Sprintf("crash:p=%s,restart=%d", formatProb(p.CrashP), p.RestartDelay()))
 	}
 	if p.EdgeDown {
-		parts = append(parts, fmt.Sprintf("edgedown:p=%s,up=%d", formatProb(p.EdgeDownP), p.Up))
+		parts = append(parts, fmt.Sprintf("edgedown:p=%s,up=%d", formatProb(p.EdgeDownP), p.upRounds()))
 	}
 	return strings.Join(parts, "+")
 }
@@ -364,8 +367,8 @@ func (e *Engine) crashNode(rt *nodeRT, round int) {
 }
 
 // restartNode revives a parked node through the bound Program, exactly
-// like run-start binding: the Ctx slot is rebuilt from scratch (fresh
-// topology views, a private RNG replaying its stream from the start, a
+// like run-start binding: the Ctx slot is rebuilt from scratch (a
+// private RNG replaying its stream from the start, a
 // reset bandwidth meter, Round() back at 0 — only Restarts() tells a
 // restarted execution from a fresh one), Node is re-invoked, and the
 // node runs its first step inline. Emitted outputs, the peak-memory
@@ -378,7 +381,7 @@ func (e *Engine) restartNode(id int, rt *nodeRT) {
 	e.restarts++
 	e.parkedN--
 	c := &e.ctxs[id]
-	c.nbr, c.prt, c.rng = nil, nil, nil
+	c.rng = nil
 	c.outbox = c.outbox[:0]
 	clear(c.sent)
 	c.sentRound = 0

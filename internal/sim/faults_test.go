@@ -50,6 +50,33 @@ func TestFaultPlanParse(t *testing.T) {
 		}
 	}
 
+	// Hand-built plans with a zero Restart or Up render the effective
+	// one-round length the engine clamps them to, so String stays a spec
+	// ParseFaults accepts, and reparses to the clamped plan.
+	handBuilt := []struct {
+		plan      FaultPlan
+		canonical string
+		reparsed  FaultPlan
+	}{
+		{FaultPlan{Crash: true, CrashP: 0.1}, "crash:p=0.1,restart=1", FaultPlan{Crash: true, CrashP: 0.1, Restart: 1}},
+		{FaultPlan{EdgeDown: true, EdgeDownP: 0.2}, "edgedown:p=0.2,up=1", FaultPlan{EdgeDown: true, EdgeDownP: 0.2, Up: 1}},
+		{
+			FaultPlan{Loss: true, LossP: 0.5, Crash: true, CrashP: 0.1, Restart: -3, EdgeDown: true, EdgeDownP: 0.2},
+			"loss:p=0.5+crash:p=0.1,restart=1+edgedown:p=0.2,up=1",
+			FaultPlan{Loss: true, LossP: 0.5, Crash: true, CrashP: 0.1, Restart: 1, EdgeDown: true, EdgeDownP: 0.2, Up: 1},
+		},
+	}
+	for _, tc := range handBuilt {
+		s := tc.plan.String()
+		if s != tc.canonical {
+			t.Errorf("%+v.String() = %q, want %q", tc.plan, s, tc.canonical)
+		}
+		rt, err := ParseFaults(s)
+		if err != nil || rt != tc.reparsed {
+			t.Errorf("ParseFaults(%q) = %+v, %v; want %+v", s, rt, err, tc.reparsed)
+		}
+	}
+
 	invalid := []struct {
 		spec    string
 		errFrag string

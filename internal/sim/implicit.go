@@ -8,7 +8,7 @@ import (
 // This file holds the arithmetic (implicit) topologies beyond Complete:
 // grid, torus and hypercube. Like Complete they store no adjacency at
 // all — O(1) memory at any node count — and answer Degree, NeighborAt
-// and PortOf from arithmetic, so the engine's fast paths never touch a
+// and PortOf from arithmetic, so the engine never touches a
 // materialized neighbor list. Port numbering follows the repository
 // convention everywhere: ports index the ascending-sorted neighbor id
 // list, exactly as the explicit graph.Grid / graph.Torus /

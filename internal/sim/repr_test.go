@@ -19,7 +19,7 @@ import (
 // CSR form (identical generator draw sequences) must reproduce the
 // digests recorded on the explicit graphs, goroutine and step mode
 // alike. A single byte of divergence in adjacency, port numbering or
-// the engine fast paths the CSR takes would shift the digest.
+// the CSR's Degree/NeighborAt/PortOf answers would shift the digest.
 func TestGoldenDigestsOnCSR(t *testing.T) {
 	corpora := []struct {
 		name   string
@@ -85,12 +85,10 @@ func TestImplicitShapeMatchesExplicit(t *testing.T) {
 		if tc.implicit.N() != g.N() {
 			t.Fatalf("%s: n = %d, explicit %d", tc.name, tc.implicit.N(), g.N())
 		}
-		deg := tc.implicit.(DegreeTopology)
-		at := tc.implicit.(IndexedTopology)
-		pt := tc.implicit.(PortedTopology)
+		tp := tc.implicit
 		for v := 0; v < g.N(); v++ {
 			want := g.Neighbors(v)
-			if d := deg.Degree(v); d != len(want) {
+			if d := tp.Degree(v); d != len(want) {
 				t.Fatalf("%s: node %d degree %d, explicit %d", tc.name, v, d, len(want))
 			}
 			got := tc.implicit.Neighbors(v)
@@ -101,14 +99,14 @@ func TestImplicitShapeMatchesExplicit(t *testing.T) {
 				if got[p] != u {
 					t.Fatalf("%s: node %d port %d: implicit %d, explicit %d", tc.name, v, p, got[p], u)
 				}
-				if n := at.NeighborAt(v, p); n != u {
+				if n := tp.NeighborAt(v, p); n != u {
 					t.Fatalf("%s: NeighborAt(%d,%d) = %d, want %d", tc.name, v, p, n, u)
 				}
-				if n := pt.PortOf(v, u); n != p {
+				if n := tp.PortOf(v, u); n != p {
 					t.Fatalf("%s: PortOf(%d,%d) = %d, want %d", tc.name, v, u, n, p)
 				}
 			}
-			if pt.PortOf(v, v) != -1 {
+			if tp.PortOf(v, v) != -1 {
 				t.Fatalf("%s: PortOf(%d,%d) should be -1", tc.name, v, v)
 			}
 		}

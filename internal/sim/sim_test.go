@@ -4,34 +4,14 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"mucongest/internal/graph"
 )
-
-// pathTopo is a minimal topology for tests: a path 0-1-...-(n-1).
-type pathTopo struct {
-	n   int
-	adj [][]int
-}
-
-func newPath(n int) *pathTopo {
-	t := &pathTopo{n: n, adj: make([][]int, n)}
-	for v := 0; v < n; v++ {
-		if v > 0 {
-			t.adj[v] = append(t.adj[v], v-1)
-		}
-		if v+1 < n {
-			t.adj[v] = append(t.adj[v], v+1)
-		}
-	}
-	return t
-}
-
-func (t *pathTopo) N() int                { return t.n }
-func (t *pathTopo) Neighbors(v int) []int { return t.adj[v] }
 
 func TestTokenPassingRounds(t *testing.T) {
 	// Pass a token from node 0 to node n-1 along a path; takes n-1 rounds.
 	n := 10
-	e := New(newPath(n))
+	e := New(graph.Path(n))
 	res, err := e.Run(func(c *Ctx) {
 		if c.ID() == 0 {
 			c.SendID(1, Msg{Kind: 7, A: 42})
@@ -102,7 +82,7 @@ func TestBroadcastAllReceive(t *testing.T) {
 }
 
 func TestEdgeCapEnforced(t *testing.T) {
-	e := New(newPath(2))
+	e := New(graph.Path(2))
 	_, err := e.Run(func(c *Ctx) {
 		if c.ID() == 0 {
 			c.Send(0, Msg{})
@@ -116,7 +96,7 @@ func TestEdgeCapEnforced(t *testing.T) {
 }
 
 func TestEdgeCapOption(t *testing.T) {
-	e := New(newPath(2), WithEdgeCap(3))
+	e := New(graph.Path(2), WithEdgeCap(3))
 	res, err := e.Run(func(c *Ctx) {
 		if c.ID() == 0 {
 			for i := 0; i < 3; i++ {
@@ -138,7 +118,7 @@ func TestNegativeEdgeCapFailsFast(t *testing.T) {
 	// A nonsensical negative cap must make the very first Send panic
 	// (as it did when the meter compared ints), not wrap into an
 	// effectively unlimited unsigned cap.
-	e := New(newPath(2), WithEdgeCap(-1))
+	e := New(graph.Path(2), WithEdgeCap(-1))
 	_, err := e.Run(func(c *Ctx) {
 		if c.ID() == 0 {
 			c.Send(0, Msg{})
@@ -151,7 +131,7 @@ func TestNegativeEdgeCapFailsFast(t *testing.T) {
 }
 
 func TestMemoryAccounting(t *testing.T) {
-	e := New(newPath(3), WithMu(10))
+	e := New(graph.Path(3), WithMu(10))
 	res, err := e.Run(func(c *Ctx) {
 		c.Charge(4)
 		c.Tick()
@@ -171,7 +151,7 @@ func TestMemoryAccounting(t *testing.T) {
 }
 
 func TestMemoryViolationRecorded(t *testing.T) {
-	e := New(newPath(3), WithMu(2))
+	e := New(graph.Path(3), WithMu(2))
 	res, err := e.Run(func(c *Ctx) {
 		if c.ID() == 1 {
 			// 2 neighbors send -> inbox of 2 words, plus 1 charged word = 3 > μ=2.
@@ -195,7 +175,7 @@ func TestViolationDedupPerNode(t *testing.T) {
 	// Violation for node 1, carrying the first overrun's round and an
 	// over-μ round count of 6 — not one entry per round.
 	const rounds = 6
-	e := New(newPath(3), WithMu(2))
+	e := New(graph.Path(3), WithMu(2))
 	res, err := e.Run(func(c *Ctx) {
 		if c.ID() == 1 {
 			c.Charge(1)
@@ -254,7 +234,7 @@ func TestViolationOrderedByFirstOccurrence(t *testing.T) {
 }
 
 func TestStrictMemoryAborts(t *testing.T) {
-	e := New(newPath(3), WithMu(1), WithStrictMemory())
+	e := New(graph.Path(3), WithMu(1), WithStrictMemory())
 	_, err := e.Run(func(c *Ctx) {
 		if c.ID() != 1 {
 			c.SendID(1, Msg{})
@@ -273,7 +253,7 @@ func TestStrictChargeCountsHeldInbox(t *testing.T) {
 	// then Charges 3 words. Deliver-style accounting says the node now
 	// holds 3 live + 2 inbox = 5 > μ, so strict mode must abort — the old
 	// check compared only the 3 live words against μ and let it pass.
-	e := New(newPath(3), WithMu(4), WithStrictMemory())
+	e := New(graph.Path(3), WithMu(4), WithStrictMemory())
 	res, err := e.Run(func(c *Ctx) {
 		if c.ID() == 1 {
 			in := c.Tick() // receives one message from each neighbor
@@ -299,7 +279,7 @@ func TestStrictChargeCountsHeldInbox(t *testing.T) {
 func TestStrictChargeAloneStillUnderMu(t *testing.T) {
 	// Control for the inbox-accounting fix: the same Charge with an empty
 	// inbox stays under μ and must not abort.
-	e := New(newPath(3), WithMu(4), WithStrictMemory())
+	e := New(graph.Path(3), WithMu(4), WithStrictMemory())
 	res, err := e.Run(func(c *Ctx) {
 		c.Tick() // nobody sends: inbox empty
 		if c.ID() == 1 {
@@ -320,7 +300,7 @@ func TestStrictMemoryAbortsAcrossShards(t *testing.T) {
 	// (id > ShardSpan) exercises the separate account/resume phases of
 	// the sharded strict path.
 	n := ShardSpan + 88
-	e := New(newPath(n), WithMu(1), WithStrictMemory())
+	e := New(graph.Path(n), WithMu(1), WithStrictMemory())
 	_, err := e.Run(func(c *Ctx) {
 		if c.ID() == ShardSpan+42 {
 			c.Tick() // receives 2 messages > μ=1
@@ -344,7 +324,7 @@ func TestChargeOnlyViolationCounted(t *testing.T) {
 	// A node over μ purely via Charge — receiving no messages at all —
 	// must still be recorded, and OverRounds must count every quiet round
 	// it stays over, per the documented "every round over μ" semantics.
-	e := New(newPath(3), WithMu(2))
+	e := New(graph.Path(3), WithMu(2))
 	res, err := e.Run(func(c *Ctx) {
 		if c.ID() == 1 {
 			c.Charge(5)
@@ -374,7 +354,7 @@ func TestChargeRejectsNegativeWords(t *testing.T) {
 	// negative, bypassing Release's underflow panic and corrupting peak
 	// and strict-μ accounting. It must panic (surfacing as a node error)
 	// before touching the meter.
-	e := New(newPath(2))
+	e := New(graph.Path(2))
 	res, err := e.Run(func(c *Ctx) {
 		if c.ID() == 0 {
 			c.Charge(5)
@@ -395,7 +375,7 @@ func TestChargeRejectsNegativeWords(t *testing.T) {
 func TestReleaseRejectsNegativeWords(t *testing.T) {
 	// Symmetric guard: Release(-n) would grow live words without the
 	// strict-μ check Charge performs.
-	e := New(newPath(2))
+	e := New(graph.Path(2))
 	_, err := e.Run(func(c *Ctx) {
 		if c.ID() == 0 {
 			c.Charge(2)
@@ -409,7 +389,7 @@ func TestReleaseRejectsNegativeWords(t *testing.T) {
 }
 
 func TestMaxRoundsGuard(t *testing.T) {
-	e := New(newPath(2), WithMaxRounds(10))
+	e := New(graph.Path(2), WithMaxRounds(10))
 	_, err := e.Run(func(c *Ctx) {
 		for {
 			c.Tick()
@@ -491,7 +471,7 @@ func TestInboxOrders(t *testing.T) {
 }
 
 func TestDroppedMessagesToFinishedNodes(t *testing.T) {
-	e := New(newPath(3))
+	e := New(graph.Path(3))
 	res, err := e.Run(func(c *Ctx) {
 		if c.ID() == 0 {
 			return // finishes immediately
@@ -511,7 +491,7 @@ func TestDroppedMessagesToFinishedNodes(t *testing.T) {
 }
 
 func TestNodePanicPropagates(t *testing.T) {
-	e := New(newPath(3))
+	e := New(graph.Path(3))
 	_, err := e.Run(func(c *Ctx) {
 		if c.ID() == 2 {
 			panic("boom")
@@ -524,7 +504,7 @@ func TestNodePanicPropagates(t *testing.T) {
 }
 
 func TestEmitCostsNoMemory(t *testing.T) {
-	e := New(newPath(2), WithMu(1))
+	e := New(graph.Path(2), WithMu(1))
 	res, err := e.Run(func(c *Ctx) {
 		for i := 0; i < 100; i++ {
 			c.Emit(i)
@@ -557,7 +537,7 @@ func TestCompleteTopology(t *testing.T) {
 				t.Fatal("self neighbor")
 			}
 		}
-		// The arithmetic fast paths must agree with the materialized list.
+		// The arithmetic port answers must agree with the materialized list.
 		if c.Degree(v) != len(nb) {
 			t.Fatalf("Degree(%d) = %d, want %d", v, c.Degree(v), len(nb))
 		}
@@ -605,7 +585,7 @@ func TestCompleteTopologyImplicit(t *testing.T) {
 }
 
 func TestSendToNonNeighborPanics(t *testing.T) {
-	e := New(newPath(3))
+	e := New(graph.Path(3))
 	_, err := e.Run(func(c *Ctx) {
 		if c.ID() == 0 {
 			c.SendID(2, Msg{}) // 2 is not adjacent to 0 on a path
@@ -618,7 +598,7 @@ func TestSendToNonNeighborPanics(t *testing.T) {
 }
 
 func TestPortAddressing(t *testing.T) {
-	e := New(newPath(3))
+	e := New(graph.Path(3))
 	res, err := e.Run(func(c *Ctx) {
 		if c.ID() == 1 {
 			if c.PortOf(0) < 0 || c.PortOf(2) < 0 || c.PortOf(1) != -1 {

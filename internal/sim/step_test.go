@@ -211,7 +211,7 @@ func (s *heldInboxStep) Step(c *Ctx, in []Incoming) bool {
 
 func TestStepStrictChargeCountsHeldInbox(t *testing.T) {
 	for _, w := range []int{1, 4} {
-		e := New(newPath(3), WithMu(4), WithStrictMemory(), WithSimWorkers(w))
+		e := New(graph.Path(3), WithMu(4), WithStrictMemory(), WithSimWorkers(w))
 		res, err := e.RunProgram(Steps(func(c *Ctx) StepProgram { return new(heldInboxStep) }))
 		if !errors.Is(err, ErrMemory) {
 			t.Fatalf("workers %d: err = %v, want ErrMemory (live words + held inbox exceed μ)", w, err)
@@ -230,7 +230,7 @@ func TestStepStrictMemoryAbortsAcrossShards(t *testing.T) {
 	hot := ShardSpan + 42
 	mk := func(c *Ctx) StepProgram { return &shardAbortStep{hot: hot} }
 	for _, w := range []int{1, 4} {
-		e := New(newPath(n), WithMu(1), WithStrictMemory(), WithSimWorkers(w))
+		e := New(graph.Path(n), WithMu(1), WithStrictMemory(), WithSimWorkers(w))
 		_, err := e.RunProgram(Steps(mk))
 		if !errors.Is(err, ErrMemory) {
 			t.Fatalf("workers %d: err = %v, want ErrMemory", w, err)
@@ -284,7 +284,7 @@ func (s *chargeIdleStep) Step(c *Ctx, in []Incoming) bool {
 // and the worker only touches it to step it.
 func TestStepChargeOnlyOverRounds(t *testing.T) {
 	for _, w := range []int{1, 4} {
-		e := New(newPath(3), WithMu(2), WithSimWorkers(w))
+		e := New(graph.Path(3), WithMu(2), WithSimWorkers(w))
 		res, err := e.RunProgram(Steps(func(c *Ctx) StepProgram { return new(chargeIdleStep) }))
 		if err != nil {
 			t.Fatal(err)
@@ -309,7 +309,7 @@ type foreverStep struct{}
 func (foreverStep) Step(c *Ctx, in []Incoming) bool { return true }
 
 func TestStepMaxRoundsGuard(t *testing.T) {
-	gRes, gErr := New(newPath(2), WithMaxRounds(10)).Run(func(c *Ctx) {
+	gRes, gErr := New(graph.Path(2), WithMaxRounds(10)).Run(func(c *Ctx) {
 		for {
 			c.Tick()
 		}
@@ -317,7 +317,7 @@ func TestStepMaxRoundsGuard(t *testing.T) {
 	if !errors.Is(gErr, ErrMaxRounds) {
 		t.Fatalf("goroutine err = %v, want ErrMaxRounds", gErr)
 	}
-	res, err := New(newPath(2), WithMaxRounds(10)).
+	res, err := New(graph.Path(2), WithMaxRounds(10)).
 		RunProgram(Steps(func(c *Ctx) StepProgram { return foreverStep{} }))
 	if !errors.Is(err, ErrMaxRounds) {
 		t.Fatalf("step err = %v, want ErrMaxRounds", err)
@@ -342,7 +342,7 @@ func (tickingStep) Step(c *Ctx, in []Incoming) bool {
 }
 
 func TestStepProgramTickPanics(t *testing.T) {
-	_, err := New(newPath(2)).RunProgram(Steps(func(c *Ctx) StepProgram { return tickingStep{} }))
+	_, err := New(graph.Path(2)).RunProgram(Steps(func(c *Ctx) StepProgram { return tickingStep{} }))
 	if err == nil || !strings.Contains(err.Error(), "runs a step program") {
 		t.Fatalf("err = %v, want the step-program Tick guard to surface as a node error", err)
 	}
@@ -355,7 +355,7 @@ func TestStepProgramTickPanics(t *testing.T) {
 // semantics: messages addressed to a stepped node that already returned
 // false must be counted as dropped, not delivered.
 func TestStepEarlyTerminationDrops(t *testing.T) {
-	res, err := New(newPath(2)).RunProgram(Steps(func(c *Ctx) StepProgram {
+	res, err := New(graph.Path(2)).RunProgram(Steps(func(c *Ctx) StepProgram {
 		return &dropProbeStep{}
 	}))
 	if err != nil {

@@ -6,37 +6,31 @@ import (
 	"sync/atomic"
 )
 
-// Topology describes the communication graph the engine runs on. It is
-// satisfied by graph.Graph; the engine only needs the node count and
-// adjacency lists. Adjacency lists must be symmetric: u lists v iff v
-// lists u.
+// Topology describes the communication graph the engine runs on, as a
+// node sees it through its incident links: its degree, the neighbor on
+// each port, and the port of each neighbor id. It is satisfied by
+// graph.Graph, graph.CSR and the implicit Complete, Grid, Torus and
+// Hypercube. Adjacency must be symmetric (u lists v iff v lists u) and
+// the three port views must agree with Neighbors:
+// NeighborAt(v, p) == Neighbors(v)[p] and PortOf(v, Neighbors(v)[p]) == p.
 type Topology interface {
 	// N returns the number of nodes, labeled 0..N-1.
 	N() int
 	// Neighbors returns the neighbor ids of v. The returned slice must
 	// not be modified and must be stable across calls.
 	Neighbors(v int) []int
+	DegreeTopology
+	// NeighborAt returns the neighbor id of v on the given port.
+	NeighborAt(v, port int) int
+	// PortOf returns the port of neighbor id as seen from v, or -1 when
+	// id is not adjacent to v.
+	PortOf(v, id int) int
 }
 
-// DegreeTopology is an optional Topology extension: the degree of a node
-// without materializing its adjacency slice. Implementing it lets the
-// engine set up each node in O(1) instead of O(deg).
+// DegreeTopology is the degree part of Topology: the degree of a node
+// without materializing its adjacency slice.
 type DegreeTopology interface {
 	Degree(v int) int
-}
-
-// IndexedTopology is an optional Topology extension: the neighbor id on
-// a given port without materializing the adjacency slice. Ports must be
-// consistent with Neighbors: NeighborAt(v, p) == Neighbors(v)[p].
-type IndexedTopology interface {
-	NeighborAt(v, port int) int
-}
-
-// PortedTopology is an optional Topology extension: the port of a
-// neighbor id (-1 when not adjacent) without materializing the
-// adjacency slice or a per-node port map.
-type PortedTopology interface {
-	PortOf(v, id int) int
 }
 
 // Complete is the all-to-all topology of the μ-Congested-Clique model

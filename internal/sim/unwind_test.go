@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mucongest/internal/bench"
 	"mucongest/internal/graph"
 	"mucongest/internal/sim"
 	"mucongest/internal/sim/refsim"
@@ -158,5 +159,26 @@ func TestPanickingRunStopsCoroutines(t *testing.T) {
 	}
 	if after := waitGoroutines(before); after > before+leakSlack {
 		t.Errorf("%d goroutines after the run, %d before: a coroutine leaked", after, before)
+	}
+}
+
+// TestDeliveryWorkersExit requires every delivery worker to exit with its
+// run. With one P the workers scheduled first routinely drain all of a
+// short run's phases before the others have started, so a late worker
+// must still find its run's closed channel.
+func TestDeliveryWorkersExit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 4 * sim.ShardSpan
+	topo := graph.Cycle(n)
+	prog := bench.BroadcastSteps(n, 1)
+	before := runtime.NumGoroutine()
+	const runs = 100
+	for i := 0; i < runs; i++ {
+		if _, err := sim.New(topo, sim.WithSimWorkers(4)).RunProgram(prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := waitGoroutines(before); after > before+leakSlack {
+		t.Errorf("%d goroutines after %d runs, %d before: delivery workers leaked", after, runs, before)
 	}
 }

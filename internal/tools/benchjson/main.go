@@ -2,9 +2,10 @@
 // mucongest.bench/v1 JSON schema on stdout: one entry per benchmark
 // with name, ns/op, B/op and allocs/op. `make bench-record` pipes the
 // BenchmarkEngineRound* cells through it to produce the committed
-// performance baseline (BENCH_PR4.json), which CI validates with
-// internal/tools/recordcheck — so the perf trajectory across PRs stays
-// machine-readable and cannot silently drop fields.
+// performance baseline (BENCH_PR12.json; earlier baselines are in git
+// history), which CI validates with internal/tools/recordcheck — so the
+// perf trajectory stays machine-readable and cannot silently drop
+// fields.
 //
 // Input lines must carry allocation columns (run the benchmarks with
 // -benchmem); lines that are not benchmark results are ignored, and an

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mucongest/internal/graph"
-	"mucongest/internal/sim"
 )
 
 // TestNormalizeSpellings pins the canonical-spelling contract that
@@ -188,16 +187,13 @@ func TestBuildTopologyMillion(t *testing.T) {
 		}
 		// Spot-check the port contract on a few nodes without touching
 		// the whole topology.
-		deg := tp.(sim.DegreeTopology)
-		at := tp.(sim.IndexedTopology)
-		pt := tp.(sim.PortedTopology)
 		for _, v := range []int{0, 1, tp.N() / 2, tp.N() - 1} {
 			row := tp.Neighbors(v)
-			if len(row) != deg.Degree(v) {
-				t.Fatalf("%s: node %d degree %d, row length %d", spec, v, deg.Degree(v), len(row))
+			if len(row) != tp.Degree(v) {
+				t.Fatalf("%s: node %d degree %d, row length %d", spec, v, tp.Degree(v), len(row))
 			}
 			for p, u := range row {
-				if at.NeighborAt(v, p) != u || pt.PortOf(v, u) != p {
+				if tp.NeighborAt(v, p) != u || tp.PortOf(v, u) != p {
 					t.Fatalf("%s: node %d port %d inconsistent", spec, v, p)
 				}
 			}
