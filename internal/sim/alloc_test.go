@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -87,6 +89,51 @@ func TestSteadyStateRoundAllocFree(t *testing.T) {
 			if perRound > 0.01 {
 				t.Errorf("mode=%s workers=%d: steady-state round allocates: %.2f allocs/round (short=%.0f, long=%.0f)",
 					mode.name, workers, perRound, short, full)
+			}
+		}
+	}
+}
+
+// TestColdRunAllocsPerNode pins what a cold run allocates: with the
+// scratch pool drained, one step-form broadcast on 16 shards may cost at
+// most 1.25 allocations per node. Messages live in per-shard arenas, so
+// the per-node share is the lazily sized bandwidth meter alone; per-node
+// inbox or outbox buffers would cost several more per node.
+func TestColdRunAllocsPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc accounting is meaningless under -race")
+	}
+	const n = 16 * ShardSpan
+	topos := []struct {
+		name string
+		topo Topology
+	}{
+		{"cycle", graph.CycleCSR(n)},
+		{"powerlaw", graph.BarabasiAlbertCSR(n, 3, rand.New(rand.NewSource(1)))},
+	}
+	for _, tp := range topos {
+		for _, workers := range []int{1, 4} {
+			progs := make([]allocBroadcastStep, n)
+			for i := range progs {
+				progs[i].rounds = 2
+			}
+			e := New(tp.topo, WithSeed(1), WithSimWorkers(workers))
+			prog := Steps(func(c *Ctx) StepProgram { return &progs[c.ID()] })
+			// Two collections empty the sync.Pool (its primary and victim
+			// caches), so the run below builds every buffer from scratch.
+			runtime.GC()
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := e.RunProgram(prog)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perNode := float64(after.Mallocs-before.Mallocs) / n
+			t.Logf("%s workers=%d: %.3f allocs/node", tp.name, workers, perNode)
+			if perNode > 1.25 {
+				t.Errorf("%s workers=%d: cold run allocates %.2f times per node, want ≤ 1.25", tp.name, workers, perNode)
 			}
 		}
 	}

@@ -21,17 +21,20 @@ type Ctx struct {
 	deg int
 	rng *rand.Rand // lazily created on first Rand
 
-	outbox []routed
-	spare  []routed // retired outbox buffer, recycled by takeOutbox
+	// sh is the node's shard: sends append to its send arena, and the
+	// messages appended since sendLo are the node's outbox for the round
+	// (see openSends and stage).
+	sh     *shardState
+	sendLo int
 
 	// Per-edge bandwidth meter. sent[p] packs the round stamp (high 32
 	// bits) over the count of messages sent on port p (low 32 bits); an
-	// entry is valid only while its stamp equals sentRound, so
-	// takeOutbox's reset is an O(1) stamp bump instead of a per-round
-	// clear. The array is sized lazily by the highest port actually
-	// used, so a node that sends on few ports of a huge degree stays
-	// cheap. sentRound wraps at 2³², far beyond any bounded run
-	// (WithMaxRounds defaults to 2·10⁶).
+	// entry is valid only while its stamp equals sentRound, so stage's
+	// reset is an O(1) stamp bump instead of a per-round clear. The
+	// array is sized lazily by the highest port actually used, so a
+	// node that sends on few ports of a huge degree stays cheap.
+	// sentRound wraps at 2³², far beyond any bounded run (WithMaxRounds
+	// defaults to 2·10⁶).
 	sent      []uint64
 	sentRound uint32
 	sentCap   uint32 // edgeCap clamped to uint32, cached off the Engine
@@ -42,6 +45,7 @@ type Ctx struct {
 func newCtx(e *Engine, ctxs []Ctx, id int) *Ctx {
 	c := &ctxs[id]
 	c.eng, c.rt, c.id, c.deg = e, &e.nodes[id], id, e.topo.Degree(id)
+	c.sh = e.shards[id/ShardSpan]
 	switch {
 	case e.edgeCap > math.MaxInt32:
 		c.sentCap = math.MaxInt32
@@ -71,10 +75,24 @@ func (c *Ctx) Degree() int { return c.deg }
 // modified.
 func (c *Ctx) Neighbors() []int { return c.eng.topo.Neighbors(c.id) }
 
-// Neighbor returns the id of the neighbor on the given port.
+// Neighbor returns the id of the neighbor on the given port. It panics
+// unless 0 ≤ port < Degree().
 //
 //muvet:hotpath
-func (c *Ctx) Neighbor(port int) int { return c.eng.topo.NeighborAt(c.id, port) }
+func (c *Ctx) Neighbor(port int) int {
+	c.checkPort(port)
+	return c.eng.topo.NeighborAt(c.id, port)
+}
+
+// checkPort panics unless port is one of the node's ports, with one
+// message whatever the topology type.
+//
+//muvet:hotpath
+func (c *Ctx) checkPort(port int) {
+	if uint(port) >= uint(c.deg) {
+		panic(fmt.Sprintf("sim: node %d has no port %d (degree %d)", c.id, port, c.deg))
+	}
+}
 
 // PortOf returns the port of neighbor id, or -1 if id is not adjacent.
 //
@@ -101,8 +119,9 @@ func (c *Ctx) Round() int { return c.rt.ticks }
 // incremented count from its first instruction.
 func (c *Ctx) Restarts() int { return c.rt.restarts }
 
-// meter charges one message against the per-edge cap of port, growing
-// the stamped count array to cover it first.
+// meter charges one message against the per-edge cap of port (already
+// checked to be one of the node's ports), growing the stamped count
+// array to cover it first.
 //
 //muvet:hotpath
 func (c *Ctx) meter(port int) {
@@ -120,33 +139,26 @@ func (c *Ctx) meter(port int) {
 	c.sent[port] = v + 1
 }
 
-// growSent extends the bandwidth-meter array to at least n entries
-// (doubling, capped at the degree) so repeated growth on ascending ports
-// stays amortized O(1).
+// growSent extends the bandwidth-meter array to at least n ≤ degree
+// entries (doubling, capped at the degree) so repeated growth on
+// ascending ports stays amortized O(1).
 func (c *Ctx) growSent(n int) {
-	size := 2 * len(c.sent)
-	if size < n {
-		size = n
-	}
-	if size > c.deg {
-		size = c.deg
-	}
-	if size < n {
-		size = n // port ≥ degree: out of range, but let the caller panic on use
-	}
+	size := min(max(2*len(c.sent), n), c.deg)
 	sent := make([]uint64, size)
 	copy(sent, c.sent)
 	c.sent = sent
 }
 
 // Send queues one message to the neighbor on port for delivery at the
-// start of the next round. It panics if the per-edge bandwidth cap is
-// exceeded within the current round.
+// start of the next round. It panics unless 0 ≤ port < Degree(), and if
+// the per-edge bandwidth cap is exceeded within the current round.
 //
 //muvet:hotpath
 func (c *Ctx) Send(port int, m Msg) {
+	c.checkPort(port)
 	c.meter(port)
-	c.outbox = append(c.outbox, routed{from: c.id, to: c.eng.topo.NeighborAt(c.id, port), msg: m})
+	sh := c.sh
+	sh.send = append(sh.send, routed{from: c.id, to: c.eng.topo.NeighborAt(c.id, port), msg: m})
 }
 
 // SendID queues one message to the adjacent node with the given id.
@@ -185,10 +197,11 @@ func (c *Ctx) Broadcast(m Msg) {
 		}
 		c.sent[p] = v + 1
 	}
-	out := c.outbox
+	sh := c.sh
+	out := sh.send
 	if need := len(out) + deg; cap(out) < need {
 		// One growth instead of doubling through the append loop; at
-		// least 2x so repeated Broadcasts in one round stay amortized.
+		// least 2x so the shard's later sends stay amortized.
 		if dbl := 2 * cap(out); need < dbl {
 			need = dbl
 		}
@@ -200,7 +213,7 @@ func (c *Ctx) Broadcast(m Msg) {
 	for p := 0; p < deg; p++ {
 		out = append(out, routed{from: c.id, to: topo.NeighborAt(c.id, p), msg: m})
 	}
-	c.outbox = out
+	sh.send = out
 }
 
 // Tick ends the node's current round: queued messages are handed to the
@@ -208,11 +221,13 @@ func (c *Ctx) Broadcast(m Msg) {
 // messages that arrived are returned. The returned inbox counts toward
 // the node's memory until it drops the slice.
 //
-// The returned slice aliases an engine-owned buffer that is reused for
-// the node's next delivery: it is valid only until this node's next
-// Tick call. Copy any messages that must outlive the round. Build with
-// `-tags simdebug` to poison retired buffers and surface violations of
-// this contract as sentinel messages (From/Kind = -1).
+// The returned slice aliases the node's region of an engine-owned arena
+// that the next delivery rewrites, with other nodes' messages too: it is
+// valid only until this node's next Tick call. Copy any messages that
+// must outlive the round. Its capacity ends with the node's region, so
+// appending to it copies instead of writing into another node's inbox.
+// Build with `-tags simdebug` to poison retired arenas and surface
+// violations of this contract as sentinel messages (From/Kind = -1).
 //
 // Tick yields the node's coroutine back to the delivery worker driving
 // it; the engine stages the outbox and counts the tick, and resumes the
@@ -308,17 +323,22 @@ func (c *Ctx) Release(words int64) {
 // the in-flight inbox).
 func (c *Ctx) Live() int64 { return c.rt.live }
 
-// takeOutbox hands the queued messages to the engine and recycles the
-// buffer retired one barrier ago: the engine finished delivering from it
-// before this node was last resumed, so it is free for reuse. The two
-// buffers alternate, making steady-state sends allocation-free. Bumping
-// the round stamp invalidates every per-port send count in O(1).
+// openSends starts the node's outbox for a round: every message
+// appended to the shard's send arena from here to the next stage call
+// is the node's. A round's outbox opens before Program.Node at bind —
+// sends Node makes ride with the first step's — and before the step
+// otherwise; sends made while a crash unwinds the node fall outside
+// every opened outbox and are never published.
+func (c *Ctx) openSends() { c.sendLo = len(c.sh.send) }
+
+// stage hands the node's outbox to the engine — its span of the shard's
+// send arena becomes senderOut[id], which the route phase reads — and
+// bumps the round stamp, invalidating every per-port send count in O(1).
 //
 //muvet:hotpath
-func (c *Ctx) takeOutbox() []routed {
-	out := c.outbox
-	c.outbox = c.spare[:0]
-	c.spare = out
+func (c *Ctx) stage() {
+	if hi := len(c.sh.send); hi > c.sendLo {
+		c.eng.senderOut[c.id] = span{c.sendLo, hi}
+	}
 	c.sentRound++
-	return out
 }

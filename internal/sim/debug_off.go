@@ -2,6 +2,6 @@
 
 package sim
 
-// debugPoison enables poisoning of retired inbox buffers (see
-// poisonStale). Off in normal builds; the guard compiles away.
+// debugPoison enables poisoning of retired inbox arenas (see
+// poisonInbox). Off in normal builds; the guard compiles away.
 const debugPoison = false

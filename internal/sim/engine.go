@@ -169,6 +169,10 @@ type Engine struct {
 	round int
 	nodes []nodeRT
 	ctxs  []Ctx // flat per-node Ctx slots, from the run scratch
+	// state holds each node's status bits (stDone, stParked,
+	// stFinished), one byte per node, so the route phase's cross-shard
+	// drop checks read one byte per message instead of a nodeRT.
+	state []uint8
 	// prog is the bound program, retained for the whole run (not just
 	// phaseBind) so the fault layer can re-invoke Node on restart.
 	prog    Program
@@ -187,18 +191,21 @@ type Engine struct {
 	restarts  int64
 	parkedN   int // currently parked nodes
 
-	// senderOut stages each sender's outbox for the round, written by
-	// the worker that stepped the node; a non-nil entry
-	// doubles as the "has staged messages" bit the route phase scans,
-	// replacing the old sorted sender-id list.
-	senderOut [][]routed
+	// senderOut[id] is node id's staged sends for the round: its span of
+	// its shard's send arena, written by the worker that stepped the node.
+	// A non-empty span doubles as the "has staged messages" bit the route
+	// phase scans.
+	senderOut []span
 
 	// Sharded delivery state — see deliver.go.
 	nshards  int
+	gsize    int // shards per route group
+	ngroups  int
 	shards   []*shardState
 	poolSize int
 	workCh   chan phaseKind
 	workDone chan struct{}
+	poolLive sync.WaitGroup // the running delivery workers
 	cursor   atomic.Int64
 }
 
@@ -207,17 +214,30 @@ type routed struct {
 	msg      Msg
 }
 
+// span is the half-open range [lo, hi) of a shard's send arena holding
+// one node's sends for the round.
+type span struct{ lo, hi int }
+
+// Node status bits, one byte per node in Engine.state. stDone is the
+// node's termination bit: set (with nodeErr) by the phase that ran the
+// node's last step, never cleared, so it is stable while the engine
+// owns the round and the route phase's drop check may read any node's.
+// stFinished is the engine-side acknowledgment of stDone, set by the
+// owning shard's account phase. stParked means the node crashed and
+// awaits restart (written only at the serial fault point); it stays set
+// on a node the abort path terminates while parked.
+const (
+	stDone uint8 = 1 << iota
+	stFinished
+	stParked
+)
+
 type nodeRT struct {
 	// step is the node's bound program, driven inline by the delivery
 	// workers (see step.go): the node's own StepProgram, or co for a
 	// blocking program (co is nil for a stepped node).
 	step StepProgram
 	co   *coroutine
-	// inbox is the node's delivery buffer. It is filled by deliver while
-	// the node waits at its round boundary, handed to the node at resume,
-	// and reused (overwritten) once the node reaches its next Tick — see
-	// the Tick documentation for the resulting aliasing contract.
-	inbox []Incoming
 	// inboxWords is the memory charge of the inbox delivered at the last
 	// barrier. It stays charged until the next barrier overwrites it:
 	// the engine cannot observe the node dropping the slice earlier, so
@@ -227,19 +247,8 @@ type nodeRT struct {
 	peak       int64
 	ticks      int
 	nodeErr    error
-	// done is the node's termination bit: set (with nodeErr) by the
-	// phase that ran the node's last step, never cleared. Stable while
-	// the engine owns the round, so the route phase's drop check may
-	// read any node's done flag.
-	done bool
-	// finished is the engine-side acknowledgment of done, set by the
-	// owning shard's account phase. Only same-shard phase code reads it
-	// concurrently, keeping cross-shard reads on the immutable done bit.
-	finished bool
-	// Fault-layer state, all written at the serial fault point. parked
-	// means the node crashed and awaits restart at restartRound; it
-	// stays set on a node the abort path terminates while parked.
-	parked       bool
+	// Fault-layer state, all written at the serial fault point: a
+	// parked node restarts at restartRound.
 	crashing     bool // node's program is being unwound by crashNode right now
 	violation    bool // a Violation was already recorded for this node (dedup)
 	restartRound int
@@ -249,9 +258,9 @@ type nodeRT struct {
 }
 
 // runScratch is the per-run state whose allocation and zeroing dominate
-// engine setup at large n: the node runtime slots (with their inbox
-// buffers), the Ctx slots (with their outbox and bandwidth-meter
-// buffers), the staged-outbox table and the shard scratch. It is
+// engine setup at large n: the node runtime slots, the Ctx slots (with
+// their bandwidth-meter buffers), the status bytes, the staged-span
+// table and the shard scratch with its arenas. It is
 // recycled across runs — of any engine, experiment sweeps run
 // thousands back to back — through scratchPool. Everything semantic is
 // reset in grab/initShards; only buffer capacities and shard RNG
@@ -261,38 +270,39 @@ type nodeRT struct {
 type runScratch struct {
 	nodes     []nodeRT
 	ctxs      []Ctx
-	senderOut [][]routed
+	state     []uint8
+	senderOut []span
 	shards    []*shardState
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
 // grab checks a runScratch out of the pool and sizes it for n nodes,
-// resetting every reused slot to its run-start state.
+// resetting every reused slot to its run-start state. senderOut needs no
+// reset: every run ends with each span consumed by the route phase.
 func grab(n int) *runScratch {
 	sc := scratchPool.Get().(*runScratch)
 	if cap(sc.nodes) < n {
 		sc.nodes = make([]nodeRT, n)
 		sc.ctxs = make([]Ctx, n)
-		sc.senderOut = make([][]routed, n)
+		sc.state = make([]uint8, n)
+		sc.senderOut = make([]span, n)
 		return sc
 	}
 	sc.nodes = sc.nodes[:n]
 	sc.ctxs = sc.ctxs[:n]
+	sc.state = sc.state[:n]
 	sc.senderOut = sc.senderOut[:n]
+	clear(sc.state)
 	for i := range sc.nodes {
 		rt := &sc.nodes[i]
 		rt.step = nil
-		rt.inbox = rt.inbox[:0]
 		rt.inboxWords = 0
 		rt.live = 0
 		rt.peak = 0
 		rt.ticks = 0
-		rt.done = false
-		rt.finished = false
 		rt.violation = false
 		rt.vioIdx = 0
-		rt.parked = false
 		rt.crashing = false
 		rt.restartRound = 0
 		rt.restarts = 0
@@ -379,8 +389,9 @@ func (e *Engine) RunProgram(p Program) (*Result, error) {
 	e.prog = p
 	var violations []Violation
 
-	e.initShards(sc)
+	e.state = sc.state
 	e.senderOut = sc.senderOut
+	e.initShards(sc)
 	e.startPool()
 	defer e.stopPool()
 	// A run that exits normally has finished every coroutine (every node
@@ -405,9 +416,9 @@ func (e *Engine) RunProgram(p Program) (*Result, error) {
 		if e.hasFaults {
 			e.applyFaults()
 		}
-		// The route phase also performs the barrier bookkeeping — poisoning
-		// retired inboxes, counting newly finished nodes and harvesting
-		// their errors per shard — so it parallelizes with routing.
+		// The route phase also performs the barrier bookkeeping — counting
+		// newly finished nodes and harvesting their errors per shard — so
+		// it parallelizes with routing.
 		e.runPhase(phaseRoute)
 		// Shards are drained in ascending order and each harvests in
 		// ascending node id, so the reported error is deterministically
@@ -487,7 +498,7 @@ func (e *Engine) RunProgram(p Program) (*Result, error) {
 	// Every node has terminated, its last touch of run state inside a
 	// completed phase, so the scratch can go back to the pool.
 	sc.release()
-	e.nodes, e.ctxs, e.senderOut, e.shards, e.prog = nil, nil, nil, nil, nil
+	e.nodes, e.ctxs, e.state, e.senderOut, e.shards, e.prog = nil, nil, nil, nil, nil, nil
 	return res, e.runErr
 }
 
@@ -512,48 +523,61 @@ func (e *Engine) mergeRound(round int, violations *[]Violation) {
 	}
 }
 
-// startPool resolves the configured worker count against GOMAXPROCS and
-// the shard count, and launches the persistent delivery workers when
-// more than one is useful. The pool lives for the whole Run; phases are
-// dispatched through workCh.
-func (e *Engine) startPool() {
+// resolveWorkers resolves the configured worker count against
+// GOMAXPROCS and the shard count (one worker per shard at most).
+func (e *Engine) resolveWorkers() int {
 	w := e.workers
 	if w < 1 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > e.nshards {
-		w = e.nshards
-	}
-	if w < 1 {
-		w = 1
-	}
-	e.poolSize = w
+	return max(1, min(w, e.nshards))
+}
+
+// startPool launches the persistent delivery workers when more than one
+// is useful (poolSize is resolved by initShards). The pool lives for the
+// whole Run; phases are dispatched through workCh.
+func (e *Engine) startPool() {
+	w := e.poolSize
 	if w == 1 {
 		return
 	}
 	e.workCh = make(chan phaseKind)
 	e.workDone = make(chan struct{}, w)
+	e.poolLive.Add(w)
 	for i := 0; i < w; i++ {
 		go e.deliveryWorker(e.workCh)
 	}
 }
 
+// stopPool closes the phase channel and waits for every worker to exit,
+// so no worker of a finished run is still alive when the next run
+// spawns its own.
 func (e *Engine) stopPool() {
 	if e.workCh != nil {
 		close(e.workCh)
 		e.workCh = nil
+		e.poolLive.Wait()
 	}
 }
 
-// runPhase executes one delivery phase over every shard: inline when the
-// pool is serial, otherwise fanned out to the workers, which pull shard
-// indices from a shared cursor. Shard-to-worker assignment is arbitrary;
-// every phase's per-shard computation is self-contained (own RNG, own
-// buckets, own destination range), so results do not depend on it.
+// tasks returns how many tasks phase k splits into: one per route group
+// for the route phase, one per shard for every other phase.
+func (e *Engine) tasks(k phaseKind) int {
+	if k == phaseRoute {
+		return e.ngroups
+	}
+	return e.nshards
+}
+
+// runPhase executes one delivery phase over every task: inline when the
+// pool is serial, otherwise fanned out to the workers, which pull task
+// indices from a shared cursor. Task-to-worker assignment is arbitrary;
+// every task's computation is self-contained (own RNGs, own buckets,
+// own sender or destination range), so results do not depend on it.
 func (e *Engine) runPhase(k phaseKind) {
 	if e.poolSize == 1 {
-		for s := 0; s < e.nshards; s++ {
-			e.shardPhase(k, s)
+		for i, n := 0, e.tasks(k); i < n; i++ {
+			e.runTask(k, i)
 		}
 		return
 	}
@@ -571,25 +595,25 @@ func (e *Engine) runPhase(k phaseKind) {
 // so a worker may first run after stopPool has nilled the field, and
 // ranging over a nil channel would park it forever.
 func (e *Engine) deliveryWorker(work <-chan phaseKind) {
+	defer e.poolLive.Done()
 	for k := range work {
+		n := e.tasks(k)
 		for {
-			s := int(e.cursor.Add(1) - 1)
-			if s >= e.nshards {
+			i := int(e.cursor.Add(1) - 1)
+			if i >= n {
 				break
 			}
-			e.shardPhase(k, s)
+			e.runTask(k, i)
 		}
 		e.workDone <- struct{}{}
 	}
 }
 
-// poisonStale overwrites the retired contents of rt's inbox buffer
-// (len 0, capacity holding last round's delivery) with sentinel values.
+// poisonInbox overwrites a retired inbox arena with sentinel values.
 // Only called under the simdebug build tag — see debugPoison.
-func poisonStale(rt *nodeRT) {
-	stale := rt.inbox[:cap(rt.inbox)]
-	for i := range stale {
-		stale[i] = Incoming{From: -1, Msg: Msg{Kind: -1, A: -1, B: -1, C: -1}}
+func poisonInbox(retired []Incoming) {
+	for i := range retired {
+		retired[i] = Incoming{From: -1, Msg: Msg{Kind: -1, A: -1, B: -1, C: -1}}
 	}
 }
 

@@ -299,9 +299,9 @@ func edgeFailsAt(seed int64, round, u, v int, p float64) bool {
 // node, letting the run end.
 func (e *Engine) applyFaults() {
 	if e.aborted {
-		for i := range e.nodes {
-			if rt := &e.nodes[i]; rt.parked && !rt.done {
-				rt.done = true
+		for id, f := range e.state {
+			if f&(stParked|stDone) == stParked {
+				e.state[id] = f | stDone
 				e.parkedN--
 			}
 		}
@@ -313,30 +313,26 @@ func (e *Engine) applyFaults() {
 	}
 	round := e.round
 	for s := 0; s < e.nshards; s++ {
-		lo := s * ShardSpan
-		hi := lo + ShardSpan
-		if hi > e.n {
-			hi = e.n
-		}
+		lo, hi := e.shardRange(s)
 		st := e.shards[s]
 		if fp.Crash {
 			st.frng.Seed(FaultStreamSeed(e.seed, round, s, FaultKindCrash))
 		}
 		for id := lo; id < hi; id++ {
-			rt := &e.nodes[id]
-			if rt.parked {
+			f := e.state[id]
+			if f&stParked != 0 {
 				// A node restarted this round consumes no crash draw and
 				// cannot crash again until the next fault point.
-				if rt.restartRound == round {
+				if rt := &e.nodes[id]; rt.restartRound == round {
 					e.restartNode(id, rt)
 				}
 				continue
 			}
-			if rt.done || rt.finished || !fp.Crash {
-				continue
+			if f != 0 || !fp.Crash {
+				continue // done or finished
 			}
 			if st.frng.Float64() < fp.CrashP {
-				e.crashNode(rt, round)
+				e.crashNode(id, round)
 			}
 		}
 	}
@@ -345,23 +341,27 @@ func (e *Engine) applyFaults() {
 // crashNode parks one node: a stepped node's machine is discarded, a
 // blocking node is unwound with its crashing flag set, so its Tick
 // panics errCrash, the program's deferred code runs and its coroutine
-// finishes. The node's staged sends from the round
+// finishes. Sends the unwinding program makes are cut off the shard's
+// send arena again, unpublished. The node's staged sends from the round
 // boundary it already passed still route — fail-stop at the barrier,
 // not retroactive — but from this round on it receives nothing and
 // holds no memory.
-func (e *Engine) crashNode(rt *nodeRT, round int) {
+func (e *Engine) crashNode(id, round int) {
+	rt := &e.nodes[id]
 	if rt.co != nil {
+		sh := e.ctxs[id].sh
+		staged := len(sh.send)
 		rt.crashing = true
 		rt.co.unwind()
 		rt.crashing = false
+		sh.send = sh.send[:staged]
 	}
 	rt.step = nil
 	rt.co = nil
-	rt.parked = true
+	e.state[id] |= stParked
 	rt.restartRound = round + e.faults.RestartDelay()
 	rt.live = 0
 	rt.inboxWords = 0
-	rt.inbox = rt.inbox[:0]
 	e.crashes++
 	e.parkedN++
 }
@@ -374,7 +374,7 @@ func (e *Engine) crashNode(rt *nodeRT, round int) {
 // node runs its first step inline. Emitted outputs, the peak-memory
 // high-water mark and any recorded μ violation survive the crash.
 func (e *Engine) restartNode(id int, rt *nodeRT) {
-	rt.parked = false
+	e.state[id] &^= stParked
 	rt.restartRound = 0
 	rt.restarts++
 	rt.ticks = 0
@@ -382,7 +382,6 @@ func (e *Engine) restartNode(id int, rt *nodeRT) {
 	e.parkedN--
 	c := &e.ctxs[id]
 	c.rng = nil
-	c.outbox = c.outbox[:0]
 	clear(c.sent)
 	c.sentRound = 0
 	e.bindNode(id)

@@ -146,6 +146,15 @@ func FuzzFaultPlanParse(f *testing.F) {
 // high enough that every counter is non-zero on the corpus below.
 const faultDetSpec = "loss:p=0.05+crash:p=0.02,restart=2+edgedown:p=0.05,up=2"
 
+// FaultDetSpec, RaceEnabled and RouteGroupSize export test fixtures and
+// internals to the package's external tests.
+const (
+	FaultDetSpec = faultDetSpec
+	RaceEnabled  = raceEnabled
+)
+
+var RouteGroupSize = routeGroupSize
+
 // TestFaultDrawDeterminismAcrossWorkersAndModes pins the tentpole
 // invariant of the fault layer: with all three fault processes active on
 // a multi-shard topology, the full execution record — including the

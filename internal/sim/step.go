@@ -19,9 +19,9 @@ import (
 // delivered inbox), and returning false is the program returning.
 // Ctx.Round inside Step k reports k-1, the same value a blocking program
 // sees between those Ticks. The inbox slice passed to Step aliases an
-// engine-owned buffer under the same contract as Tick's return value:
+// engine-owned arena under the same contract as Tick's return value:
 // it is valid only until the node's next Step (simdebug poisons retired
-// buffers here too).
+// arenas here too).
 //
 // A blocking func(*Ctx) runs as an iter.Pull coroutine wrapped in the
 // internal coroutine StepProgram: its Step resumes the program, and
@@ -117,6 +117,7 @@ func (co *coroutine) unwind() {
 func (e *Engine) bindNode(id int) {
 	c := newCtx(e, e.ctxs, id)
 	rt := &e.nodes[id]
+	c.openSends()
 	step, fn := e.prog.Node(c)
 	if step == nil {
 		if fn == nil {
@@ -126,7 +127,7 @@ func (e *Engine) bindNode(id int) {
 		step = rt.co
 	}
 	rt.step = step
-	e.stepNode(c, rt)
+	e.stepNode(c, rt, nil)
 }
 
 // stopCoroutines unwinds every coroutine a run that is exiting by panic
@@ -141,17 +142,14 @@ func (e *Engine) stopCoroutines() {
 
 // stepNode drives one round of a node inline on the calling delivery
 // worker: hand the inbox to Step, and either stage the resulting outbox
-// (continue) or record termination (return/panic). The inbox buffer is
-// truncated but kept: the node's next delivery runs only after it has
-// stepped again, which is safe under the Tick aliasing contract.
+// (continue) or record termination (return/panic). The caller opened
+// the outbox (see Ctx.openSends).
 //
 //muvet:hotpath
-func (e *Engine) stepNode(c *Ctx, rt *nodeRT) {
-	in := rt.inbox
+func (e *Engine) stepNode(c *Ctx, rt *nodeRT, in []Incoming) {
 	if len(in) == 0 {
 		in = nil
 	}
-	rt.inbox = rt.inbox[:0]
 	if e.aborted && rt.co == nil {
 		// An aborted run resumes a blocking node so its Tick panics
 		// errAbort and its deferred code runs; the error harvest filters
@@ -166,9 +164,7 @@ func (e *Engine) stepNode(c *Ctx, rt *nodeRT) {
 		return
 	}
 	rt.ticks++
-	if out := c.takeOutbox(); len(out) > 0 {
-		e.senderOut[c.id] = out
-	}
+	c.stage()
 }
 
 // stepSafe runs one Step call, translating a panic into the node error
@@ -196,8 +192,6 @@ func (e *Engine) stepSafe(c *Ctx, p StepProgram, in []Incoming) (cont bool, err 
 //muvet:hotpath
 func (e *Engine) finishStep(c *Ctx, rt *nodeRT, err error) {
 	rt.nodeErr = err
-	rt.done = true
-	if out := c.takeOutbox(); len(out) > 0 {
-		e.senderOut[c.id] = out
-	}
+	e.state[c.id] |= stDone
+	c.stage()
 }

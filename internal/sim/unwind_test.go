@@ -15,8 +15,10 @@ import (
 
 // unwindProgram is a blocking program whose deferred code observes every
 // way a node can leave its program: it charges memory it releases in a
-// defer and emits an exit record from another. explode panics at round
-// 2; hog charges far over μ at round 3 (a strict-mode ErrMemory panic).
+// defer, emits an exit record from another, and sends from a third —
+// staged like any send when an abort unwinds the node, never published
+// when a crash does. explode panics at round 2; hog charges far over μ
+// at round 3 (a strict-mode ErrMemory panic).
 func unwindProgram(rounds, explode, hog int) func(refsim.NodeCtx) {
 	return func(c refsim.NodeCtx) {
 		c.Charge(2)
@@ -25,6 +27,7 @@ func unwindProgram(rounds, explode, hog int) func(refsim.NodeCtx) {
 				c.ID(), c.Round(), c.Restarts(), c.Live()))
 		}()
 		defer c.Release(2)
+		defer c.Send(0, sim.Msg{Kind: 2, A: int64(c.ID())})
 		for r := 0; r < rounds; r++ {
 			c.Send(r%c.Degree(), sim.Msg{Kind: 1, A: int64(c.ID()), B: int64(r)})
 			in := c.Tick()
