@@ -19,9 +19,10 @@
 //	mugraph -kind powerlaw:n=64,attach=3
 //	mugraph -kinds                       # list every family and its parameters
 //
-// Explicit flags (-n, -p, -k, -size, -d, -rows, -cols, -dim, -attach,
-// -conn) override the spec's arguments when the family declares the
-// matching parameter; unknown families or parameters exit non-zero.
+// Every parameter name the registry declares is also a flag (-n, -p,
+// -rows, -dim, ...); an explicitly set flag overrides the spec's
+// argument when the family declares that parameter. Unknown families
+// or parameters exit non-zero.
 package main
 
 import (
@@ -29,6 +30,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 
 	"mucongest/internal/clique"
 	"mucongest/internal/expander"
@@ -40,22 +42,18 @@ func main() {
 	kind := flag.String("kind", "gnp", "topology spec: family or family:k=v,...")
 	list := flag.Bool("kinds", false, "list the registered families and exit")
 	seed := flag.Int64("seed", 1, "random seed")
-	// Per-parameter override flags, applied only when explicitly set and
-	// declared by the chosen family.
+	// One override flag per distinct parameter name in the registry,
+	// applied only when explicitly set and declared by the chosen family.
+	declaredBy := map[string][]string{}
+	for _, f := range topo.Families() {
+		for _, p := range f.Params {
+			declaredBy[p.Name] = append(declaredBy[p.Name], f.Name)
+		}
+	}
 	flagFor := map[string]*string{}
-	for _, p := range []struct{ name, usage string }{
-		{"n", "node count"},
-		{"p", "edge probability"},
-		{"k", "cliques in the cycle (cycliques)"},
-		{"size", "clique size (cycliques) / blob size (barbell)"},
-		{"d", "degree (regular)"},
-		{"rows", "rows (grid, torus)"},
-		{"cols", "columns (grid, torus)"},
-		{"dim", "dimension (hypercube)"},
-		{"attach", "edges per new node (powerlaw)"},
-		{"conn", "resample until connected, 0/1 (gnp)"},
-	} {
-		flagFor[p.name] = flag.String(p.name, "", p.usage)
+	for name, families := range declaredBy {
+		flagFor[name] = flag.String(name, "",
+			"parameter of "+strings.Join(families, ", ")+" (see -kinds)")
 	}
 	flag.Parse()
 

@@ -21,12 +21,15 @@ func runAll(t *testing.T, g *graph.Graph, program func(*sim.Ctx), opts ...sim.Op
 }
 
 func testGraphs(t *testing.T) map[string]*graph.Graph {
-	rng := rand.New(rand.NewSource(11))
+	gnp, err := graph.GnpConnected(25, 0.25, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	return map[string]*graph.Graph{
 		"path":    graph.Path(9),
 		"cycle":   graph.Cycle(10),
 		"star":    graph.Star(12),
-		"gnp":     graph.GnpConnected(25, 0.25, rng),
+		"gnp":     gnp,
 		"cliques": graph.CycleOfCliques(3, 4),
 	}
 }

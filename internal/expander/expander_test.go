@@ -10,7 +10,10 @@ import (
 
 func TestMPXClustersValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	g := graph.GnpConnected(60, 0.15, rng)
+	g, err := graph.GnpConnected(60, 0.15, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	clusters, res, err := RunMPX(g, func(int) bool { return true }, 0.4, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +62,10 @@ func TestMPXInactiveNodes(t *testing.T) {
 
 func TestMixingTimeOrdersGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	exp := graph.RandomRegular(40, 8, rng)
+	exp, err := graph.RandomRegular(40, 8, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	barbell := graph.BarbellExpanders(20, 0.6, rng)
 	te := MixingTime(exp, 100000)
 	tb := MixingTime(barbell, 100000)
@@ -84,7 +90,10 @@ func TestConductance(t *testing.T) {
 
 func TestRouterDeliversAndCharges(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	g := graph.GnpConnected(20, 0.4, rng)
+	g, err := graph.GnpConnected(20, 0.4, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, alpha := range []int{1, 3} {
 		r := NewRouter(g, alpha)
 		e := sim.New(g)
@@ -111,7 +120,10 @@ func TestRouterDeliversAndCharges(t *testing.T) {
 
 func TestRouterAlphaTradeoffCharges(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	g := graph.GnpConnected(24, 0.4, rng)
+	g, err := graph.GnpConnected(24, 0.4, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rounds := map[int]int{}
 	words := map[int]int64{}
 	for _, alpha := range []int{1, 4} {

@@ -66,26 +66,6 @@ func fromPairs(n int, pairs []int32) *CSR {
 	return c
 }
 
-// FromGraph converts an explicit adjacency graph to CSR. The rows are
-// copied in g's (sorted) order, so ports are identical between the two
-// representations.
-func FromGraph(g *Graph) *CSR {
-	n := g.N()
-	if int64(n) > math.MaxInt32 {
-		panic(fmt.Sprintf("graph: CSR supports at most %d nodes, got %d", math.MaxInt32, n))
-	}
-	c := &CSR{n: n, m: g.M(), offsets: make([]int64, n+1), adj: make([]int32, 2*g.M())}
-	off := int64(0)
-	for v := 0; v < n; v++ {
-		for _, u := range g.Neighbors(v) {
-			c.adj[off] = int32(u)
-			off++
-		}
-		c.offsets[v+1] = off
-	}
-	return c
-}
-
 // N returns the node count.
 func (c *CSR) N() int { return c.n }
 

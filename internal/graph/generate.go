@@ -101,28 +101,33 @@ func GnpCSR(n int, p float64, rng *rand.Rand) *CSR {
 	return fromPairs(n, gnpPairs(n, p, rng))
 }
 
-// GnpConnected samples G(n,p) graphs until a connected one appears
-// (panicking after 1000 attempts, far beyond need for p above the
-// connectivity threshold).
-func GnpConnected(n int, p float64, rng *rand.Rand) *Graph {
-	for i := 0; i < 1000; i++ {
-		g := Gnp(n, p, rng)
-		if g.Connected() {
-			return g
+// gnpConnectedTries bounds GnpConnected's resampling: far beyond need
+// for p above the connectivity threshold, and a prompt error below it.
+const gnpConnectedTries = 1000
+
+// GnpConnected samples G(n,p) graphs until a connected one appears, and
+// returns an error after gnpConnectedTries disconnected samples.
+func GnpConnected(n int, p float64, rng *rand.Rand) (*Graph, error) {
+	for i := 0; i < gnpConnectedTries; i++ {
+		if g := Gnp(n, p, rng); g.Connected() {
+			return g, nil
 		}
 	}
-	panic(fmt.Sprintf("graph: could not sample connected G(%d,%g)", n, p))
+	return nil, gnpGaveUp(n, p)
 }
 
 // GnpConnectedCSR is GnpConnected emitting CSR directly.
-func GnpConnectedCSR(n int, p float64, rng *rand.Rand) *CSR {
-	for i := 0; i < 1000; i++ {
-		c := GnpCSR(n, p, rng)
-		if c.Connected() {
-			return c
+func GnpConnectedCSR(n int, p float64, rng *rand.Rand) (*CSR, error) {
+	for i := 0; i < gnpConnectedTries; i++ {
+		if c := GnpCSR(n, p, rng); c.Connected() {
+			return c, nil
 		}
 	}
-	panic(fmt.Sprintf("graph: could not sample connected G(%d,%g)", n, p))
+	return nil, gnpGaveUp(n, p)
+}
+
+func gnpGaveUp(n int, p float64) error {
+	return fmt.Errorf("graph: could not sample connected G(%d,%g) in %d tries", n, p, gnpConnectedTries)
 }
 
 // cycliquesPairs emits the CycleOfCliques edge list.
@@ -194,7 +199,9 @@ func HubAndBlobCSR(n int, p float64, rng *rand.Rand) *CSR {
 // the flat edge list. The repair keeps pair multiplicities in a map so
 // each badness check is O(1) instead of an O(m) scan — the draw
 // sequence (shuffle, switch partners) is unchanged, only the scan cost.
-func regularPairs(n, d int, rng *rand.Rand) []int32 {
+// Dense degrees (roughly d ≥ 0.7n at small n) can exhaust the repair
+// budget; that is an error, not a bug.
+func regularPairs(n, d int, rng *rand.Rand) ([]int32, error) {
 	if n*d%2 != 0 {
 		panic("graph: RandomRegular requires n·d even")
 	}
@@ -237,7 +244,7 @@ func regularPairs(n, d int, rng *rand.Rand) []int32 {
 			for _, p := range pairs {
 				out = append(out, p.a, p.b)
 			}
-			return out
+			return out, nil
 		}
 		j := rng.Intn(len(pairs))
 		if j == i {
@@ -250,21 +257,30 @@ func regularPairs(n, d int, rng *rand.Rand) []int32 {
 		cnt[key(pairs[i])]++
 		cnt[key(pairs[j])]++
 	}
-	panic("graph: RandomRegular switch repair did not converge")
+	return nil, fmt.Errorf("graph: RandomRegular(%d,%d) switch repair did not converge", n, d)
 }
 
 // RandomRegular samples a d-regular graph on n nodes via the pairing
 // model followed by random edge-switch repair of self-loops and
 // multi-edges (rejection alone is hopeless beyond small d). n·d must
-// be even and d < n.
-func RandomRegular(n, d int, rng *rand.Rand) *Graph {
-	return pairsGraph(n, regularPairs(n, d, rng))
+// be even and d < n. It returns an error when the repair does not
+// converge.
+func RandomRegular(n, d int, rng *rand.Rand) (*Graph, error) {
+	pairs, err := regularPairs(n, d, rng)
+	if err != nil {
+		return nil, err
+	}
+	return pairsGraph(n, pairs), nil
 }
 
 // RandomRegularCSR is RandomRegular emitting CSR directly, with the
 // identical draw sequence.
-func RandomRegularCSR(n, d int, rng *rand.Rand) *CSR {
-	return fromPairs(n, regularPairs(n, d, rng))
+func RandomRegularCSR(n, d int, rng *rand.Rand) (*CSR, error) {
+	pairs, err := regularPairs(n, d, rng)
+	if err != nil {
+		return nil, err
+	}
+	return fromPairs(n, pairs), nil
 }
 
 func pathPairs(n int) []int32 {
@@ -477,28 +493,6 @@ func BarabasiAlbert(n, attach int, rng *rand.Rand) *Graph {
 // constructor.
 func BarabasiAlbertCSR(n, attach int, rng *rand.Rand) *CSR {
 	return fromPairs(n, baPairs(n, attach, rng))
-}
-
-// GridCSR builds the rows×cols grid in CSR form (see Grid). For
-// engine-scale runs prefer the implicit sim.NewGrid, which needs no
-// adjacency at all; this exists for CSR-consuming workloads.
-func GridCSR(rows, cols int) *CSR {
-	if rows < 1 || cols < 1 {
-		panic("graph: Grid needs rows, cols ≥ 1")
-	}
-	pairs := make([]int32, 0, 2*(rows*(cols-1)+cols*(rows-1)))
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			v := int32(r*cols + c)
-			if c+1 < cols {
-				pairs = append(pairs, v, v+1)
-			}
-			if r+1 < rows {
-				pairs = append(pairs, v, v+int32(cols))
-			}
-		}
-	}
-	return fromPairs(rows*cols, pairs)
 }
 
 // ColorEdges assigns each edge of g a color in [1,c] according to

@@ -97,7 +97,10 @@ func TestStarAndPathAndCycle(t *testing.T) {
 
 func TestRandomRegular(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	g := RandomRegular(20, 4, rng)
+	g, err := RandomRegular(20, 4, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for v := 0; v < g.N(); v++ {
 		if g.Degree(v) != 4 {
 			t.Fatalf("node %d degree %d", v, g.Degree(v))

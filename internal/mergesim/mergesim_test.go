@@ -32,9 +32,20 @@ func exactCounts(items [][]int64) map[int64]int64 {
 	return m
 }
 
-func testGraphsMerge(rng *rand.Rand) map[string]*graph.Graph {
+// gnpConnected is graph.GnpConnected for parameters well above the
+// connectivity threshold.
+func gnpConnected(t *testing.T, n int, p float64, rng *rand.Rand) *graph.Graph {
+	t.Helper()
+	g, err := graph.GnpConnected(n, p, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func testGraphsMerge(t *testing.T, rng *rand.Rand) map[string]*graph.Graph {
 	return map[string]*graph.Graph{
-		"gnp":   graph.GnpConnected(24, 0.25, rng),
+		"gnp":   gnpConnected(t, 24, 0.25, rng),
 		"cycle": graph.Cycle(16),
 		"star":  graph.Star(18),
 	}
@@ -42,7 +53,7 @@ func testGraphsMerge(rng *rand.Rand) map[string]*graph.Graph {
 
 func TestOneWayExactSummaryCorrect(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for name, g := range testGraphsMerge(rng) {
+	for name, g := range testGraphsMerge(t, rng) {
 		items := randomItems(g.N(), 20, 30, rng)
 		kind := sketch.NewExactKind(30)
 		sum, res, err := RunOneWay(g, items, kind)
@@ -67,7 +78,7 @@ func TestOneWayExactSummaryCorrect(t *testing.T) {
 
 func TestOneWayGKQuantiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	g := graph.GnpConnected(30, 0.2, rng)
+	g := gnpConnected(t, 30, 0.2, rng)
 	items := randomItems(g.N(), 60, 1000, rng)
 	total := TotalItems(items)
 	eps := 0.1
@@ -105,7 +116,7 @@ func TestOneWayGKQuantiles(t *testing.T) {
 
 func TestFullyMergeableMG(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for name, g := range testGraphsMerge(rng) {
+	for name, g := range testGraphsMerge(t, rng) {
 		items := make([][]int64, g.N())
 		z := rand.NewZipf(rng, 1.3, 1, 29)
 		var m int64
@@ -138,7 +149,7 @@ func TestFullyMergeableMG(t *testing.T) {
 
 func TestComposableCRPrecisExactOnWideSketch(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	g := graph.GnpConnected(20, 0.3, rng)
+	g := gnpConnected(t, 20, 0.3, rng)
 	items := randomItems(g.N(), 25, 40, rng)
 	kind := sketch.NewCRPrecisKind(41, 4) // primes > universe: collision-free
 	sum, _, err := RunComposable(g, items, kind)
@@ -204,7 +215,7 @@ func TestExactHeavyCountRefinement(t *testing.T) {
 	// Paper's application: sketch finds candidates, then exact counts
 	// via BFS-tree aggregation in O(ε⁻¹ + D) rounds.
 	rng := rand.New(rand.NewSource(7))
-	g := graph.GnpConnected(22, 0.25, rng)
+	g := gnpConnected(t, 22, 0.25, rng)
 	items := randomItems(g.N(), 30, 25, rng)
 	want := exactCounts(items)
 	cands := []int64{1, 2, 3, 7, 19}

@@ -146,12 +146,9 @@ func FuzzFaultPlanParse(f *testing.F) {
 // high enough that every counter is non-zero on the corpus below.
 const faultDetSpec = "loss:p=0.05+crash:p=0.02,restart=2+edgedown:p=0.05,up=2"
 
-// FaultDetSpec, RaceEnabled and RouteGroupSize export test fixtures and
-// internals to the package's external tests.
-const (
-	FaultDetSpec = faultDetSpec
-	RaceEnabled  = raceEnabled
-)
+// FaultDetSpec and RouteGroupSize export a test fixture and an
+// internal to the package's external tests.
+const FaultDetSpec = faultDetSpec
 
 var RouteGroupSize = routeGroupSize
 

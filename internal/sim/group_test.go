@@ -62,8 +62,6 @@ func mix(x uint64) uint64 {
 // inbox is concatenated from buckets cut three different ways; each run
 // must equal the reference engine's, which has no shards at all, for
 // every inbox order, with and without the fault plan, strict or not.
-// Under -race, which cannot hold the reference engine's goroutine per
-// node at this n, the runs are compared with each other instead.
 func TestRouteGroupsInvisible(t *testing.T) {
 	const n = 16 * sim.ShardSpan
 	for w, want := range map[int]int{1: 4, 2: 2, 4: 1} {
@@ -93,12 +91,9 @@ func TestRouteGroupsInvisible(t *testing.T) {
 						cfg.Mu, cfg.Strict = 1<<40, true
 					}
 					name := fmt.Sprintf("%s order=%v faults=%q strict=%v", tp.name, order, faults, strict)
-					var ref *sim.Result
-					if !sim.RaceEnabled {
-						var err error
-						if ref, err = refsim.New(tp.topo, cfg).Run(refProg); err != nil {
-							t.Fatalf("%s: refsim: %v", name, err)
-						}
+					ref, err := refsim.New(tp.topo, cfg).Run(refProg)
+					if err != nil {
+						t.Fatalf("%s: refsim: %v", name, err)
 					}
 					for _, w := range workers {
 						opts := []sim.Option{sim.WithSeed(cfg.Seed), sim.WithInboxOrder(order),
@@ -110,9 +105,7 @@ func TestRouteGroupsInvisible(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s workers %d: %v", name, w, err)
 						}
-						if ref == nil {
-							ref = got
-						} else if !reflect.DeepEqual(got, ref) {
+						if !reflect.DeepEqual(got, ref) {
 							t.Errorf("%s workers %d: result differs (messages %d/%d, dropped %d/%d, fault drops %d/%d, crashes %d/%d)",
 								name, w, got.Messages, ref.Messages, got.Dropped, ref.Dropped,
 								got.FaultDrops, ref.FaultDrops, got.Crashes, ref.Crashes)

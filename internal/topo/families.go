@@ -21,17 +21,12 @@ func estEdges(x float64) int64 {
 
 // registry lists every family in declaration order. Spec.String renders
 // parameters in the order declared here, so keep parameter order
-// meaningful (size first, then shape knobs).
-//
-// Each family has three construction views: Build (explicit
-// *graph.Graph, the historical representation), Topo (the compact
-// engine topology — CSR for generated graphs, O(1) implicit arithmetic
-// for grid/torus/hypercube/complete) and Estimate (projected footprint
-// of Topo's representation). Build and Topo share generator draw
-// sequences, so for equal rng states the two representations are
-// edge-for-edge and port-for-port identical. Families whose explicit
-// form is inherently quadratic (complete) or exponential (hypercube)
-// keep documented caps on Build only; Topo lifts them.
+// meaningful (size first, then shape knobs). Build and Topo share
+// generator draw sequences, so for equal rng states the two
+// representations are edge-for-edge and port-for-port identical.
+// Families whose explicit form is inherently quadratic (complete) or
+// exponential (hypercube) keep documented caps on Build only; Topo
+// lifts them.
 var registry = []Family{
 	{
 		Name: "gnp",
@@ -41,56 +36,43 @@ var registry = []Family{
 			{"p", "0.5", "edge probability", KindFloat},
 			{"conn", "0", "resample until connected (0/1)", KindBool},
 		},
-		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
+		Check: func(v *Values) error {
 			n, p, conn := v.Int("n"), v.Float("p"), v.Bool("conn")
 			if err := v.Err(); err != nil {
-				return nil, err
+				return err
 			}
-			if n < 1 {
-				return nil, fmt.Errorf("topo: gnp needs n ≥ 1")
+			switch {
+			case n < 1:
+				return fmt.Errorf("topo: gnp needs n ≥ 1")
+			case p < 0 || p > 1:
+				return fmt.Errorf("topo: gnp needs 0 ≤ p ≤ 1")
+			case conn && n > 1 && p == 0:
+				return fmt.Errorf("topo: gnp with conn=1 needs p > 0")
 			}
-			if p < 0 || p > 1 {
-				return nil, fmt.Errorf("topo: gnp needs 0 ≤ p ≤ 1")
+			return nil
+		},
+		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
+			n, p := v.Int("n"), v.Float("p")
+			if !v.Bool("conn") {
+				return graph.Gnp(n, p, rng), nil
 			}
-			if conn {
-				if n > 1 && p == 0 {
-					return nil, fmt.Errorf("topo: gnp with conn=1 needs p > 0")
-				}
-				return graph.GnpConnected(n, p, rng), nil
-			}
-			return graph.Gnp(n, p, rng), nil
+			g, err := graph.GnpConnected(n, p, rng)
+			return g, v.gaveUp(err)
 		},
 		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			n, p, conn := v.Int("n"), v.Float("p"), v.Bool("conn")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 1 {
-				return nil, fmt.Errorf("topo: gnp needs n ≥ 1")
-			}
-			if p < 0 || p > 1 {
-				return nil, fmt.Errorf("topo: gnp needs 0 ≤ p ≤ 1")
-			}
-			if conn {
-				if n > 1 && p == 0 {
-					return nil, fmt.Errorf("topo: gnp with conn=1 needs p > 0")
-				}
-				return graph.GnpConnectedCSR(n, p, rng), nil
-			}
-			return graph.GnpCSR(n, p, rng), nil
-		},
-		Estimate: func(v *Values) (Estimate, error) {
 			n, p := v.Int("n"), v.Float("p")
-			if err := v.Err(); err != nil {
-				return Estimate{}, err
+			if !v.Bool("conn") {
+				return graph.GnpCSR(n, p, rng), nil
 			}
-			if n < 1 {
-				return Estimate{}, fmt.Errorf("topo: gnp needs n ≥ 1")
+			c, err := graph.GnpConnectedCSR(n, p, rng)
+			if err != nil {
+				return nil, v.gaveUp(err)
 			}
-			if p < 0 || p > 1 {
-				return Estimate{}, fmt.Errorf("topo: gnp needs 0 ≤ p ≤ 1")
-			}
-			return csrEstimate(n, estEdges(p*float64(n)*float64(n-1)/2)), nil
+			return c, nil
+		},
+		Estimate: func(v *Values) Estimate {
+			n, p := v.Int("n"), v.Float("p")
+			return csrEstimate(n, estEdges(p*float64(n)*float64(n-1)/2))
 		},
 	},
 	{
@@ -100,36 +82,26 @@ var registry = []Family{
 			{"k", "4", "number of cliques (≥ 3)", KindInt},
 			{"size", "8", "clique size (≥ 2)", KindInt},
 		},
-		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
+		Check: func(v *Values) error {
 			k, size := v.Int("k"), v.Int("size")
 			if err := v.Err(); err != nil {
-				return nil, err
+				return err
 			}
 			if k < 3 || size < 2 {
-				return nil, fmt.Errorf("topo: cycliques needs k ≥ 3, size ≥ 2")
+				return fmt.Errorf("topo: cycliques needs k ≥ 3, size ≥ 2")
 			}
-			return graph.CycleOfCliques(k, size), nil
+			return nil
+		},
+		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
+			return graph.CycleOfCliques(v.Int("k"), v.Int("size")), nil
 		},
 		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			k, size := v.Int("k"), v.Int("size")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if k < 3 || size < 2 {
-				return nil, fmt.Errorf("topo: cycliques needs k ≥ 3, size ≥ 2")
-			}
-			return graph.CycleOfCliquesCSR(k, size), nil
+			return graph.CycleOfCliquesCSR(v.Int("k"), v.Int("size")), nil
 		},
-		Estimate: func(v *Values) (Estimate, error) {
+		Estimate: func(v *Values) Estimate {
 			k, size := v.Int("k"), v.Int("size")
-			if err := v.Err(); err != nil {
-				return Estimate{}, err
-			}
-			if k < 3 || size < 2 {
-				return Estimate{}, fmt.Errorf("topo: cycliques needs k ≥ 3, size ≥ 2")
-			}
 			m := int64(k) * (int64(size)*int64(size-1)/2 + 1)
-			return csrEstimate(k*size, m), nil
+			return csrEstimate(k*size, m)
 		},
 	},
 	{
@@ -139,45 +111,29 @@ var registry = []Family{
 			{"n", "48", "node count", KindInt},
 			{"p", "0.3", "blob edge probability", KindFloat},
 		},
-		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
+		Check: func(v *Values) error {
 			n, p := v.Int("n"), v.Float("p")
 			if err := v.Err(); err != nil {
-				return nil, err
+				return err
 			}
-			if n < 2 {
-				return nil, fmt.Errorf("topo: hub needs n ≥ 2")
+			switch {
+			case n < 2:
+				return fmt.Errorf("topo: hub needs n ≥ 2")
+			case p < 0 || p > 1:
+				return fmt.Errorf("topo: hub needs 0 ≤ p ≤ 1")
 			}
-			if p < 0 || p > 1 {
-				return nil, fmt.Errorf("topo: hub needs 0 ≤ p ≤ 1")
-			}
-			return graph.HubAndBlob(n, p, rng), nil
+			return nil
+		},
+		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
+			return graph.HubAndBlob(v.Int("n"), v.Float("p"), rng), nil
 		},
 		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			n, p := v.Int("n"), v.Float("p")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 2 {
-				return nil, fmt.Errorf("topo: hub needs n ≥ 2")
-			}
-			if p < 0 || p > 1 {
-				return nil, fmt.Errorf("topo: hub needs 0 ≤ p ≤ 1")
-			}
-			return graph.HubAndBlobCSR(n, p, rng), nil
+			return graph.HubAndBlobCSR(v.Int("n"), v.Float("p"), rng), nil
 		},
-		Estimate: func(v *Values) (Estimate, error) {
+		Estimate: func(v *Values) Estimate {
 			n, p := v.Int("n"), v.Float("p")
-			if err := v.Err(); err != nil {
-				return Estimate{}, err
-			}
-			if n < 2 {
-				return Estimate{}, fmt.Errorf("topo: hub needs n ≥ 2")
-			}
-			if p < 0 || p > 1 {
-				return Estimate{}, fmt.Errorf("topo: hub needs 0 ≤ p ≤ 1")
-			}
 			m := float64(n-1) + p*float64(n-1)*float64(n-2)/2
-			return csrEstimate(n, estEdges(m)), nil
+			return csrEstimate(n, estEdges(m))
 		},
 	},
 	{
@@ -187,70 +143,46 @@ var registry = []Family{
 			{"n", "48", "node count", KindInt},
 			{"d", "8", "degree (n·d even, d < n)", KindInt},
 		},
-		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
+		Check: func(v *Values) error {
 			n, d := v.Int("n"), v.Int("d")
 			if err := v.Err(); err != nil {
-				return nil, err
+				return err
 			}
 			if d < 1 || d >= n || n*d%2 != 0 {
-				return nil, fmt.Errorf("topo: regular needs 1 ≤ d < n with n·d even")
+				return fmt.Errorf("topo: regular needs 1 ≤ d < n with n·d even")
 			}
-			return graph.RandomRegular(n, d, rng), nil
+			return nil
+		},
+		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
+			g, err := graph.RandomRegular(v.Int("n"), v.Int("d"), rng)
+			return g, v.gaveUp(err)
 		},
 		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			n, d := v.Int("n"), v.Int("d")
-			if err := v.Err(); err != nil {
-				return nil, err
+			c, err := graph.RandomRegularCSR(v.Int("n"), v.Int("d"), rng)
+			if err != nil {
+				return nil, v.gaveUp(err)
 			}
-			if d < 1 || d >= n || n*d%2 != 0 {
-				return nil, fmt.Errorf("topo: regular needs 1 ≤ d < n with n·d even")
-			}
-			return graph.RandomRegularCSR(n, d, rng), nil
+			return c, nil
 		},
-		Estimate: func(v *Values) (Estimate, error) {
+		Estimate: func(v *Values) Estimate {
 			n, d := v.Int("n"), v.Int("d")
-			if err := v.Err(); err != nil {
-				return Estimate{}, err
-			}
-			if d < 1 || d >= n || n*d%2 != 0 {
-				return Estimate{}, fmt.Errorf("topo: regular needs 1 ≤ d < n with n·d even")
-			}
-			return csrEstimate(n, int64(n)*int64(d)/2), nil
+			return csrEstimate(n, int64(n)*int64(d)/2)
 		},
 	},
 	{
 		Name:   "star",
 		Doc:    "star with center 0 (extreme max degree)",
 		Params: []Param{{"n", "48", "node count", KindInt}},
+		Check:  minNodes(2),
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
-			n := v.Int("n")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 2 {
-				return nil, fmt.Errorf("topo: star needs n ≥ 2")
-			}
-			return graph.Star(n), nil
+			return graph.Star(v.Int("n")), nil
 		},
 		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			n := v.Int("n")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 2 {
-				return nil, fmt.Errorf("topo: star needs n ≥ 2")
-			}
-			return graph.StarCSR(n), nil
+			return graph.StarCSR(v.Int("n")), nil
 		},
-		Estimate: func(v *Values) (Estimate, error) {
+		Estimate: func(v *Values) Estimate {
 			n := v.Int("n")
-			if err := v.Err(); err != nil {
-				return Estimate{}, err
-			}
-			if n < 2 {
-				return Estimate{}, fmt.Errorf("topo: star needs n ≥ 2")
-			}
-			return csrEstimate(n, int64(n-1)), nil
+			return csrEstimate(n, int64(n-1))
 		},
 	},
 	{
@@ -260,115 +192,61 @@ var registry = []Family{
 			{"size", "24", "nodes per blob", KindInt},
 			{"p", "0.5", "blob edge probability", KindFloat},
 		},
-		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
+		Check: func(v *Values) error {
 			size, p := v.Int("size"), v.Float("p")
 			if err := v.Err(); err != nil {
-				return nil, err
+				return err
 			}
-			if size < 1 {
-				return nil, fmt.Errorf("topo: barbell needs size ≥ 1")
+			switch {
+			case size < 1:
+				return fmt.Errorf("topo: barbell needs size ≥ 1")
+			case p < 0 || p > 1:
+				return fmt.Errorf("topo: barbell needs 0 ≤ p ≤ 1")
 			}
-			if p < 0 || p > 1 {
-				return nil, fmt.Errorf("topo: barbell needs 0 ≤ p ≤ 1")
-			}
-			return graph.BarbellExpanders(size, p, rng), nil
+			return nil
+		},
+		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
+			return graph.BarbellExpanders(v.Int("size"), v.Float("p"), rng), nil
 		},
 		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			size, p := v.Int("size"), v.Float("p")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if size < 1 {
-				return nil, fmt.Errorf("topo: barbell needs size ≥ 1")
-			}
-			if p < 0 || p > 1 {
-				return nil, fmt.Errorf("topo: barbell needs 0 ≤ p ≤ 1")
-			}
-			return graph.BarbellExpandersCSR(size, p, rng), nil
+			return graph.BarbellExpandersCSR(v.Int("size"), v.Float("p"), rng), nil
 		},
-		Estimate: func(v *Values) (Estimate, error) {
+		Estimate: func(v *Values) Estimate {
 			size, p := v.Int("size"), v.Float("p")
-			if err := v.Err(); err != nil {
-				return Estimate{}, err
-			}
-			if size < 1 {
-				return Estimate{}, fmt.Errorf("topo: barbell needs size ≥ 1")
-			}
-			if p < 0 || p > 1 {
-				return Estimate{}, fmt.Errorf("topo: barbell needs 0 ≤ p ≤ 1")
-			}
 			m := p*float64(size)*float64(size-1) + 1
-			return csrEstimate(2*size, estEdges(m)), nil
+			return csrEstimate(2*size, estEdges(m))
 		},
 	},
 	{
 		Name:   "path",
 		Doc:    "path 0-1-...-(n-1) (extreme diameter)",
 		Params: []Param{{"n", "48", "node count", KindInt}},
+		Check:  minNodes(1),
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
-			n := v.Int("n")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 1 {
-				return nil, fmt.Errorf("topo: path needs n ≥ 1")
-			}
-			return graph.Path(n), nil
+			return graph.Path(v.Int("n")), nil
 		},
 		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			n := v.Int("n")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 1 {
-				return nil, fmt.Errorf("topo: path needs n ≥ 1")
-			}
-			return graph.PathCSR(n), nil
+			return graph.PathCSR(v.Int("n")), nil
 		},
-		Estimate: func(v *Values) (Estimate, error) {
+		Estimate: func(v *Values) Estimate {
 			n := v.Int("n")
-			if err := v.Err(); err != nil {
-				return Estimate{}, err
-			}
-			if n < 1 {
-				return Estimate{}, fmt.Errorf("topo: path needs n ≥ 1")
-			}
-			return csrEstimate(n, int64(n-1)), nil
+			return csrEstimate(n, int64(n-1))
 		},
 	},
 	{
 		Name:   "cycle",
 		Doc:    "n-node cycle",
 		Params: []Param{{"n", "48", "node count (≥ 3)", KindInt}},
+		Check:  minNodes(3),
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
-			n := v.Int("n")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 3 {
-				return nil, fmt.Errorf("topo: cycle needs n ≥ 3")
-			}
-			return graph.Cycle(n), nil
+			return graph.Cycle(v.Int("n")), nil
 		},
 		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			n := v.Int("n")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 3 {
-				return nil, fmt.Errorf("topo: cycle needs n ≥ 3")
-			}
-			return graph.CycleCSR(n), nil
+			return graph.CycleCSR(v.Int("n")), nil
 		},
-		Estimate: func(v *Values) (Estimate, error) {
+		Estimate: func(v *Values) Estimate {
 			n := v.Int("n")
-			if err := v.Err(); err != nil {
-				return Estimate{}, err
-			}
-			if n < 3 {
-				return Estimate{}, fmt.Errorf("topo: cycle needs n ≥ 3")
-			}
-			return csrEstimate(n, int64(n)), nil
+			return csrEstimate(n, int64(n))
 		},
 	},
 	{
@@ -378,36 +256,17 @@ var registry = []Family{
 			{"rows", "8", "grid rows", KindInt},
 			{"cols", "8", "grid columns", KindInt},
 		},
+		Check: minSides(1),
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
-			rows, cols := v.Int("rows"), v.Int("cols")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if rows < 1 || cols < 1 {
-				return nil, fmt.Errorf("topo: grid needs rows, cols ≥ 1")
-			}
-			return graph.Grid(rows, cols), nil
+			return graph.Grid(v.Int("rows"), v.Int("cols")), nil
 		},
 		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			rows, cols := v.Int("rows"), v.Int("cols")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if rows < 1 || cols < 1 {
-				return nil, fmt.Errorf("topo: grid needs rows, cols ≥ 1")
-			}
-			return sim.NewGrid(rows, cols), nil
+			return sim.NewGrid(v.Int("rows"), v.Int("cols")), nil
 		},
-		Estimate: func(v *Values) (Estimate, error) {
+		Estimate: func(v *Values) Estimate {
 			rows, cols := v.Int("rows"), v.Int("cols")
-			if err := v.Err(); err != nil {
-				return Estimate{}, err
-			}
-			if rows < 1 || cols < 1 {
-				return Estimate{}, fmt.Errorf("topo: grid needs rows, cols ≥ 1")
-			}
 			m := int64(rows)*int64(cols-1) + int64(cols)*int64(rows-1)
-			return implicitEstimate(rows*cols, m), nil
+			return implicitEstimate(rows*cols, m)
 		},
 	},
 	{
@@ -417,70 +276,45 @@ var registry = []Family{
 			{"rows", "8", "torus rows (≥ 3)", KindInt},
 			{"cols", "8", "torus columns (≥ 3)", KindInt},
 		},
+		Check: minSides(3),
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
-			rows, cols := v.Int("rows"), v.Int("cols")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if rows < 3 || cols < 3 {
-				return nil, fmt.Errorf("topo: torus needs rows, cols ≥ 3")
-			}
-			return graph.Torus(rows, cols), nil
+			return graph.Torus(v.Int("rows"), v.Int("cols")), nil
 		},
 		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			rows, cols := v.Int("rows"), v.Int("cols")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if rows < 3 || cols < 3 {
-				return nil, fmt.Errorf("topo: torus needs rows, cols ≥ 3")
-			}
-			return sim.NewTorus(rows, cols), nil
+			return sim.NewTorus(v.Int("rows"), v.Int("cols")), nil
 		},
-		Estimate: func(v *Values) (Estimate, error) {
+		Estimate: func(v *Values) Estimate {
 			rows, cols := v.Int("rows"), v.Int("cols")
-			if err := v.Err(); err != nil {
-				return Estimate{}, err
-			}
-			if rows < 3 || cols < 3 {
-				return Estimate{}, fmt.Errorf("topo: torus needs rows, cols ≥ 3")
-			}
-			return implicitEstimate(rows*cols, 2*int64(rows)*int64(cols)), nil
+			return implicitEstimate(rows*cols, 2*int64(rows)*int64(cols))
 		},
 	},
 	{
 		Name:   "hypercube",
 		Doc:    "dim-dimensional hypercube on 2^dim nodes (implicit topology up to dim=30; explicit Build caps at 20)",
 		Params: []Param{{"dim", "6", "dimension (1..30; explicit Build 1..20)", KindInt}},
-		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
+		Check: func(v *Values) error {
 			dim := v.Int("dim")
 			if err := v.Err(); err != nil {
-				return nil, err
+				return err
 			}
-			if dim < 1 || dim > 20 {
+			if dim < 1 || dim > 30 {
+				return fmt.Errorf("topo: hypercube needs 1 ≤ dim ≤ 30")
+			}
+			return nil
+		},
+		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
+			dim := v.Int("dim")
+			if dim > 20 {
 				return nil, fmt.Errorf("topo: hypercube needs 1 ≤ dim ≤ 20 (explicit adjacency; the implicit topology goes to 30)")
 			}
 			return graph.Hypercube(dim), nil
 		},
 		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			dim := v.Int("dim")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if dim < 1 || dim > 30 {
-				return nil, fmt.Errorf("topo: hypercube needs 1 ≤ dim ≤ 30")
-			}
-			return sim.NewHypercube(dim), nil
+			return sim.NewHypercube(v.Int("dim")), nil
 		},
-		Estimate: func(v *Values) (Estimate, error) {
+		Estimate: func(v *Values) Estimate {
 			dim := v.Int("dim")
-			if err := v.Err(); err != nil {
-				return Estimate{}, err
-			}
-			if dim < 1 || dim > 30 {
-				return Estimate{}, fmt.Errorf("topo: hypercube needs 1 ≤ dim ≤ 30")
-			}
-			return implicitEstimate(1<<dim, int64(dim)<<(dim-1)), nil
+			return implicitEstimate(1<<dim, int64(dim)<<(dim-1))
 		},
 	},
 	{
@@ -489,35 +323,20 @@ var registry = []Family{
 		Params: []Param{
 			{"n", "48", "node count (explicit Build 1..2048; implicit topology any n)", KindInt},
 		},
+		Check: minNodes(1),
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
 			n := v.Int("n")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 1 || n > 2048 {
+			if n > 2048 {
 				return nil, fmt.Errorf("topo: complete needs 1 ≤ n ≤ 2048 (K_n materializes n² adjacency; BuildTopology/sim.NewComplete is O(1) at any n)")
 			}
 			return graph.Complete(n), nil
 		},
 		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			n := v.Int("n")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 1 {
-				return nil, fmt.Errorf("topo: complete needs n ≥ 1")
-			}
-			return sim.NewComplete(n), nil
+			return sim.NewComplete(v.Int("n")), nil
 		},
-		Estimate: func(v *Values) (Estimate, error) {
+		Estimate: func(v *Values) Estimate {
 			n := v.Int("n")
-			if err := v.Err(); err != nil {
-				return Estimate{}, err
-			}
-			if n < 1 {
-				return Estimate{}, fmt.Errorf("topo: complete needs n ≥ 1")
-			}
-			return implicitEstimate(n, estEdges(float64(n)*float64(n-1)/2)), nil
+			return implicitEstimate(n, estEdges(float64(n)*float64(n-1)/2))
 		},
 	},
 	{
@@ -527,37 +346,55 @@ var registry = []Family{
 			{"n", "48", "node count", KindInt},
 			{"attach", "3", "edges per new node (1 ≤ attach < n)", KindInt},
 		},
-		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
+		Check: func(v *Values) error {
 			n, attach := v.Int("n"), v.Int("attach")
 			if err := v.Err(); err != nil {
-				return nil, err
+				return err
 			}
 			if attach < 1 || n <= attach {
-				return nil, fmt.Errorf("topo: powerlaw needs n > attach ≥ 1")
+				return fmt.Errorf("topo: powerlaw needs n > attach ≥ 1")
 			}
-			return graph.BarabasiAlbert(n, attach, rng), nil
+			return nil
+		},
+		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
+			return graph.BarabasiAlbert(v.Int("n"), v.Int("attach"), rng), nil
 		},
 		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			n, attach := v.Int("n"), v.Int("attach")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if attach < 1 || n <= attach {
-				return nil, fmt.Errorf("topo: powerlaw needs n > attach ≥ 1")
-			}
-			return graph.BarabasiAlbertCSR(n, attach, rng), nil
+			return graph.BarabasiAlbertCSR(v.Int("n"), v.Int("attach"), rng), nil
 		},
-		Estimate: func(v *Values) (Estimate, error) {
+		Estimate: func(v *Values) Estimate {
 			n, attach := v.Int("n"), v.Int("attach")
-			if err := v.Err(); err != nil {
-				return Estimate{}, err
-			}
-			if attach < 1 || n <= attach {
-				return Estimate{}, fmt.Errorf("topo: powerlaw needs n > attach ≥ 1")
-			}
 			a := int64(attach)
-			m := a*(a+1)/2 + int64(n-1-attach)*a
-			return csrEstimate(n, m), nil
+			return csrEstimate(n, a*(a+1)/2+int64(n-1-attach)*a)
 		},
 	},
+}
+
+// minNodes is the Check of a family whose one parameter is its node
+// count n.
+func minNodes(least int) func(*Values) error {
+	return func(v *Values) error {
+		n := v.Int("n")
+		if err := v.Err(); err != nil {
+			return err
+		}
+		if n < least {
+			return fmt.Errorf("topo: %s needs n ≥ %d", v.f.Name, least)
+		}
+		return nil
+	}
+}
+
+// minSides is the Check of a rows×cols lattice family.
+func minSides(least int) func(*Values) error {
+	return func(v *Values) error {
+		rows, cols := v.Int("rows"), v.Int("cols")
+		if err := v.Err(); err != nil {
+			return err
+		}
+		if rows < least || cols < least {
+			return fmt.Errorf("topo: %s needs rows, cols ≥ %d", v.f.Name, least)
+		}
+		return nil
+	}
 }

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,6 +15,12 @@ import (
 // rebuild the graph from it. Equivalent spellings of the same value
 // ("p=.5", "p=0.50", "conn=true") must canonicalize to the same string,
 // so grouping runs by canonical spec is sound.
+//
+// Every parsed spec small enough to build cheaply (estimated N ≤ 64
+// and M ≤ 256) builds through both views without a panic: both succeed
+// with the estimated node count, or both fail with the same error. The
+// Build-only caps (complete above n=2048, hypercube above dim=20) lie
+// beyond that size, so no exception is needed.
 //
 // The seed corpus covers every registered family three ways: the bare
 // name, the canonical fully-explicit form, and a single-argument form —
@@ -34,6 +41,9 @@ func FuzzTopoParse(f *testing.F) {
 	} {
 		f.Add(bad)
 	}
+	// Samplers that give up: both views must fail alike, never panic.
+	f.Add("gnp:n=40,p=0.001,conn=1")
+	f.Add("regular:n=10,d=9")
 	f.Fuzz(func(t *testing.T, s string) {
 		sp, err := Parse(s)
 		if err != nil {
@@ -102,6 +112,20 @@ func FuzzTopoParse(f *testing.F) {
 						p.Name, alt, s, got, canon)
 				}
 			}
+		}
+		est, err := sp.Estimate()
+		if err != nil || est.N > 64 || est.M > 256 {
+			return
+		}
+		g, gerr := sp.Build(rand.New(rand.NewSource(1)))
+		tp, terr := sp.BuildTopology(rand.New(rand.NewSource(1)))
+		switch {
+		case gerr == nil && terr == nil:
+			if g.N() != est.N || tp.N() != est.N {
+				t.Fatalf("%q: built n=%d (explicit) and n=%d (compact), estimated %d", canon, g.N(), tp.N(), est.N)
+			}
+		case gerr == nil || terr == nil || gerr.Error() != terr.Error():
+			t.Fatalf("%q: Build error %v, BuildTopology error %v; want the same", canon, gerr, terr)
 		}
 	})
 }

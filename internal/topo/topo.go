@@ -53,7 +53,7 @@ const (
 
 // normalize rewrites raw into the canonical spelling of its kind. Values
 // that fail to parse keep their original spelling — the typed accessors
-// report them with the user's own text at Build time.
+// report them with the user's own text when the family's Check runs.
 func normalize(k ParamKind, raw string) string {
 	switch k {
 	case KindInt:
@@ -84,19 +84,23 @@ type Param struct {
 	Kind    ParamKind
 }
 
-// Family is one registered graph family. Build receives the resolved
+// Family is one registered graph family. Check validates the resolved
 // parameter values (defaults merged with the spec's explicit arguments)
-// and the RNG; generation must be deterministic in (values, rng).
-// Topo builds the family's compact engine topology (CSR or implicit) and
-// Estimate projects its footprint; both validate parameters exactly like
-// Build.
+// once, before any view runs: it reads every parameter and returns the
+// family's error for values no view can build. The views then read only
+// accepted values. Build generates the explicit graph and Topo the
+// compact engine topology (CSR or implicit), both deterministic in
+// (values, rng); they fail only for what the values cannot decide —
+// Build's explicit-adjacency caps and a sampler that gives up. Estimate
+// projects Topo's footprint and cannot fail.
 type Family struct {
 	Name     string
 	Doc      string
 	Params   []Param
+	Check    func(v *Values) error
 	Build    func(v *Values, rng *rand.Rand) (*graph.Graph, error)
 	Topo     func(v *Values, rng *rand.Rand) (sim.Topology, error)
-	Estimate func(v *Values) (Estimate, error)
+	Estimate func(v *Values) Estimate
 }
 
 func (f *Family) param(name string) *Param {
@@ -109,20 +113,30 @@ func (f *Family) param(name string) *Param {
 }
 
 // Values holds the resolved string parameter values of a spec. The
-// typed accessors record the first conversion failure, checked once by
-// Build — family builders can read all parameters without per-field
-// error plumbing.
+// typed accessors record the first conversion failure, which the
+// family's Check reports — so Check reads every parameter without
+// per-field error plumbing, and the views read them knowing they parse.
 type Values struct {
-	family string
-	m      map[string]string
-	err    error
+	spec Spec
+	f    *Family
+	m    map[string]string
+	err  error
 }
 
 func (v *Values) fail(name, kind string) {
 	if v.err == nil {
 		v.err = fmt.Errorf("topo: %s: parameter %s=%q is not %s",
-			v.family, name, v.m[name], kind)
+			v.f.Name, name, v.m[name], kind)
 	}
+}
+
+// gaveUp names the canonical spec in a sampler's give-up error, so the
+// explicit and compact views of one spec fail with the same message.
+func (v *Values) gaveUp(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("topo: %s: %w", v.spec, err)
 }
 
 // Int returns the named parameter as an int (0 after a recorded error).
@@ -167,8 +181,9 @@ type Spec struct {
 
 // Parse parses and validates "family" or "family:k=v,k=v,...". The
 // family must be registered and every argument key declared by it;
-// argument values are validated at Build time (they may need the RNG to
-// matter). An empty spec or malformed pair is an error.
+// argument values are validated by the family's Check when the spec is
+// resolved (Spec.Values, and so Build, BuildTopology and Estimate). An
+// empty spec or malformed pair is an error.
 func Parse(s string) (Spec, error) {
 	name, rest, hasArgs := strings.Cut(s, ":")
 	name = strings.TrimSpace(name)
@@ -221,7 +236,7 @@ func MustParse(s string) Spec {
 // equal seeds, and specs that parse to the same values share one
 // canonical form — it is safe to group runs by comparing canonical
 // strings. Values that fail to parse keep their original spelling (and
-// fail at Build with the same message as before).
+// fail the family's Check with the user's own text).
 func (s Spec) String() string {
 	f := lookup(s.Family)
 	if f == nil {
@@ -245,36 +260,36 @@ func (s Spec) arg(f *Family, name string) string {
 	return p.Default
 }
 
-// Values resolves the spec's effective parameter values.
+// Values resolves the spec's effective parameter values and validates
+// them with the family's Check, so every view reads accepted values.
 func (s Spec) Values() (*Values, error) {
 	f := lookup(s.Family)
 	if f == nil {
 		return nil, fmt.Errorf("topo: unknown family %q", s.Family)
 	}
-	m := make(map[string]string, len(f.Params))
+	v := &Values{spec: s, f: f, m: make(map[string]string, len(f.Params))}
 	for _, p := range f.Params {
-		m[p.Name] = s.arg(f, p.Name)
+		v.m[p.Name] = s.arg(f, p.Name)
 	}
-	return &Values{family: f.Name, m: m}, nil
+	if err := f.Check(v); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // Build generates the graph described by the spec, drawing any
 // randomness from rng. Deterministic: equal canonical specs and equal
 // rng states yield identical graphs.
 func (s Spec) Build(rng *rand.Rand) (*graph.Graph, error) {
-	f := lookup(s.Family)
-	if f == nil {
-		return nil, fmt.Errorf("topo: unknown family %q", s.Family)
-	}
 	v, err := s.Values()
 	if err != nil {
 		return nil, err
 	}
-	g, err := f.Build(v, rng)
-	if err != nil {
-		return nil, err
+	g, err := v.f.Build(v, rng)
+	if err == nil {
+		err = v.Err() // a parameter Check did not read
 	}
-	if err := v.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -319,19 +334,13 @@ func fmtBytes(b int64) string {
 
 // Estimate resolves the spec's parameters and projects the compact
 // representation BuildTopology would use, without building anything.
+// It fails exactly when the family's Check does.
 func (s Spec) Estimate() (Estimate, error) {
-	f := lookup(s.Family)
-	if f == nil {
-		return Estimate{}, fmt.Errorf("topo: unknown family %q", s.Family)
-	}
 	v, err := s.Values()
 	if err != nil {
 		return Estimate{}, err
 	}
-	est, err := f.Estimate(v)
-	if err != nil {
-		return Estimate{}, err
-	}
+	est := v.f.Estimate(v)
 	if err := v.Err(); err != nil {
 		return Estimate{}, err
 	}
@@ -351,30 +360,22 @@ func (s Spec) BuildTopology(rng *rand.Rand) (sim.Topology, error) {
 // BuildTopologyBudget is BuildTopology with an explicit byte budget
 // (≤ 0 means DefaultTopoBudget).
 func (s Spec) BuildTopologyBudget(rng *rand.Rand, budget int64) (sim.Topology, error) {
-	f := lookup(s.Family)
-	if f == nil {
-		return nil, fmt.Errorf("topo: unknown family %q", s.Family)
-	}
 	if budget <= 0 {
 		budget = DefaultTopoBudget
-	}
-	est, err := s.Estimate()
-	if err != nil {
-		return nil, err
-	}
-	if est.Bytes > budget {
-		return nil, fmt.Errorf("topo: %s needs ~%s as %s (n=%d, m≈%d), over the %s build budget",
-			s, fmtBytes(est.Bytes), est.Repr, est.N, est.M, fmtBytes(budget))
 	}
 	v, err := s.Values()
 	if err != nil {
 		return nil, err
 	}
-	t, err := f.Topo(v, rng)
-	if err != nil {
-		return nil, err
+	if est := v.f.Estimate(v); est.Bytes > budget {
+		return nil, fmt.Errorf("topo: %s needs ~%s as %s (n=%d, m≈%d), over the %s build budget",
+			s, fmtBytes(est.Bytes), est.Repr, est.N, est.M, fmtBytes(budget))
 	}
-	if err := v.Err(); err != nil {
+	t, err := v.f.Topo(v, rng)
+	if err == nil {
+		err = v.Err() // a parameter Check did not read
+	}
+	if err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -70,32 +70,67 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestBuildValueErrors pins that a spec fails every view with one
+// error: the family's Check runs before Estimate, BuildTopology and
+// Build alike. Two kinds of entry fail only where the values cannot
+// tell: a sampler that gives up passes Estimate and fails both builds
+// with the same error, and an explicit-adjacency cap fails Build alone.
 func TestBuildValueErrors(t *testing.T) {
-	cases := []string{
-		"gnp:n=many",     // non-integer
-		"gnp:p=half",     // non-number
-		"gnp:conn=maybe", // non-boolean
-		"gnp:p=1.5",      // out of range
-		"gnp:n=0",        // out of range
-		"gnp:n=4,p=0,conn=1",
-		"cycliques:k=2",
-		"regular:n=5,d=3", // n·d odd
-		"regular:n=4,d=4", // d ≥ n
-		"torus:rows=2",
-		"hypercube:dim=0",
-		"hypercube:dim=21",
-		"powerlaw:n=3,attach=3",
-		"cycle:n=2",
-		"complete:n=0",    // out of range
-		"complete:n=4096", // beyond the explicit-adjacency cap
+	cases := []struct{ spec, why string }{
+		{"gnp:n=many", "check"},     // non-integer
+		{"gnp:p=half", "check"},     // non-number
+		{"gnp:conn=maybe", "check"}, // non-boolean
+		{"gnp:p=1.5", "check"},      // out of range
+		{"gnp:n=0", "check"},        // out of range
+		{"gnp:n=4,p=0,conn=1", "check"},
+		{"cycliques:k=2", "check"},
+		{"regular:n=5,d=3", "check"}, // n·d odd
+		{"regular:n=4,d=4", "check"}, // d ≥ n
+		{"torus:rows=2", "check"},
+		{"hypercube:dim=0", "check"},
+		{"hypercube:dim=21", "cap"},
+		{"powerlaw:n=3,attach=3", "check"},
+		{"cycle:n=2", "check"},
+		{"complete:n=0", "check"},              // out of range
+		{"complete:n=4096", "cap"},             // beyond the explicit-adjacency cap
+		{"gnp:n=40,p=0.001,conn=1", "sampler"}, // never samples a connected graph
+		{"regular:n=10,d=9", "sampler"},        // switch repair does not converge
 	}
 	for _, c := range cases {
-		sp, err := Parse(c)
+		sp, err := Parse(c.spec)
 		if err != nil {
-			t.Fatalf("Parse(%q): %v (expected a Build-time error)", c, err)
+			t.Fatalf("Parse(%q): %v (expected a value error)", c.spec, err)
 		}
-		if _, err := sp.Build(rand.New(rand.NewSource(1))); err == nil {
-			t.Fatalf("Build(%q) accepted", c)
+		_, estErr := sp.Estimate()
+		_, topoErr := sp.BuildTopology(rand.New(rand.NewSource(1)))
+		_, buildErr := sp.Build(rand.New(rand.NewSource(1)))
+		if buildErr == nil {
+			t.Errorf("Build(%q) accepted", c.spec)
+			continue
+		}
+		if !strings.HasPrefix(buildErr.Error(), "topo: ") {
+			t.Errorf("Build(%q) error %q lacks the package prefix", c.spec, buildErr)
+		}
+		switch c.why {
+		case "cap":
+			if estErr != nil || topoErr != nil {
+				t.Errorf("%q: Estimate error %v, BuildTopology error %v; want both to pass", c.spec, estErr, topoErr)
+			}
+		case "sampler":
+			if estErr != nil {
+				t.Errorf("Estimate(%q) error %v; want it to pass", c.spec, estErr)
+			}
+			if topoErr == nil || topoErr.Error() != buildErr.Error() {
+				t.Errorf("%q: BuildTopology error %v, Build error %v; want the same", c.spec, topoErr, buildErr)
+			}
+			if !strings.Contains(buildErr.Error(), sp.String()) {
+				t.Errorf("Build(%q) error %q does not name the canonical spec", c.spec, buildErr)
+			}
+		default:
+			if estErr == nil || estErr.Error() != buildErr.Error() ||
+				topoErr == nil || topoErr.Error() != buildErr.Error() {
+				t.Errorf("%q: Estimate error %v, BuildTopology error %v, Build error %v; want the same", c.spec, estErr, topoErr, buildErr)
+			}
 		}
 	}
 }
