@@ -40,12 +40,14 @@ lint: $(MUVET)
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping"; fi
 
-# Differential verification: the seeded randomized scenario corpus
-# (reference engine vs sharded engine, workers 1 and 4), then a native
-# fuzz pass over fresh generator seeds. Every engine rewrite must pass
-# this before it lands. Tune the fuzz budget with FUZZTIME=… .
+# Differential verification (reference engine vs sharded engine,
+# workers 1 and 4): the seeded randomized scenario corpus, the fixed
+# shard-scale class (8 to 24 shards, where route groups form) and the
+# paper axis (every E1–E13 node program), then a native fuzz pass over
+# fresh generator seeds. Every engine rewrite must pass this before it
+# lands. Tune the fuzz budget with FUZZTIME=… .
 diff-harness:
-	go test ./internal/harness -run TestDifferentialEngineRandomized -count=1 -v
+	go test ./internal/harness -run 'TestDifferentialEngineRandomized|TestDifferentialShardScale|TestPaperWorkloadsDifferential' -count=1 -v
 	go test ./internal/harness -run '^$$' -fuzz FuzzEngineDifferential -fuzztime $(FUZZTIME)
 
 # Coverage over every package: the profile lands in cover.out (for

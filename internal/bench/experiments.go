@@ -65,7 +65,8 @@ func E1E2(tp topo.Spec, k int, seed int64) *Table {
 		router := clique.NewOracleRouter(n)
 		e := sim.New(sim.NewComplete(n), sim.WithSeed(seed))
 		start := time.Now()
-		res, err := e.Run(clique.CongestedCliqueKCliques(g, k, mu, router))
+		prog := clique.CongestedCliqueKCliques(g, k, mu, router)
+		res, err := e.Run(func(c *sim.Ctx) { prog(c) })
 		if err != nil {
 			panic(err)
 		}
@@ -77,7 +78,11 @@ func E1E2(tp topo.Spec, k int, seed int64) *Table {
 		t.AddRecord(recordOf("E1/E2", tp, mu, P("k", k, "mu", mu), res, time.Since(start)))
 	}
 	t.Notes = append(t.Notes,
-		"rounds/UB should stay near-constant across the μ sweep (shape match)")
+		"each subset-cover block costs 2 router agreement ticks plus ⌈L/(n-1)⌉+1 routing "+
+			"rounds, so 2 ≤ rounds/blocks ≤ 3+⌈L̂/(n-1)⌉ for the block-load bound L̂ "+
+			"(asserted by clique.TestCongestedCliqueRoundsPerBlock)",
+		"rounds/UB is for display: at this n the cover's ⌊√μ/k⌋-node groups are too "+
+			"small for Thm 2.10's asymptotic shape to show")
 	return t
 }
 
@@ -601,63 +606,16 @@ func E13(tp topo.Spec, seed int64) *Table {
 	return t
 }
 
-// runE13Tree executes one loss-swept aggregation: every node inserts its
-// local items, waits for its children's wave, merges the complete child
-// summaries in child order, and ships its own M words to its parent in
-// its level's wave round (edge cap M: one wave round per level). All
-// nodes tick in lockstep for exactly maxDepth rounds so every message
-// finds a live destination; only the fault layer drops words.
+// runE13Tree executes one loss-swept aggregation of
+// mergesim.LossyTreeProgram with edge cap M and returns the root's
+// merged summary.
 func runE13Tree(g *graph.Graph, kind stream.Kind, items [][]int64,
 	depth, parent []int, children [][]int, maxDepth int,
 	plan sim.FaultPlan, seed int64) (stream.Summary, *sim.Result) {
-	M := kind.M()
-	n := g.N()
-	sums := make([]stream.Summary, n)
-	e := sim.New(g, sim.WithSeed(seed), sim.WithEdgeCap(M), sim.WithFaults(plan))
-	res, err := e.Run(func(c *sim.Ctx) {
-		id := c.ID()
-		own := kind.New()
-		stream.InsertAll(own, items[id])
-		c.Charge(int64(M))
-		kids := children[id]
-		bufs := make([][]int64, len(kids))
-		cnt := make([]int, len(kids))
-		slot := make(map[int]int, len(kids))
-		for i, u := range kids {
-			slot[u] = i
-		}
-		merge := func() {
-			for i := range kids {
-				if cnt[i] == M {
-					own.(stream.OneWayMergeable).MergeFrom(bufs[i])
-				}
-				c.Release(int64(cnt[i]))
-			}
-		}
-		sendRound := maxDepth - depth[id]
-		for r := 0; r < maxDepth; r++ {
-			if r == sendRound && id != 0 {
-				merge()
-				p := c.PortOf(parent[id])
-				for i, w := range own.Words() {
-					c.Send(p, sim.Msg{Kind: 13, A: int64(i), B: w})
-				}
-			}
-			for _, in := range c.Tick() {
-				i := slot[in.From]
-				if bufs[i] == nil {
-					bufs[i] = make([]int64, M)
-				}
-				bufs[i][in.Msg.A] = in.Msg.B
-				cnt[i]++
-				c.Charge(1)
-			}
-		}
-		if id == 0 {
-			merge()
-			sums[0] = kind.FromWords(append([]int64(nil), own.Words()...))
-		}
-	})
+	sums := make([]stream.Summary, g.N())
+	prog := mergesim.LossyTreeProgram(kind, items, depth, parent, children, maxDepth, sums)
+	e := sim.New(g, sim.WithSeed(seed), sim.WithEdgeCap(kind.M()), sim.WithFaults(plan))
+	res, err := e.Run(func(c *sim.Ctx) { prog(c) })
 	if err != nil {
 		panic(fmt.Sprintf("bench: E13: %v", err))
 	}

@@ -1,10 +1,12 @@
 package clique
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"mucongest/internal/cover"
 	"mucongest/internal/graph"
 	"mucongest/internal/lowerbound"
 	"mucongest/internal/sim"
@@ -63,7 +65,8 @@ func TestLocalListingCompleteOnLowDegree(t *testing.T) {
 	// Bound above Δ: every node active, so ALL triangles must be found.
 	bound := g.MaxDegree()
 	e := sim.New(g)
-	res, err := e.Run(LocalListing(g, bound, bound))
+	prog := LocalListing(g, bound, bound)
+	res, err := e.Run(func(c *sim.Ctx) { prog(c) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +82,8 @@ func TestLocalListingPartialCoverage(t *testing.T) {
 	g := graph.Gnp(30, 0.4, rng)
 	bound := 8
 	e := sim.New(g)
-	res, err := e.Run(LocalListing(g, bound, bound))
+	prog := LocalListing(g, bound, bound)
+	res, err := e.Run(func(c *sim.Ctx) { prog(c) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +108,8 @@ func TestLocalListingPartialCoverage(t *testing.T) {
 func TestLocalListingRoundsLinearInBound(t *testing.T) {
 	g := graph.Star(40) // hub has degree 39, leaves degree 1
 	e := sim.New(g)
-	res, err := e.Run(LocalListing(g, 1, 1))
+	prog := LocalListing(g, 1, 1)
+	res, err := e.Run(func(c *sim.Ctx) { prog(c) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +181,8 @@ func runCC(t *testing.T, g *graph.Graph, k int, mu int64) ([]Clique, *sim.Result
 	t.Helper()
 	router := NewOracleRouter(g.N())
 	e := sim.New(sim.NewComplete(g.N()), sim.WithMu(mu*4)) // O(μ) slack
-	res, err := e.Run(CongestedCliqueKCliques(g, k, mu, router))
+	prog := CongestedCliqueKCliques(g, k, mu, router)
+	res, err := e.Run(func(c *sim.Ctx) { prog(c) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,6 +234,67 @@ func TestCongestedCliqueRoundsDecreaseWithMu(t *testing.T) {
 	if r2.Rounds >= r1.Rounds {
 		t.Fatalf("rounds must drop as μ grows: μ=n %d vs μ=8n %d", r1.Rounds, r2.Rounds)
 	}
+}
+
+// TestCongestedCliqueRoundsPerBlock asserts the round count E1/E2
+// measures: rounds follow the subset-cover construction, not the
+// asymptotic shape n^(k-2)/μ^(k/2-1) of Theorem 2.10, which the default
+// scales are too small to show.
+//
+// The schedule runs one OracleRouter.Route per cover block, and the
+// plan's block count is cover.Size of its largest multiset universe
+// with sets of at most b = max(k, ⌊√μ⌋) nodes (k groups of ⌊b/k⌋).
+// Route costs 2 agreement ticks, plus ⌈L/(n−1)⌉+1 idle rounds when the
+// block's load L (the larger of the most packets one node sends and
+// the most one node receives) is positive. So every block costs
+// between 2 and 3 + ⌈L̂/(n−1)⌉ rounds for any bound L̂ ≥ L. In a block,
+// a node sends each multiset whose set holds it at most its b−1 set
+// neighbors, and the multisets whose universes hold a node's group
+// number Tv = C(gc+k−2, k−1) over gc node groups; a master receives at
+// most the b(b−1)/2 edges of each of its ⌈T/n⌉ multisets' sets, with
+// T = C(gc+k−1, k). Hence L̂ = max(Tv·(b−1), ⌈T/n⌉·b(b−1)/2).
+func TestCongestedCliqueRoundsPerBlock(t *testing.T) {
+	for _, c := range []struct{ k, n int }{{3, 24}, {4, 16}} {
+		k, n := c.k, c.n
+		maxMu := int64(math.Pow(float64(n), 2-2/float64(k)))
+		for mu := int64(n); mu <= maxMu; mu *= 2 {
+			plan := newCCPlan(n, k, mu)
+			b := max(k, int(math.Sqrt(float64(mu))))
+			blocks := 0
+			for _, uni := range plan.universes {
+				blocks = max(blocks, cover.Size(len(uni), b, k))
+			}
+			gc := len(plan.groups)
+			T, Tv := multichoose(gc, k), multichoose(gc, k-1)
+			loadBound := max(Tv*(b-1), (T+n-1)/n*b*(b-1)/2)
+			hi := 3 + (loadBound+n-2)/(n-1)
+			for seed := int64(1); seed <= 3; seed++ {
+				g := graph.Gnp(n, 0.5, rand.New(rand.NewSource(seed)))
+				prog := CongestedCliqueKCliques(g, k, mu, NewOracleRouter(n))
+				res, err := sim.New(sim.NewComplete(n), sim.WithSeed(seed)).Run(func(c *sim.Ctx) { prog(c) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := CollectTriangles(res), ListAll(g, k); !SameSet(got, want) {
+					t.Fatalf("k=%d n=%d μ=%d seed=%d: listed %d cliques, want %d", k, n, mu, seed, len(got), len(want))
+				}
+				perBlock := float64(res.Rounds) / float64(blocks)
+				if perBlock < 2 || perBlock > float64(hi) {
+					t.Errorf("k=%d n=%d μ=%d seed=%d: %d rounds over %d blocks = %.2f per block, want within [2, %d] (L̂=%d)",
+						k, n, mu, seed, res.Rounds, blocks, perBlock, hi, loadBound)
+				}
+			}
+		}
+	}
+}
+
+// multichoose is the number of size-r multisets over g elements.
+func multichoose(g, r int) int {
+	num := 1
+	for i := 0; i < r; i++ {
+		num = num * (g + i) / (i + 1)
+	}
+	return num
 }
 
 func TestCliqueCountBoundLemma21(t *testing.T) {

@@ -95,21 +95,14 @@ func newCCPlan(n, k int, mu int64) *ccPlan {
 // edges inside the i-th set of its subset cover (at most ~μ edge words)
 // via Lenzen routing, lists the k-cliques in that batch, emits them,
 // and frees the batch.
-func CongestedCliqueKCliques(g *graph.Graph, k int, mu int64, router *OracleRouter) func(*sim.Ctx) {
+func CongestedCliqueKCliques(g *graph.Graph, k int, mu int64, router *OracleRouter) func(sim.Node) {
 	plan := newCCPlan(g.N(), k, mu)
-	return func(c *sim.Ctx) {
+	return func(c sim.Node) {
 		id := c.ID()
 		nbr := g.Neighbors(id)
 		c.Charge(int64(len(nbr))) // input adjacency
 		defer c.Release(int64(len(nbr)))
 
-		// Which multisets does this node's master role cover?
-		var myMultisets []int
-		for t, m := range plan.masters {
-			if m == id {
-				myMultisets = append(myMultisets, t)
-			}
-		}
 		for blk := 0; blk < plan.blocks; blk++ {
 			var out []Packet
 			for t, cov := range plan.covers {
@@ -144,7 +137,6 @@ func CongestedCliqueKCliques(g *graph.Graph, k int, mu int64, router *OracleRout
 				}
 				c.Release(int64(2 * len(recv)))
 			}
-			_ = myMultisets
 		}
 	}
 }

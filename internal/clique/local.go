@@ -24,8 +24,8 @@ const (
 //
 // Returns a node program to be run under sim; phases is 2·phaseCount
 // rounds where phaseCount must upper-bound every active node's degree.
-func LocalListing(g *graph.Graph, degBound, phaseCount int) func(*sim.Ctx) {
-	return func(c *sim.Ctx) {
+func LocalListing(g *graph.Graph, degBound, phaseCount int) func(sim.Node) {
+	return func(c sim.Node) {
 		id := c.ID()
 		nbr := g.Neighbors(id)
 		deg := len(nbr)

@@ -100,7 +100,7 @@ func (p *muPlan) removeEdge(u, v int) {
 // router (Lemma A.2 charge); remove intra-cluster edges and recurse}.
 // All triangles are emitted as Clique values; dedupe with
 // CollectTriangles.
-func MuCongestTriangles(cfg MuTriangleConfig, router *expander.Router) func(*sim.Ctx) {
+func MuCongestTriangles(cfg MuTriangleConfig, router *expander.Router) func(sim.Node) {
 	g := cfg.G
 	n := g.N()
 	if cfg.Beta <= 0 {
@@ -121,7 +121,7 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *expander.Router) func(*sim
 	mpxHorizon := int(8*math.Log(float64(n)+2)/cfg.Beta) + 4
 	maxIter := 4*int(math.Log2(float64(g.M()+2))) + 8
 
-	return func(c *sim.Ctx) {
+	return func(c sim.Node) {
 		id := c.ID()
 		c.Charge(int64(g.Degree(id)))
 		defer c.Release(int64(g.Degree(id)))
@@ -204,7 +204,7 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *expander.Router) func(*sim
 // lowDegreeListing is Theorem B.1 restricted to the active subgraph:
 // nodes with active degree ≤ tau query their neighbors about mutual
 // active edges and emit every triangle they belong to, in 2·tau rounds.
-func lowDegreeListing(c *sim.Ctx, plan *muPlan, tau int) {
+func lowDegreeListing(c sim.Node, plan *muPlan, tau int) {
 	id := c.ID()
 	var nbrs []int
 	for u := range plan.adj[id] {
@@ -251,7 +251,7 @@ func lowDegreeListing(c *sim.Ctx, plan *muPlan, tau int) {
 
 // runMPXPhase runs the random-shift clustering over active nodes and
 // deposits the result into the shared plan.
-func runMPXPhase(c *sim.Ctx, plan *muPlan, beta float64, horizon int) {
+func runMPXPhase(c sim.Node, plan *muPlan, beta float64, horizon int) {
 	id := c.ID()
 	active := !plan.removed[id] && len(plan.adj[id]) > 0
 	cluster := -1
@@ -456,7 +456,8 @@ func max64(a, b int64) int64 {
 func RunMuCongestTriangles(cfg MuTriangleConfig, opts ...sim.Option) ([]Clique, *sim.Result, error) {
 	router := expander.NewRouter(cfg.G, cfg.Alpha)
 	e := sim.New(cfg.G, opts...)
-	res, err := e.Run(MuCongestTriangles(cfg, router))
+	prog := MuCongestTriangles(cfg, router)
+	res, err := e.Run(func(c *sim.Ctx) { prog(c) })
 	if err != nil {
 		return nil, res, err
 	}

@@ -47,7 +47,7 @@ func NewOracleRouter(n int) *OracleRouter {
 // Route delivers every node's out packets and returns the packets
 // addressed to this node, charging ⌈maxLoad/(n-1)⌉ + 1 rounds plus the
 // two barrier rounds used for schedule agreement.
-func (r *OracleRouter) Route(c *sim.Ctx, out []Packet) []Packet {
+func (r *OracleRouter) Route(c sim.Node, out []Packet) []Packet {
 	r.mu.Lock()
 	r.deposits[c.ID()] = out
 	r.mu.Unlock()

@@ -31,7 +31,7 @@ func OpMin(a, b int64) int64 {
 //
 // All nodes must pass the same x, op and maxDepth (an upper bound on
 // the tree depth used when it was built).
-func Convergecast(c *sim.Ctx, t *Tree, maxDepth int, vals []int64, op AggOp) []int64 {
+func Convergecast(c sim.Node, t *Tree, maxDepth int, vals []int64, op AggOp) []int64 {
 	x := len(vals)
 	acc := make([]int64, x)
 	copy(acc, vals)
@@ -59,7 +59,7 @@ func Convergecast(c *sim.Ctx, t *Tree, maxDepth int, vals []int64, op AggOp) []i
 // maxDepth + x rounds (Lemma B.4's downward counterpart). Only the
 // root's vals argument is consulted; every node returns the x values.
 // Memory: O(x) words.
-func BroadcastDown(c *sim.Ctx, t *Tree, maxDepth, x int, vals []int64) []int64 {
+func BroadcastDown(c sim.Node, t *Tree, maxDepth, x int, vals []int64) []int64 {
 	out := make([]int64, x)
 	if c.ID() == t.Root {
 		copy(out, vals)
@@ -88,23 +88,23 @@ func BroadcastDown(c *sim.Ctx, t *Tree, maxDepth, x int, vals []int64) []int64 {
 // AggregateAll combines one value per node under op and makes the
 // global result known to every node: a convergecast followed by a
 // broadcast, 2·(maxDepth+1) rounds.
-func AggregateAll(c *sim.Ctx, t *Tree, maxDepth int, val int64, op AggOp) int64 {
+func AggregateAll(c sim.Node, t *Tree, maxDepth int, val int64, op AggOp) int64 {
 	up := Convergecast(c, t, maxDepth, []int64{val}, op)
 	down := BroadcastDown(c, t, maxDepth, 1, up)
 	return down[0]
 }
 
 // SumAll returns the network-wide sum of val at every node.
-func SumAll(c *sim.Ctx, t *Tree, maxDepth int, val int64) int64 {
+func SumAll(c sim.Node, t *Tree, maxDepth int, val int64) int64 {
 	return AggregateAll(c, t, maxDepth, val, OpSum)
 }
 
 // MaxAll returns the network-wide maximum of val at every node.
-func MaxAll(c *sim.Ctx, t *Tree, maxDepth int, val int64) int64 {
+func MaxAll(c sim.Node, t *Tree, maxDepth int, val int64) int64 {
 	return AggregateAll(c, t, maxDepth, val, OpMax)
 }
 
 // MinAll returns the network-wide minimum of val at every node.
-func MinAll(c *sim.Ctx, t *Tree, maxDepth int, val int64) int64 {
+func MinAll(c sim.Node, t *Tree, maxDepth int, val int64) int64 {
 	return AggregateAll(c, t, maxDepth, val, OpMin)
 }

@@ -58,7 +58,7 @@ func DegreeClass(deg int) int {
 // All nodes must call with the same tree, maxDepth, and their own
 // degree (in the graph of interest, which may differ from the
 // communication degree).
-func DegreeClassRelabel(c *sim.Ctx, t *Tree, maxDepth int, myDegree int) *Relabeling {
+func DegreeClassRelabel(c sim.Node, t *Tree, maxDepth int, myDegree int) *Relabeling {
 	n := c.N()
 	numClasses := bits.Len(uint(n)) + 1
 	myClass := DegreeClass(myDegree)

@@ -1,5 +1,5 @@
 // Package congest implements the standard CONGEST building blocks the
-// paper relies on, as synchronous subroutines over sim.Ctx: BFS-tree
+// paper relies on, as synchronous subroutines over sim.Node: BFS-tree
 // construction, pipelined convergecast aggregation (Lemma B.4),
 // pipelined broadcast, global aggregate helpers, and the degree-class
 // relabeling of Lemma B.5.
@@ -45,7 +45,7 @@ func (t *Tree) Joined() bool { return t.Depth >= 0 }
 // node's broadcast and its ack never contend for the same edge in the
 // same round. Ties are broken toward the smallest parent id, making the
 // tree deterministic. Memory: O(deg) words for the children list.
-func BuildBFSTree(c *sim.Ctx, root, maxDepth int) *Tree {
+func BuildBFSTree(c sim.Node, root, maxDepth int) *Tree {
 	t := &Tree{Root: root, Parent: -1, Depth: -1}
 	if c.ID() == root {
 		t.Depth = 0

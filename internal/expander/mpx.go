@@ -26,8 +26,8 @@ const kindClaim int32 = congest.KindUser + 64
 // cluster center id (int). Inter-cluster edges are an O(β) fraction in
 // expectation and cluster diameters are O(log n / β) w.h.p. Memory:
 // O(1) words per node, as the paper observes for MPX.
-func MPXProgram(active func(v int) bool, beta float64, horizon int) func(*sim.Ctx) {
-	return func(c *sim.Ctx) {
+func MPXProgram(active func(v int) bool, beta float64, horizon int) func(sim.Node) {
+	return func(c sim.Node) {
 		if !active(c.ID()) {
 			c.Idle(horizon)
 			c.Emit(-1)
@@ -73,7 +73,8 @@ func RunMPX(topo sim.Topology, active func(v int) bool, beta float64, seed int64
 	n := topo.N()
 	horizon := int(8*math.Log(float64(n)+2)/beta) + 4
 	e := sim.New(topo, sim.WithSeed(seed))
-	res, err := e.Run(MPXProgram(active, beta, horizon))
+	prog := MPXProgram(active, beta, horizon)
+	res, err := e.Run(func(c *sim.Ctx) { prog(c) })
 	if err != nil {
 		return nil, res, err
 	}

@@ -66,7 +66,7 @@ func (r *Router) EmbeddingWords(v int) int64 {
 // Route delivers every node's packets, charging the Lemma A.2 rounds
 // for the realized load plus the embedding space. SPMD: all nodes must
 // call it together.
-func (r *Router) Route(c *sim.Ctx, out []Packet) []Packet {
+func (r *Router) Route(c sim.Node, out []Packet) []Packet {
 	r.mu.Lock()
 	r.deposits[c.ID()] = out
 	r.mu.Unlock()

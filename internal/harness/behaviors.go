@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mucongest/internal/sim"
-	"mucongest/internal/sim/refsim"
 )
 
 // behaviorNames lists the node-program library in generator draw order.
@@ -14,17 +13,17 @@ var behaviorNames = []string{
 }
 
 // Behaviors maps a behavior name to its program constructor. Programs
-// are written against the shared refsim.NodeCtx contract so one closure
+// are written against the shared sim.Node contract so one closure
 // runs unchanged on either engine, and each emits an order-sensitive
 // fold of its inbox every round — the per-round digest the differential
 // comparison keys on. Programs are deterministic given the scenario and
 // the node's private RNG, and never exceed the scenario's edge cap.
-var Behaviors = map[string]func(sc Scenario) func(refsim.NodeCtx){
+var Behaviors = map[string]func(sc Scenario) func(sim.Node){
 	// gossip: per-node-RNG-driven sends with occasional double sends
 	// when the edge budget allows, plus a mid-run early finish for a
 	// subset of nodes (so drops occur).
-	"gossip": func(sc Scenario) func(refsim.NodeCtx) {
-		return func(c refsim.NodeCtx) {
+	"gossip": func(sc Scenario) func(sim.Node) {
+		return func(c sim.Node) {
 			c.Charge(int64(c.ID()%3 + 1))
 			for r := 0; r < sc.Rounds; r++ {
 				for _, u := range c.Neighbors() {
@@ -46,8 +45,8 @@ var Behaviors = map[string]func(sc Scenario) func(refsim.NodeCtx){
 	// broadcast: every node floods every neighbor every round — the
 	// heaviest inbox pressure the cap allows — while oscillating the
 	// memory meter.
-	"broadcast": func(sc Scenario) func(refsim.NodeCtx) {
-		return func(c refsim.NodeCtx) {
+	"broadcast": func(sc Scenario) func(sim.Node) {
+		return func(c sim.Node) {
 			for r := 0; r < sc.Rounds; r++ {
 				c.Broadcast(sim.Msg{Kind: 3, A: int64(c.ID()), B: int64(r)})
 				c.Charge(int64(r%3 + 1))
@@ -60,8 +59,8 @@ var Behaviors = map[string]func(sc Scenario) func(refsim.NodeCtx){
 	// chargeonly: no messages at all — μ overruns must still be
 	// detected on charge-only and quiet rounds, and strict mode must
 	// abort from Charge between barriers.
-	"chargeonly": func(sc Scenario) func(refsim.NodeCtx) {
-		return func(c refsim.NodeCtx) {
+	"chargeonly": func(sc Scenario) func(sim.Node) {
+		return func(c sim.Node) {
 			var held int64
 			for r := 0; r < sc.Rounds; r++ {
 				amt := int64((c.ID()+r)%5 + 1)
@@ -80,8 +79,8 @@ var Behaviors = map[string]func(sc Scenario) func(refsim.NodeCtx){
 	// earlyfinish: staggered termination — node v quits after
 	// v mod Rounds+1 rounds — with RNG-directed single sends, so late
 	// messages chase already-finished destinations and are dropped.
-	"earlyfinish": func(sc Scenario) func(refsim.NodeCtx) {
-		return func(c refsim.NodeCtx) {
+	"earlyfinish": func(sc Scenario) func(sim.Node) {
+		return func(c sim.Node) {
 			quit := c.ID()%(sc.Rounds+1) + 1
 			for r := 0; ; r++ {
 				if deg := c.Degree(); deg > 0 {
@@ -98,8 +97,8 @@ var Behaviors = map[string]func(sc Scenario) func(refsim.NodeCtx){
 	// nodeerror: the broadcast workload with one designated node
 	// panicking mid-run; both engines must abort with the identical
 	// wrapped error and identical partial results.
-	"nodeerror": func(sc Scenario) func(refsim.NodeCtx) {
-		return func(c refsim.NodeCtx) {
+	"nodeerror": func(sc Scenario) func(sim.Node) {
+		return func(c sim.Node) {
 			for r := 0; r < sc.Rounds; r++ {
 				c.Broadcast(sim.Msg{Kind: 5, A: int64(c.ID()), B: int64(r)})
 				emitFold(c, c.Tick())
@@ -115,8 +114,8 @@ var Behaviors = map[string]func(sc Scenario) func(refsim.NodeCtx){
 	// both the output record and the message contents — any drift in
 	// restart accounting or in the state-reset semantics between the
 	// engines (or between execution modes) lands in the digests.
-	"restartaware": func(sc Scenario) func(refsim.NodeCtx) {
-		return func(c refsim.NodeCtx) {
+	"restartaware": func(sc Scenario) func(sim.Node) {
+		return func(c sim.Node) {
 			c.Emit(int64(c.Restarts()))
 			for r := 0; r < sc.Rounds; r++ {
 				c.Broadcast(sim.Msg{Kind: 7, A: int64(c.ID()), B: int64(r), C: int64(c.Restarts())})
@@ -129,8 +128,8 @@ var Behaviors = map[string]func(sc Scenario) func(refsim.NodeCtx){
 	// driving every bounded run over μ sooner or later — in strict mode
 	// through either the Charge fast path or barrier accounting,
 	// whichever the scenario's μ hits first.
-	"strictpressure": func(sc Scenario) func(refsim.NodeCtx) {
-		return func(c refsim.NodeCtx) {
+	"strictpressure": func(sc Scenario) func(sim.Node) {
+		return func(c sim.Node) {
 			for r := 0; r < sc.Rounds; r++ {
 				c.Charge(int64(c.ID()%2 + 1))
 				c.Broadcast(sim.Msg{Kind: 6, A: int64(c.ID()), B: int64(r)})
@@ -144,7 +143,7 @@ var Behaviors = map[string]func(sc Scenario) func(refsim.NodeCtx){
 // difference in delivery content or presentation order — across
 // engines, worker counts or reruns — lands in Outputs and fails the
 // digest comparison for exactly the round it happened in.
-func emitFold(c refsim.NodeCtx, in []sim.Incoming) {
+func emitFold(c sim.Node, in []sim.Incoming) {
 	var h int64
 	for i, m := range in {
 		h = h*1_000_003 + int64(m.From+1)*31 + int64(m.Msg.Kind) + m.Msg.A + m.Msg.B + m.Msg.C + int64(i+1)

@@ -153,24 +153,11 @@ func CheckScenario(sc Scenario, workers ...int) (Outcome, error) {
 		}
 	}
 
-	engineOpts := func(w int) []sim.Option {
-		opts := []sim.Option{
-			sim.WithMu(sc.Mu), sim.WithSeed(sc.Seed), sim.WithEdgeCap(sc.EdgeCap),
-			sim.WithInboxOrder(sc.Order), sim.WithSimWorkers(w), sim.WithFaults(plan),
-		}
-		if sc.Strict {
-			opts = append(opts, sim.WithStrictMemory())
-		}
-		return opts
+	blocking := func(e *sim.Engine) (*sim.Result, error) {
+		return e.Run(func(c *sim.Ctx) { program(c) })
 	}
-	for _, w := range workers {
-		res, runErr := sim.New(g, engineOpts(w)...).Run(func(c *sim.Ctx) { program(c) })
-		if err := compareErrors(refErr, runErr); err != nil {
-			return out, fmt.Errorf("workers=%d: %w", w, err)
-		}
-		if err := compareResults(refRes, res); err != nil {
-			return out, fmt.Errorf("workers=%d: %w", w, err)
-		}
+	if err := matchEngine(g, cfg, refRes, refErr, blocking, workers, ""); err != nil {
+		return out, err
 	}
 
 	if stepMk, ok := StepBehaviors[sc.Behavior]; ok {
@@ -187,18 +174,38 @@ func CheckScenario(sc Scenario, workers ...int) (Outcome, error) {
 		}
 		// Natively stepped on the production engine.
 		prog := sim.Steps(func(c *sim.Ctx) sim.StepProgram { return simStep{mkNode(c)} })
-		for _, w := range workers {
-			res, runErr := sim.New(g, engineOpts(w)...).RunProgram(prog)
-			if err := compareErrors(refErr, runErr); err != nil {
-				return out, fmt.Errorf("workers=%d step mode: %w", w, err)
-			}
-			if err := compareResults(refRes, res); err != nil {
-				return out, fmt.Errorf("workers=%d step mode: %w", w, err)
-			}
+		stepped := func(e *sim.Engine) (*sim.Result, error) { return e.RunProgram(prog) }
+		if err := matchEngine(g, cfg, refRes, refErr, stepped, workers, " step mode"); err != nil {
+			return out, err
 		}
 		out.Stepped = true
 	}
 	return out, checkInvariants(sc, plan, refRes, refErr, ref.Stats())
+}
+
+// matchEngine runs a program on the production engine, configured like
+// the reference run cfg describes, at every worker count, and compares
+// each run field by field with the reference result. run starts the
+// program on a fresh engine; label tags the divergence message.
+func matchEngine(g sim.Topology, cfg refsim.Config, refRes *sim.Result, refErr error,
+	run func(*sim.Engine) (*sim.Result, error), workers []int, label string) error {
+	for _, w := range workers {
+		opts := []sim.Option{
+			sim.WithMu(cfg.Mu), sim.WithSeed(cfg.Seed), sim.WithEdgeCap(cfg.EdgeCap),
+			sim.WithInboxOrder(cfg.Order), sim.WithSimWorkers(w), sim.WithFaults(cfg.Faults),
+		}
+		if cfg.Strict {
+			opts = append(opts, sim.WithStrictMemory())
+		}
+		res, runErr := run(sim.New(g, opts...))
+		if err := compareErrors(refErr, runErr); err != nil {
+			return fmt.Errorf("workers=%d%s: %w", w, label, err)
+		}
+		if err := compareResults(refRes, res); err != nil {
+			return fmt.Errorf("workers=%d%s: %w", w, label, err)
+		}
+	}
+	return nil
 }
 
 func compareErrors(ref, got error) error {

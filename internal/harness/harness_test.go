@@ -163,3 +163,61 @@ func FuzzEngineDifferential(f *testing.F) {
 		}
 	})
 }
+
+// shardScale is the shard-scale class: fixed scenarios at 8 to 24
+// delivery shards of sim.ShardSpan nodes. The generated corpus never
+// spans more than 3 shards, and a route group holds 2 or more shards
+// only from 8 shards up (at one worker), so only this class runs the
+// engine's grouped route phase against the oracle. It is a fixed list
+// beside the corpus, so the corpus and its seeds stay as they are.
+var shardScale = []Scenario{
+	{Behavior: "gossip", TopoSpec: "cycle:n=4096", N: 4096,
+		Seed: 11, TopoSeed: 1, Order: sim.OrderRandom, EdgeCap: 2, Rounds: 6, FailNode: -1},
+	{Behavior: "broadcast", TopoSpec: "powerlaw:n=8192,attach=2", N: 8192, Compact: true,
+		Seed: 12, TopoSeed: 2, Order: sim.OrderReversed, EdgeCap: 1, Rounds: 5, FailNode: -1,
+		Mu: 8, Faults: "loss:p=0.1+edgedown:p=0.05,up=2"},
+	{Behavior: "restartaware", TopoSpec: "torus:rows=64,cols=192", N: 12288, Compact: true,
+		Seed: 13, TopoSeed: 3, Order: sim.OrderBySender, EdgeCap: 1, Rounds: 5, FailNode: -1,
+		Faults: "crash:p=0.002,restart=2"},
+	{Behavior: "strictpressure", TopoSpec: "torus:rows=64,cols=128", N: 8192, Compact: true,
+		Seed: 14, TopoSeed: 4, Order: sim.OrderRandom, EdgeCap: 1, Rounds: 8, FailNode: -1,
+		Mu: 6, Strict: true, Faults: "loss:p=0.2"},
+}
+
+// TestDifferentialShardScale runs the shard-scale class on the oracle at
+// workers 1 and 4 and checks that it covers what it exists for: every
+// scenario at 8 to 24 shards, the explicit graph and both compact
+// representations, faults that bit, and a strict μ abort.
+func TestDifferentialShardScale(t *testing.T) {
+	reprs := map[string]bool{}
+	faulty, strictAborts := 0, 0
+	for _, sc := range shardScale {
+		if shards := (sc.N + sim.ShardSpan - 1) / sim.ShardSpan; shards < 8 || shards > 24 {
+			t.Errorf("%v spans %d shards, outside 8..24", sc, shards)
+		}
+		out, err := CheckScenario(sc, 1, 4)
+		if err != nil {
+			t.Errorf("%v: %v", sc, err)
+			continue
+		}
+		t.Logf("%s: %+v", sc.TopoSpec, out)
+		reprs[out.Repr] = true
+		if out.Faulty {
+			if out.FaultDrops == 0 && out.Crashes == 0 {
+				t.Errorf("%v: the fault plan never bit", sc)
+			}
+			faulty++
+		}
+		if sc.Strict && out.Aborted && out.Violations > 0 {
+			strictAborts++
+		}
+	}
+	for _, r := range []string{"graph", "csr", "implicit"} {
+		if !reprs[r] {
+			t.Errorf("shard-scale class never ran on the %q representation", r)
+		}
+	}
+	if faulty < 2 || strictAborts == 0 {
+		t.Errorf("shard-scale class needs 2 faulty scenarios (has %d) and a strict μ abort (has %d)", faulty, strictAborts)
+	}
+}

@@ -22,27 +22,27 @@ import (
 // checks, releases), then — unless the program ended — the pre-Tick
 // code for iteration k (charges, sends). The r field counts completed
 // rounds, so it equals the node's tick count at every step boundary.
-var StepBehaviors = map[string]func(sc Scenario) func(refsim.NodeCtx) refsim.StepNode{
-	"gossip": func(sc Scenario) func(refsim.NodeCtx) refsim.StepNode {
-		return func(refsim.NodeCtx) refsim.StepNode { return &gossipStep{sc: sc} }
+var StepBehaviors = map[string]func(sc Scenario) func(sim.Node) refsim.StepNode{
+	"gossip": func(sc Scenario) func(sim.Node) refsim.StepNode {
+		return func(sim.Node) refsim.StepNode { return &gossipStep{sc: sc} }
 	},
-	"broadcast": func(sc Scenario) func(refsim.NodeCtx) refsim.StepNode {
-		return func(refsim.NodeCtx) refsim.StepNode { return &broadcastStep{sc: sc} }
+	"broadcast": func(sc Scenario) func(sim.Node) refsim.StepNode {
+		return func(sim.Node) refsim.StepNode { return &broadcastStep{sc: sc} }
 	},
-	"chargeonly": func(sc Scenario) func(refsim.NodeCtx) refsim.StepNode {
-		return func(refsim.NodeCtx) refsim.StepNode { return &chargeOnlyStep{sc: sc} }
+	"chargeonly": func(sc Scenario) func(sim.Node) refsim.StepNode {
+		return func(sim.Node) refsim.StepNode { return &chargeOnlyStep{sc: sc} }
 	},
-	"earlyfinish": func(sc Scenario) func(refsim.NodeCtx) refsim.StepNode {
-		return func(refsim.NodeCtx) refsim.StepNode { return &earlyFinishStep{sc: sc} }
+	"earlyfinish": func(sc Scenario) func(sim.Node) refsim.StepNode {
+		return func(sim.Node) refsim.StepNode { return &earlyFinishStep{sc: sc} }
 	},
-	"nodeerror": func(sc Scenario) func(refsim.NodeCtx) refsim.StepNode {
-		return func(refsim.NodeCtx) refsim.StepNode { return &nodeErrorStep{sc: sc} }
+	"nodeerror": func(sc Scenario) func(sim.Node) refsim.StepNode {
+		return func(sim.Node) refsim.StepNode { return &nodeErrorStep{sc: sc} }
 	},
-	"strictpressure": func(sc Scenario) func(refsim.NodeCtx) refsim.StepNode {
-		return func(refsim.NodeCtx) refsim.StepNode { return &strictPressureStep{sc: sc} }
+	"strictpressure": func(sc Scenario) func(sim.Node) refsim.StepNode {
+		return func(sim.Node) refsim.StepNode { return &strictPressureStep{sc: sc} }
 	},
-	"restartaware": func(sc Scenario) func(refsim.NodeCtx) refsim.StepNode {
-		return func(refsim.NodeCtx) refsim.StepNode { return &restartAwareStep{sc: sc} }
+	"restartaware": func(sc Scenario) func(sim.Node) refsim.StepNode {
+		return func(sim.Node) refsim.StepNode { return &restartAwareStep{sc: sc} }
 	},
 }
 
@@ -51,7 +51,7 @@ type gossipStep struct {
 	r  int
 }
 
-func (s *gossipStep) Step(c refsim.NodeCtx, in []sim.Incoming) bool {
+func (s *gossipStep) Step(c sim.Node, in []sim.Incoming) bool {
 	if s.r > 0 {
 		emitFold(c, in)
 		if c.ID()%7 == 3 && s.r-1 == s.sc.Rounds/2 {
@@ -80,7 +80,7 @@ type broadcastStep struct {
 	r  int
 }
 
-func (s *broadcastStep) Step(c refsim.NodeCtx, in []sim.Incoming) bool {
+func (s *broadcastStep) Step(c sim.Node, in []sim.Incoming) bool {
 	if s.r > 0 {
 		emitFold(c, in)
 		c.Release(int64((s.r-1)%3 + 1))
@@ -100,7 +100,7 @@ type chargeOnlyStep struct {
 	held int64
 }
 
-func (s *chargeOnlyStep) Step(c refsim.NodeCtx, in []sim.Incoming) bool {
+func (s *chargeOnlyStep) Step(c sim.Node, in []sim.Incoming) bool {
 	if s.r > 0 {
 		c.Emit(c.Live())
 	}
@@ -123,7 +123,7 @@ type earlyFinishStep struct {
 	r  int
 }
 
-func (s *earlyFinishStep) Step(c refsim.NodeCtx, in []sim.Incoming) bool {
+func (s *earlyFinishStep) Step(c sim.Node, in []sim.Incoming) bool {
 	if s.r > 0 {
 		emitFold(c, in)
 		if s.r >= c.ID()%(s.sc.Rounds+1)+1 {
@@ -142,7 +142,7 @@ type nodeErrorStep struct {
 	r  int
 }
 
-func (s *nodeErrorStep) Step(c refsim.NodeCtx, in []sim.Incoming) bool {
+func (s *nodeErrorStep) Step(c sim.Node, in []sim.Incoming) bool {
 	if s.r > 0 {
 		emitFold(c, in)
 		if c.ID() == s.sc.FailNode && s.r-1 == s.sc.FailRound {
@@ -166,7 +166,7 @@ type restartAwareStep struct {
 	started bool
 }
 
-func (s *restartAwareStep) Step(c refsim.NodeCtx, in []sim.Incoming) bool {
+func (s *restartAwareStep) Step(c sim.Node, in []sim.Incoming) bool {
 	if !s.started {
 		c.Emit(int64(c.Restarts()))
 		s.started = true
@@ -187,7 +187,7 @@ type strictPressureStep struct {
 	r  int
 }
 
-func (s *strictPressureStep) Step(c refsim.NodeCtx, in []sim.Incoming) bool {
+func (s *strictPressureStep) Step(c sim.Node, in []sim.Incoming) bool {
 	if s.r > 0 {
 		emitFold(c, in)
 	}

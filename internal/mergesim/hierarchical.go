@@ -42,7 +42,7 @@ func pairIterations(deltaMax int, group int64) int {
 // levels — identical on the low-diameter workloads benched (documented
 // deviation). mu ≤ 0 means g = 1.
 func FullyProgram(items [][]int64, kind stream.Kind, root, maxDepth int,
-	deltaMax int, mu int64) func(*sim.Ctx) {
+	deltaMax int, mu int64) func(sim.Node) {
 
 	M := kind.M()
 	group := int64(1)
@@ -53,7 +53,7 @@ func FullyProgram(items [][]int64, kind stream.Kind, root, maxDepth int,
 		}
 	}
 	iters := pairIterations(deltaMax, group)
-	return func(c *sim.Ctx) {
+	return func(c sim.Node) {
 		tr := congest.BuildBFSTree(c, root, maxDepth)
 		depth := int(congest.MaxAll(c, tr, maxDepth, int64(tr.Depth)))
 
@@ -185,9 +185,9 @@ func FullyProgram(items [][]int64, kind stream.Kind, root, maxDepth int,
 // word simultaneously and the parent folds them with ComposeWord using
 // only M memory (Definition 3.3) — collapsing each level to M+O(1)
 // rounds.
-func ComposableProgram(items [][]int64, kind stream.Kind, root, maxDepth int) func(*sim.Ctx) {
+func ComposableProgram(items [][]int64, kind stream.Kind, root, maxDepth int) func(sim.Node) {
 	M := kind.M()
-	return func(c *sim.Ctx) {
+	return func(c sim.Node) {
 		tr := congest.BuildBFSTree(c, root, maxDepth)
 		depth := int(congest.MaxAll(c, tr, maxDepth, int64(tr.Depth)))
 

@@ -14,6 +14,12 @@
 //   - Composable (Theorem 1.8): same levels, but children stream their
 //     serialized words in parallel and the parent folds word-by-word
 //     (Definition 3.3), collapsing each level to M+O(1) rounds.
+//   - Loss-swept tree (experiment E13, LossyTreeProgram): one
+//     level-synchronous wave of whole summaries up a BFS tree, where a
+//     child's summary counts only if all of its M words arrived.
+//
+// Every program is a func(sim.Node), so it runs on the production
+// engine and on the reference engine alike.
 package mergesim
 
 import (
@@ -40,8 +46,8 @@ const (
 // OneWayProgram returns the Theorem 1.6 node program. items[v] is node
 // v's input multiset I_v; kind supplies the one-way mergeable summary.
 // The root (node `root`) emits the final summary's serialized words.
-func OneWayProgram(items [][]int64, kind stream.Kind, root, maxDepth int) func(*sim.Ctx) {
-	return func(c *sim.Ctx) {
+func OneWayProgram(items [][]int64, kind stream.Kind, root, maxDepth int) func(sim.Node) {
+	return func(c sim.Node) {
 		tr := congest.BuildBFSTree(c, root, maxDepth)
 		mine := items[c.ID()]
 		tv := int64(len(mine))
@@ -116,7 +122,7 @@ func OneWayProgram(items [][]int64, kind stream.Kind, root, maxDepth int) func(*
 // gatherItems pipelines every node's items to its cluster leader with
 // credit flow control; leaders Insert arriving items. Termination:
 // DONE converges to the root, which floods a FINISH countdown.
-func gatherItems(c *sim.Ctx, tr *congest.Tree, maxDepth int,
+func gatherItems(c sim.Node, tr *congest.Tree, maxDepth int,
 	isLeader bool, mine []int64, summary stream.Summary) {
 
 	queue := append([]int64(nil), mine...)
@@ -194,7 +200,7 @@ func gatherItems(c *sim.Ctx, tr *congest.Tree, maxDepth int,
 // (FIFO relays, words tagged with the leader id); the root reassembles
 // arriving summaries and folds each completed one into the main summary
 // via the one-way merge. Returns the main summary's words at the root.
-func gatherSummaries(c *sim.Ctx, tr *congest.Tree, maxDepth int,
+func gatherSummaries(c sim.Node, tr *congest.Tree, maxDepth int,
 	isLeader bool, summary stream.Summary, kind stream.Kind, root int) []int64 {
 
 	type word struct{ leader, idx, val int64 }
@@ -269,7 +275,7 @@ func gatherSummaries(c *sim.Ctx, tr *congest.Tree, maxDepth int,
 	}
 }
 
-func finishDown(c *sim.Ctx, tr *congest.Tree, ttl int) {
+func finishDown(c sim.Node, tr *congest.Tree, ttl int) {
 	if ttl <= 0 {
 		return
 	}

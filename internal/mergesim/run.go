@@ -26,9 +26,9 @@ func RunComposable(g *graph.Graph, items [][]int64, kind stream.Kind, opts ...si
 	return runMerge(g, kind, ComposableProgram(items, kind, 0, g.N()), opts...)
 }
 
-func runMerge(g *graph.Graph, kind stream.Kind, program func(*sim.Ctx), opts ...sim.Option) (stream.Summary, *sim.Result, error) {
+func runMerge(g *graph.Graph, kind stream.Kind, program func(sim.Node), opts ...sim.Option) (stream.Summary, *sim.Result, error) {
 	e := sim.New(g, opts...)
-	res, err := e.Run(program)
+	res, err := e.Run(func(c *sim.Ctx) { program(c) })
 	if err != nil {
 		return nil, res, err
 	}
@@ -47,8 +47,8 @@ func runMerge(g *graph.Graph, kind stream.Kind, program func(*sim.Ctx), opts ...
 // candidate's exact frequency by propagating per-label counts up a BFS
 // tree — O(ε⁻¹ + D) rounds and O(Δ + ε⁻¹) memory. Every node emits the
 // exact counts (root-authoritative; broadcast included).
-func ExactCountProgram(items [][]int64, candidates []int64, root, maxDepth int) func(*sim.Ctx) {
-	return func(c *sim.Ctx) {
+func ExactCountProgram(items [][]int64, candidates []int64, root, maxDepth int) func(sim.Node) {
+	return func(c sim.Node) {
 		tr := congest.BuildBFSTree(c, root, maxDepth)
 		local := make([]int64, len(candidates))
 		for _, x := range items[c.ID()] {
@@ -72,7 +72,8 @@ func ExactCountProgram(items [][]int64, candidates []int64, root, maxDepth int) 
 // frequencies of the candidate labels.
 func RunExactCounts(g *graph.Graph, items [][]int64, candidates []int64, opts ...sim.Option) ([]int64, *sim.Result, error) {
 	e := sim.New(g, opts...)
-	res, err := e.Run(ExactCountProgram(items, candidates, 0, g.N()))
+	prog := ExactCountProgram(items, candidates, 0, g.N())
+	res, err := e.Run(func(c *sim.Ctx) { prog(c) })
 	if err != nil {
 		return nil, res, err
 	}

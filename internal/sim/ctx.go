@@ -6,9 +6,43 @@ import (
 	"math/rand"
 )
 
-// Ctx is a node's handle to the simulation: its identity, topology view,
-// messaging, memory meter, output channel and RNG. A Ctx belongs to its
-// node's program and must not be shared with other nodes or goroutines.
+// Node is the node-side contract: the full method set a node program
+// may use. *Ctx implements it, and so does the reference engine's Ctx
+// (internal/sim/refsim), so a program written as func(Node) — every
+// algorithm of the paper, every harness behavior — runs unchanged on
+// either engine. That is the basis of differential testing.
+type Node interface {
+	// Identity and topology view.
+	ID() int
+	N() int
+	Mu() int64
+	Degree() int
+	Neighbors() []int
+	Neighbor(port int) int
+	PortOf(id int) int
+	// Private deterministic RNG (stream keyed by engine seed and id).
+	Rand() *rand.Rand
+	Round() int
+	// Restarts counts the node's fault-layer crash/restart cycles.
+	Restarts() int
+	// Messaging.
+	Send(port int, m Msg)
+	SendID(id int, m Msg)
+	Broadcast(m Msg)
+	Tick() []Incoming
+	Idle(k int)
+	// Output and memory meter.
+	Emit(v any)
+	Charge(words int64)
+	Release(words int64)
+	Live() int64
+}
+
+var _ Node = (*Ctx)(nil)
+
+// Ctx is the engine's Node: a node's handle to the simulation. A Ctx
+// belongs to its node's program and must not be shared with other
+// nodes or goroutines.
 //
 // The topology view holds only the degree: ports resolve through the
 // Topology on every use, so engine setup stays O(1) per node even on

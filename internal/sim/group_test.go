@@ -20,7 +20,7 @@ import (
 // whose seeding would dominate the test's time at this n.
 type groupDet struct{ r int }
 
-func (s *groupDet) Step(c refsim.NodeCtx, in []sim.Incoming) bool {
+func (s *groupDet) Step(c sim.Node, in []sim.Incoming) bool {
 	if s.r == 0 {
 		c.Charge(int64(c.ID()%3 + 1))
 	} else {
@@ -81,7 +81,7 @@ func TestRouteGroupsInvisible(t *testing.T) {
 		workers = append(workers, p)
 	}
 	engineProg := sim.Steps(func(*sim.Ctx) sim.StepProgram { return engineStep{new(groupDet)} })
-	refProg := refsim.DriveSteps(func(refsim.NodeCtx) refsim.StepNode { return new(groupDet) })
+	refProg := refsim.DriveSteps(func(sim.Node) refsim.StepNode { return new(groupDet) })
 	for _, tp := range topos {
 		for _, order := range []sim.InboxOrder{sim.OrderBySender, sim.OrderRandom, sim.OrderReversed} {
 			for _, faults := range []string{"", sim.FaultDetSpec} {

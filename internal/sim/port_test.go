@@ -28,17 +28,17 @@ func TestBadPortErrorIsTopologyIndependent(t *testing.T) {
 	}
 	calls := []struct {
 		name string
-		call func(c refsim.NodeCtx, port int)
+		call func(c sim.Node, port int)
 	}{
-		{"Send", func(c refsim.NodeCtx, port int) { c.Send(port, sim.Msg{Kind: 1}) }},
-		{"Neighbor", func(c refsim.NodeCtx, port int) { c.Neighbor(port) }},
+		{"Send", func(c sim.Node, port int) { c.Send(port, sim.Msg{Kind: 1}) }},
+		{"Neighbor", func(c sim.Node, port int) { c.Neighbor(port) }},
 	}
 	const bad = 1
 	for _, tp := range topos {
 		deg := tp.topo.Degree(bad)
 		for _, call := range calls {
 			for _, port := range []int{-1, deg, deg + 7} {
-				prog := func(c refsim.NodeCtx) {
+				prog := func(c sim.Node) {
 					if c.ID() == bad {
 						call.call(c, port)
 					}

@@ -7,8 +7,8 @@ import (
 	"mucongest/internal/sim"
 )
 
-// Ctx is the reference engine's NodeCtx implementation. It mirrors
-// sim.Ctx's observable behavior — same RNG stream derivation, same
+// Ctx is the reference engine's sim.Node. It mirrors sim.Ctx's
+// observable behavior — same RNG stream derivation, same
 // bandwidth metering, same memory accounting, and the same panic
 // messages (node-side panics surface in run errors, which the
 // differential harness compares byte for byte) — with none of its
@@ -25,6 +25,8 @@ type Ctx struct {
 	outbox []staged
 	sent   map[int]int // port -> messages sent this round
 }
+
+var _ sim.Node = (*Ctx)(nil)
 
 func newCtx(e *Engine, id int) *Ctx {
 	nbr := e.topo.Neighbors(id)

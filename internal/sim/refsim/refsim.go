@@ -1,10 +1,10 @@
 // Package refsim is the differential-verification oracle for the
 // μ-CONGEST engine: a deliberately simple reference implementation of
 // the exact observable contract of package sim — same Topology
-// interface, same NodeCtx method set, same μ-accounting (including the
-// strict-mode abort timing), same inbox orders and per-shard RNG
-// stream derivation, same error strings — built for obviousness, not
-// speed.
+// interface, same node contract (its Ctx is a sim.Node), same
+// μ-accounting (including the strict-mode abort timing), same inbox
+// orders and per-shard RNG stream derivation, same error strings —
+// built for obviousness, not speed.
 //
 // Everything the production engine does cleverly, refsim does naively:
 //
@@ -19,12 +19,13 @@
 // Because refsim reproduces the engine's externally visible behavior
 // bit for bit — round counts, message/drop totals, per-node outputs
 // and memory peaks, violation records, abort identity including error
-// strings, and every OrderRandom permutation — any randomized scenario
-// can be executed on both engines and compared field by field. The
-// internal/harness package does exactly that. A future engine rewrite
-// is correct when it still matches refsim everywhere; refsim itself is
-// pinned against the golden digests recorded on the original
-// pre-sharding engine.
+// strings, and every OrderRandom permutation — any func(sim.Node)
+// program, from a randomized harness behavior to the paper's own
+// algorithms, can be executed on both engines and compared field by
+// field. The internal/harness package does exactly that. A future
+// engine rewrite is correct when it still matches refsim everywhere;
+// refsim itself is pinned against the golden digests recorded on the
+// original pre-sharding engine.
 package refsim
 
 import (
@@ -33,45 +34,6 @@ import (
 	"math/rand"
 
 	"mucongest/internal/sim"
-)
-
-// NodeCtx is the node-side contract shared by the production engine
-// and the reference engine: the full method set node programs may use.
-// *sim.Ctx and *refsim.Ctx both satisfy it, so one program (written as
-// func(NodeCtx)) can run on either engine — the basis of differential
-// testing.
-type NodeCtx interface {
-	// Identity and topology view.
-	ID() int
-	N() int
-	Mu() int64
-	Degree() int
-	Neighbors() []int
-	Neighbor(port int) int
-	PortOf(id int) int
-	// Private deterministic RNG (stream keyed by engine seed and id).
-	Rand() *rand.Rand
-	Round() int
-	// Restarts counts the node's fault-layer crash/restart cycles.
-	Restarts() int
-	// Messaging.
-	Send(port int, m sim.Msg)
-	SendID(id int, m sim.Msg)
-	Broadcast(m sim.Msg)
-	Tick() []sim.Incoming
-	Idle(k int)
-	// Output and memory meter.
-	Emit(v any)
-	Charge(words int64)
-	Release(words int64)
-	Live() int64
-}
-
-// Both engines implement the contract. sim.Ctx's assertion lives here
-// rather than in package sim so sim keeps zero knowledge of refsim.
-var (
-	_ NodeCtx = (*sim.Ctx)(nil)
-	_ NodeCtx = (*Ctx)(nil)
 )
 
 // Config mirrors package sim's options as one plain struct. The zero
@@ -194,7 +156,7 @@ func (e *Engine) Stats() *Stats { return &e.stats }
 // Run executes program on every node and returns the aggregated
 // result, shaped exactly like the production engine's: same Result
 // fields, same Violation records, same error values and strings.
-func (e *Engine) Run(program func(NodeCtx)) (*sim.Result, error) {
+func (e *Engine) Run(program func(sim.Node)) (*sim.Result, error) {
 	n := e.n
 	e.nodes = make([]nodeState, n)
 	e.step = make(chan struct{})
@@ -428,7 +390,7 @@ func (e *Engine) Run(program func(NodeCtx)) (*sim.Result, error) {
 // crash draw), then crash draws from per-shard streams keyed (seed,
 // round, shard) in ascending shard and node order. On an aborted run it
 // terminates parked nodes so the run can end, exactly like the engine.
-func (e *Engine) applyFaults(round int, program func(NodeCtx)) {
+func (e *Engine) applyFaults(round int, program func(sim.Node)) {
 	if e.aborted {
 		for id := range e.nodes {
 			if nd := &e.nodes[id]; nd.parked && !nd.done {
@@ -486,7 +448,7 @@ func (e *Engine) crashNode(id, round int) {
 // and re-runs program from its first instruction, sequentially like the
 // initial spawn: the node runs until its first Tick (or termination)
 // before the engine moves on.
-func (e *Engine) restartNode(id int, program func(NodeCtx)) {
+func (e *Engine) restartNode(id int, program func(sim.Node)) {
 	nd := &e.nodes[id]
 	nd.parked = false
 	nd.restartRound = 0
@@ -503,7 +465,7 @@ func (e *Engine) restartNode(id int, program func(NodeCtx)) {
 // "panicked" error; sends staged before termination are still routed.
 // The crash sentinel is the exception — a crashed node is parked, not
 // terminated, so nothing is published and only the step ack fires.
-func (e *Engine) runNode(c *Ctx, program func(NodeCtx)) {
+func (e *Engine) runNode(c *Ctx, program func(sim.Node)) {
 	defer func() {
 		nd := &e.nodes[c.id]
 		if r := recover(); r != nil {

@@ -12,9 +12,9 @@ import (
 
 // detProgram is the mixed workload of sim's determinism regression
 // suite (per-node-RNG sends, order-sensitive folds, early termination,
-// memory traffic), written against the shared NodeCtx contract so the
+// memory traffic), written against the shared sim.Node contract so the
 // same function body runs on either engine.
-func detProgram(c NodeCtx) {
+func detProgram(c sim.Node) {
 	c.Charge(int64(c.ID()%3 + 1))
 	for r := 0; r < 8; r++ {
 		for _, u := range c.Neighbors() {
@@ -148,13 +148,13 @@ func TestRefsimStats(t *testing.T) {
 func TestRefsimAbortParity(t *testing.T) {
 	scenarios := []struct {
 		name    string
-		program func(NodeCtx)
+		program func(sim.Node)
 		cfg     Config
 		opts    []sim.Option
 	}{
 		{
 			name: "strict-barrier-overrun",
-			program: func(c NodeCtx) {
+			program: func(c sim.Node) {
 				for r := 0; r < 6; r++ {
 					c.Broadcast(sim.Msg{Kind: 1, A: int64(r)})
 					c.Tick()
@@ -167,7 +167,7 @@ func TestRefsimAbortParity(t *testing.T) {
 		},
 		{
 			name: "strict-charge-abort",
-			program: func(c NodeCtx) {
+			program: func(c sim.Node) {
 				for r := 0; r < 6; r++ {
 					if c.ID() == 5 && r == 2 {
 						c.Charge(100)
@@ -182,7 +182,7 @@ func TestRefsimAbortParity(t *testing.T) {
 		},
 		{
 			name: "node-panic",
-			program: func(c NodeCtx) {
+			program: func(c sim.Node) {
 				for r := 0; ; r++ {
 					c.Broadcast(sim.Msg{Kind: 1})
 					c.Tick()
@@ -196,7 +196,7 @@ func TestRefsimAbortParity(t *testing.T) {
 		},
 		{
 			name: "max-rounds",
-			program: func(c NodeCtx) {
+			program: func(c sim.Node) {
 				for {
 					c.Tick()
 				}
@@ -233,7 +233,7 @@ func TestRefsimAbortParity(t *testing.T) {
 // totals) and reproduce the first run exactly.
 func TestRefsimEngineReusable(t *testing.T) {
 	e := New(graph.Cycle(8), Config{Seed: 5, Mu: 1, Strict: true})
-	program := func(c NodeCtx) {
+	program := func(c sim.Node) {
 		for r := 0; r < 4; r++ {
 			c.Broadcast(sim.Msg{Kind: 1, A: int64(r)})
 			c.Tick()

@@ -3,7 +3,7 @@ package refsim
 import "mucongest/internal/sim"
 
 // StepNode is the engine-agnostic step form of a node program: one
-// Step call per round against the shared NodeCtx contract, receiving
+// Step call per round against the shared sim.Node contract, receiving
 // the messages delivered at the last barrier (nil on the first call and
 // whenever nothing arrived). Returning true ends the round; returning
 // false terminates the node. It mirrors sim.StepProgram — which is
@@ -12,7 +12,7 @@ import "mucongest/internal/sim"
 // production engine through a one-line adapter and on this reference
 // engine through DriveSteps. A StepNode must not call c.Tick or c.Idle.
 type StepNode interface {
-	Step(c NodeCtx, in []sim.Incoming) bool
+	Step(c sim.Node, in []sim.Incoming) bool
 }
 
 // DriveSteps adapts a per-node StepNode factory to the blocking program
@@ -26,8 +26,8 @@ type StepNode interface {
 // runtime: a divergence through DriveSteps localizes the bug to the
 // hand-written step form, a divergence only in native stepping to the
 // engine's step scheduler.
-func DriveSteps(mk func(c NodeCtx) StepNode) func(NodeCtx) {
-	return func(c NodeCtx) {
+func DriveSteps(mk func(c sim.Node) StepNode) func(sim.Node) {
+	return func(c sim.Node) {
 		m := mk(c)
 		var in []sim.Incoming
 		for m.Step(c, in) {

@@ -19,8 +19,8 @@ import (
 // staged like any send when an abort unwinds the node, never published
 // when a crash does. explode panics at round 2; hog charges far over μ
 // at round 3 (a strict-mode ErrMemory panic).
-func unwindProgram(rounds, explode, hog int) func(refsim.NodeCtx) {
-	return func(c refsim.NodeCtx) {
+func unwindProgram(rounds, explode, hog int) func(sim.Node) {
+	return func(c sim.Node) {
 		c.Charge(2)
 		defer func() {
 			c.Emit(fmt.Sprintf("exit node=%d round=%d restarts=%d live=%d",

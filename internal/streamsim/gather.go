@@ -30,7 +30,7 @@ const creditWindow = 2
 // node's cache. Termination: DONE flags converge up the tree, then the
 // sink floods a FINISH countdown so all nodes leave the subroutine on
 // the same round.
-func gatherToSink(c *sim.Ctx, tr *congest.Tree, maxDepth int,
+func gatherToSink(c sim.Node, tr *congest.Tree, maxDepth int,
 	myEdges []graph.Edge, onEdge func(graph.Edge), cache bool) []graph.Edge {
 
 	isSink := c.ID() == tr.Root
@@ -159,7 +159,7 @@ func gatherToSink(c *sim.Ctx, tr *congest.Tree, maxDepth int,
 // finishCountdown forwards FINISH with a decremented ttl and idles so
 // that every node exits the enclosing subroutine on the same global
 // round as the sink.
-func finishCountdown(c *sim.Ctx, tr *congest.Tree, ttl int) {
+func finishCountdown(c sim.Node, tr *congest.Tree, ttl int) {
 	if ttl <= 0 {
 		return
 	}
@@ -174,7 +174,7 @@ func finishCountdown(c *sim.Ctx, tr *congest.Tree, ttl int) {
 // onEdge with the sender id (per round, arrivals are ordered by sender
 // id, which the random-order shuffle uses as the slot convention).
 // Dummy padding entries (U < 0) are delivered too — callers filter.
-func replayFromCache(c *sim.Ctx, tr *congest.Tree, maxDepth int,
+func replayFromCache(c sim.Node, tr *congest.Tree, maxDepth int,
 	myCache []graph.Edge, onEdge func(from int, e graph.Edge)) {
 
 	isSink := c.ID() == tr.Root

@@ -30,9 +30,9 @@ func MaxDegreeNode(g *graph.Graph) int {
 // mkClient is invoked only at the sink; passes must equal the client's
 // Passes(). labels may be nil. maxDepth bounds the sink's eccentricity.
 func PPassProgram(g *graph.Graph, labels map[[2]int]int64, sink int,
-	maxDepth int, mkClient func() Client, cached bool) func(*sim.Ctx) {
+	maxDepth int, mkClient func() Client, cached bool) func(sim.Node) {
 
-	return func(c *sim.Ctx) {
+	return func(c sim.Node) {
 		tr := congest.BuildBFSTree(c, sink, maxDepth)
 		mine := OwnedEdges(g, c.ID(), labels)
 		isSink := c.ID() == sink
@@ -93,7 +93,8 @@ func RunPPass(g *graph.Graph, labels map[[2]int]int64, mkClient func() Client,
 	sink := MaxDegreeNode(g)
 	maxDepth := g.N()
 	e := sim.New(g, opts...)
-	res, err := e.Run(PPassProgram(g, labels, sink, maxDepth, mkClient, cached))
+	prog := PPassProgram(g, labels, sink, maxDepth, mkClient, cached)
+	res, err := e.Run(func(c *sim.Ctx) { prog(c) })
 	if err != nil {
 		return nil, res, err
 	}

@@ -29,10 +29,10 @@ import (
 //     final intra-batch shuffle), yielding the slot-ordered array A′.
 //  6. p replay passes stream A′ to the sink in slot order.
 func RandomOrderProgram(g *graph.Graph, labels map[[2]int]int64, sink int,
-	maxDepth int, mkClient func() Client) func(*sim.Ctx) {
+	maxDepth int, mkClient func() Client) func(sim.Node) {
 
 	delta := g.Degree(sink)
-	return func(c *sim.Ctx) {
+	return func(c sim.Node) {
 		tr := congest.BuildBFSTree(c, sink, maxDepth)
 		mine := OwnedEdges(g, c.ID(), labels)
 		isSink := c.ID() == sink
@@ -81,7 +81,7 @@ func RandomOrderProgram(g *graph.Graph, labels map[[2]int]int64, sink int,
 }
 
 // runShuffleSink drives phases 2–5 at the sink.
-func runShuffleSink(c *sim.Ctx, tr *congest.Tree, delta int) {
+func runShuffleSink(c sim.Node, tr *congest.Tree, delta int) {
 	children := tr.Children // sorted ids; column j = children[j]
 	d := len(children)
 	if d == 0 {
@@ -209,7 +209,7 @@ func runShuffleSink(c *sim.Ctx, tr *congest.Tree, delta int) {
 
 // runShuffleNeighbor is the neighbor side of phases 2–5; returns the
 // reshuffled slot-ordered cache.
-func runShuffleNeighbor(c *sim.Ctx, tr *congest.Tree, cacheList []graph.Edge) []graph.Edge {
+func runShuffleNeighbor(c sim.Node, tr *congest.Tree, cacheList []graph.Edge) []graph.Edge {
 	// Report cache size.
 	c.SendID(tr.Parent, sim.Msg{Kind: kindDone, A: int64(len(cacheList))})
 	in := c.Tick()
@@ -312,7 +312,8 @@ func RunRandomOrder(g *graph.Graph, labels map[[2]int]int64, mkClient func() Cli
 
 	sink := MaxDegreeNode(g)
 	e := sim.New(g, opts...)
-	res, err := e.Run(RandomOrderProgram(g, labels, sink, g.N(), mkClient))
+	prog := RandomOrderProgram(g, labels, sink, g.N(), mkClient)
+	res, err := e.Run(func(c *sim.Ctx) { prog(c) })
 	if err != nil {
 		return nil, res, err
 	}

@@ -77,7 +77,7 @@ func runInboxAlias(pass *analysis.Pass) error {
 
 // isTickCall matches a method call spelled x.Tick() with no arguments
 // whose static result is a slice — the inbox-producing call on either
-// engine's Ctx or on the shared NodeCtx contract. It returns the root
+// engine's Ctx or on the shared sim.Node contract. It returns the root
 // identifier object of the receiver when it is a plain identifier.
 func isTickCall(info *types.Info, n ast.Node) (recv types.Object, ok bool) {
 	call, isCall := n.(*ast.CallExpr)

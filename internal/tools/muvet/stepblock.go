@@ -102,7 +102,7 @@ func checkStepPath(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl,
 		case *ast.CallExpr:
 			// Yields are matched on the selector, not the resolved callee:
 			// the harness twins hold their context through an interface
-			// (refsim.NodeCtx), whose methods have no static body. Their
+			// (sim.Node), whose methods have no static body. Their
 			// bodies — the barrier internals — legally use channels, so a
 			// yield call is reported and never descended into.
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && isYieldName(sel.Sel.Name) {

@@ -65,6 +65,11 @@ func TestEstimateShapes(t *testing.T) {
 		{"torus:rows=8,cols=8", "implicit", 64, 128},
 		{"hypercube:dim=4", "implicit", 16, 32},
 		{"complete:n=9", "implicit", 9, 36},
+		// The largest products under the node bound 2³¹−1 still pass.
+		{"grid:rows=2147483647,cols=1", "implicit", 2147483647, 2147483646},
+		{"torus:rows=3,cols=715827882", "implicit", 2147483646, 2 * 2147483646},
+		{"barbell:size=1073741823,p=0", "csr", 2147483646, 1},
+		{"cycliques:k=3,size=715827882", "csr", 2147483646, 3 * (715827882*715827881/2 + 1)},
 	}
 	for _, c := range cases {
 		est, err := MustParse(c.spec).Estimate()

@@ -2,11 +2,18 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"mucongest/internal/graph"
 	"mucongest/internal/sim"
 )
+
+// maxNodes bounds the node count of a family whose count is a product
+// of parameters (cycliques, barbell, grid, torus): graph.CSR's node
+// limit. Check compares by division, so the product cannot wrap before
+// the comparison.
+const maxNodes = math.MaxInt32
 
 // estEdges converts a float edge-count projection to int64, clamped so
 // downstream byte arithmetic cannot overflow on absurd parameters (the
@@ -87,8 +94,11 @@ var registry = []Family{
 			if err := v.Err(); err != nil {
 				return err
 			}
-			if k < 3 || size < 2 {
+			switch {
+			case k < 3 || size < 2:
 				return fmt.Errorf("topo: cycliques needs k ≥ 3, size ≥ 2")
+			case size > maxNodes/k:
+				return fmt.Errorf("topo: cycliques needs k·size ≤ %d nodes", maxNodes)
 			}
 			return nil
 		},
@@ -200,6 +210,8 @@ var registry = []Family{
 			switch {
 			case size < 1:
 				return fmt.Errorf("topo: barbell needs size ≥ 1")
+			case size > maxNodes/2:
+				return fmt.Errorf("topo: barbell needs 2·size ≤ %d nodes", maxNodes)
 			case p < 0 || p > 1:
 				return fmt.Errorf("topo: barbell needs 0 ≤ p ≤ 1")
 			}
@@ -385,15 +397,19 @@ func minNodes(least int) func(*Values) error {
 	}
 }
 
-// minSides is the Check of a rows×cols lattice family.
+// minSides is the Check of a rows×cols lattice family: least bounds
+// each side, maxNodes their product.
 func minSides(least int) func(*Values) error {
 	return func(v *Values) error {
 		rows, cols := v.Int("rows"), v.Int("cols")
 		if err := v.Err(); err != nil {
 			return err
 		}
-		if rows < least || cols < least {
+		switch {
+		case rows < least || cols < least:
 			return fmt.Errorf("topo: %s needs rows, cols ≥ %d", v.f.Name, least)
+		case rows > maxNodes/cols:
+			return fmt.Errorf("topo: %s needs rows·cols ≤ %d nodes", v.f.Name, maxNodes)
 		}
 		return nil
 	}

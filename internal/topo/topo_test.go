@@ -87,6 +87,17 @@ func TestBuildValueErrors(t *testing.T) {
 		{"regular:n=5,d=3", "check"}, // n·d odd
 		{"regular:n=4,d=4", "check"}, // d ≥ n
 		{"torus:rows=2", "check"},
+		// Node counts that are products of parameters: values whose
+		// product wraps int64 (or int32), then the first count past
+		// maxNodes = 2³¹−1.
+		{"grid:rows=4294967296,cols=4294967296", "check"},
+		{"grid:rows=2147483648,cols=1", "check"},
+		{"torus:rows=4294967296,cols=4294967296", "check"},
+		{"torus:rows=3,cols=715827883", "check"},
+		{"barbell:size=4611686018427387904,p=0", "check"},
+		{"barbell:size=1073741824,p=0", "check"},
+		{"cycliques:k=4294967296,size=4294967296", "check"},
+		{"cycliques:k=4,size=536870912", "check"},
 		{"hypercube:dim=0", "check"},
 		{"hypercube:dim=21", "cap"},
 		{"powerlaw:n=3,attach=3", "check"},
