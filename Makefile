@@ -42,12 +42,13 @@ lint: $(MUVET)
 
 # Differential verification (reference engine vs sharded engine,
 # workers 1 and 4): the seeded randomized scenario corpus, the fixed
-# shard-scale class (8 to 24 shards, where route groups form) and the
-# paper axis (every E1–E13 node program), then a native fuzz pass over
-# fresh generator seeds. Every engine rewrite must pass this before it
-# lands. Tune the fuzz budget with FUZZTIME=… .
+# shard-scale class (8 to 24 shards, where route groups form), the fixed
+# sleepers class (nodes sleeping in Idle through crashes and aborts) and
+# the paper axis (every E1–E13 node program), then a native fuzz pass
+# over fresh generator seeds. Every engine rewrite must pass this before
+# it lands. Tune the fuzz budget with FUZZTIME=… .
 diff-harness:
-	go test ./internal/harness -run 'TestDifferentialEngineRandomized|TestDifferentialShardScale|TestPaperWorkloadsDifferential' -count=1 -v
+	go test ./internal/harness -run 'TestDifferentialEngineRandomized|TestDifferentialShardScale|TestDifferentialSleepers|TestPaperWorkloadsDifferential' -count=1 -v
 	go test ./internal/harness -run '^$$' -fuzz FuzzEngineDifferential -fuzztime $(FUZZTIME)
 
 # Coverage over every package: the profile lands in cover.out (for

@@ -234,14 +234,34 @@ func BenchmarkEngineRoundCycle1MStep(b *testing.B) {
 	benchEngineRoundsStep(b, benchLargeTopo.cycle1m, 2, sim.WithSimWorkers(0))
 }
 
-// BenchmarkEngineRoundBlockingIdle36 measures the blocking form's
-// per-round hand-off in isolation: 36 nodes on the implicit complete
-// graph Tick through 10,000 rounds without sending — the per-round shape
-// of the paper grid's E1/E2 k=4 cell, whose rounds are almost all idle.
-// ns/op divided by 10,000 is the engine cost of one such round.
+// BenchmarkEngineRoundBlockingIdle36 measures the sleep path: 36
+// blocking nodes on the implicit complete graph call Idle(10,000), so
+// each yields once and the engine completes the other 9,999 rounds
+// without resuming it — the shape of the routing rounds the paper
+// grid's E1/E2 cells charge. ns/op divided by 10,000 is the engine cost
+// of one round in which every node sleeps.
 func BenchmarkEngineRoundBlockingIdle36(b *testing.B) {
+	benchBlocking36(b, func(c *sim.Ctx) { c.Idle(10_000) })
+}
+
+// BenchmarkEngineRoundBlockingTick36 measures the blocking form's
+// per-round hand-off in isolation: the same 36 nodes call Tick 10,000
+// times without sending, so every round resumes every coroutine — what
+// E1/E2's two router barrier ticks per block still pay. ns/op divided
+// by 10,000 is the engine cost of one such round.
+func BenchmarkEngineRoundBlockingTick36(b *testing.B) {
+	benchBlocking36(b, func(c *sim.Ctx) {
+		for i := 0; i < 10_000; i++ {
+			c.Tick()
+		}
+	})
+}
+
+// benchBlocking36 times program, a blocking program, warm on 36 nodes
+// of the implicit complete graph.
+func benchBlocking36(b *testing.B, program func(*sim.Ctx)) {
+	b.Helper()
 	topo := sim.NewComplete(36)
-	program := func(c *sim.Ctx) { c.Idle(10_000) }
 	benchWarm(b, func() {
 		if _, err := sim.New(topo, sim.WithSeed(1)).Run(program); err != nil {
 			b.Fatal(err)

@@ -129,6 +129,7 @@ func E3(tp topo.Spec, seed int64) *Table {
 func E4E5(tp topo.Spec, seed int64) *Table {
 	rng := rand.New(rand.NewSource(seed))
 	g := buildGraph("E4/E5", tp, rng)
+	mustConnected("E4/E5", tp, g)
 	n, delta := g.N(), g.MaxDegree()
 	t := &Table{
 		ID:    "E4/E5",
@@ -171,6 +172,7 @@ func E4E5(tp topo.Spec, seed int64) *Table {
 func E6(tp topo.Spec, seed int64) *Table {
 	rng := rand.New(rand.NewSource(seed))
 	g := buildGraph("E6", tp, rng)
+	mustConnected("E6", tp, g)
 	n, delta := g.N(), g.MaxDegree()
 	t := &Table{
 		ID:     "E6",

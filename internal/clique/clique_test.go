@@ -288,6 +288,40 @@ func TestCongestedCliqueRoundsPerBlock(t *testing.T) {
 	}
 }
 
+// TestCongestedCliqueSingleNode runs the listing and the router on one
+// node, which has no links: the router's round count must not divide by
+// n−1 = 0. The listing finds nothing, a self-addressed packet arrives,
+// and both runs end without a node error.
+func TestCongestedCliqueSingleNode(t *testing.T) {
+	g := graph.New(1)
+	for k := 3; k <= 4; k++ {
+		prog := CongestedCliqueKCliques(g, k, 1, NewOracleRouter(1))
+		res, err := sim.New(sim.NewComplete(1)).Run(func(c *sim.Ctx) { prog(c) })
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if got := CollectTriangles(res); len(got) != 0 {
+			t.Errorf("k=%d: listed %v on an edgeless graph", k, got)
+		}
+	}
+	router := NewOracleRouter(1)
+	var got []Packet
+	res, err := sim.New(sim.NewComplete(1)).Run(func(c *sim.Ctx) {
+		got = router.Route(c, []Packet{{Dst: 0, A: 7}})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].A != 7 {
+		t.Errorf("self-addressed packet: received %v", got)
+	}
+	// Two agreement ticks, then the clamped divisor makes a load of L
+	// cost L rounds: here 1.
+	if res.Rounds != 3 {
+		t.Errorf("rounds = %d, want 3", res.Rounds)
+	}
+}
+
 // multichoose is the number of size-r multisets over g elements.
 func multichoose(g, r int) int {
 	num := 1

@@ -18,10 +18,29 @@ type ccPlan struct {
 	groups    [][]int // node ids per group
 	multisets [][]int // each a sorted multiset of group indices
 	masters   []int   // master node per multiset
-	covers    [][][]int
 	universes [][]int // sorted union of group members per multiset
-	blocks    int
+	// sets[t] is multiset t's subset cover, one bitset over node ids per
+	// set, words words each (see set).
+	sets   [][]uint64
+	words  int
+	blocks int
 }
+
+// set returns set blk of multiset t's subset cover as a bitset over
+// node ids, or nil when that cover has fewer sets.
+func (p *ccPlan) set(t, blk int) bitset {
+	s := p.sets[t]
+	if lo := blk * p.words; lo < len(s) {
+		return s[lo : lo+p.words]
+	}
+	return nil
+}
+
+// bitset is a set of node ids: v is a member iff bit v%64 of word v/64
+// is set.
+type bitset []uint64
+
+func (b bitset) has(v int) bool { return b[v>>6]&(1<<(v&63)) != 0 }
 
 func newCCPlan(n, k int, mu int64) *ccPlan {
 	gc := int(math.Floor(math.Pow(float64(n), 1/float64(k))))
@@ -64,6 +83,7 @@ func newCCPlan(n, k int, mu int64) *ccPlan {
 	if b < k {
 		b = k
 	}
+	p.words = max(1, (n+63)/64)
 	for t, ms := range p.multisets {
 		p.masters = append(p.masters, t%n)
 		seen := map[int]bool{}
@@ -77,10 +97,16 @@ func newCCPlan(n, k int, mu int64) *ccPlan {
 		sort.Ints(uni)
 		p.universes = append(p.universes, uni)
 		cov := cover.New(len(uni), b, k)
-		p.covers = append(p.covers, cov)
-		if len(cov) > p.blocks {
-			p.blocks = len(cov)
+		bits := make([]uint64, len(cov)*p.words)
+		for i, set := range cov {
+			row := bits[i*p.words:]
+			for _, li := range set {
+				v := uni[li]
+				row[v>>6] |= 1 << (v & 63)
+			}
 		}
+		p.sets = append(p.sets, bits)
+		p.blocks = max(p.blocks, len(cov))
 	}
 	return p
 }
@@ -105,22 +131,14 @@ func CongestedCliqueKCliques(g *graph.Graph, k int, mu int64, router *OracleRout
 
 		for blk := 0; blk < plan.blocks; blk++ {
 			var out []Packet
-			for t, cov := range plan.covers {
-				if blk >= len(cov) {
-					continue
-				}
-				uni := plan.universes[t]
-				// Membership test for this node in S (local indices).
-				inS := make(map[int]bool, len(cov[blk]))
-				for _, li := range cov[blk] {
-					inS[uni[li]] = true
-				}
-				if !inS[id] {
+			for t := range plan.sets {
+				s := plan.set(t, blk)
+				if s == nil || !s.has(id) {
 					continue
 				}
 				dst := plan.masters[t]
 				for _, w := range nbr {
-					if w > id && inS[w] {
+					if w > id && s.has(w) {
 						out = append(out, Packet{Dst: dst, A: int64(id), B: int64(w)})
 					}
 				}

@@ -108,12 +108,10 @@ func (r *OracleRouter) schedule() {
 			r.received[v] = append(r.received[v], tg.p)
 		}
 	}
-	load := maxOut
-	if maxIn > load {
-		load = maxIn
-	}
-	r.rounds = (load+r.n-2)/(r.n-1) + 1
-	if load == 0 {
-		r.rounds = 0
+	// A silent instance costs no rounds. A single node has no links, so
+	// its divisor is clamped to 1 instead of dividing by zero.
+	r.rounds = 0
+	if load := max(maxOut, maxIn); load > 0 {
+		r.rounds = (load+r.n-2)/max(1, r.n-1) + 1
 	}
 }

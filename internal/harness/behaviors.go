@@ -124,6 +124,28 @@ var Behaviors = map[string]func(sc Scenario) func(sim.Node){
 		}
 	},
 
+	// sleeper: every round r it broadcasts, sleeps through
+	// Idle(1+(id+r)%4) rounds — staggered, so neighbors wake in different
+	// rounds — then emits its Round() and charges. Its deferred Emit
+	// records the round it left the program in, so an abort or a crash
+	// that wakes a sleeping node late, or ends it without waking it,
+	// changes the outputs. Not in behaviorNames: it runs as the fixed
+	// sleepers class, so the corpus and its seeds stay as they are.
+	"sleeper": func(sc Scenario) func(sim.Node) {
+		return func(c sim.Node) {
+			defer func() { c.Emit(deferred(c.Round())) }()
+			for r := 0; r < sc.Rounds; r++ {
+				c.Broadcast(sim.Msg{Kind: 8, A: int64(c.ID()), B: int64(r)})
+				c.Idle(1 + (c.ID()+r)%4)
+				c.Emit(int64(c.Round()))
+				c.Charge(int64(c.ID()%2 + 1))
+				if c.ID() == sc.FailNode && r == sc.FailRound {
+					panic(fmt.Sprintf("harness: node %d injected failure at round %d", c.ID(), r))
+				}
+			}
+		}
+	},
+
 	// strictpressure: a monotone charge ramp under broadcast load,
 	// driving every bounded run over μ sooner or later — in strict mode
 	// through either the Charge fast path or barrier accounting,
@@ -138,6 +160,12 @@ var Behaviors = map[string]func(sc Scenario) func(sim.Node){
 		}
 	},
 }
+
+// deferred marks a value a behavior's deferred code emits. A step
+// machine has no deferred code: when a run aborts or its node crashes,
+// the engine just stops stepping it. So CheckScenario compares the step
+// forms with the blocking run minus these values.
+type deferred int64
 
 // emitFold emits the order-sensitive fold of one round's inbox: any
 // difference in delivery content or presentation order — across

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"mucongest/internal/graph"
 	"mucongest/internal/sim"
@@ -162,6 +163,7 @@ func CheckScenario(sc Scenario, workers ...int) (Outcome, error) {
 
 	if stepMk, ok := StepBehaviors[sc.Behavior]; ok {
 		mkNode := stepMk(sc)
+		stepWant := withoutDeferred(refRes)
 		// The step machine driven as a blocking program on the reference
 		// engine must match the blocking original: this isolates bugs in
 		// the hand-written step form from bugs in the step runtime.
@@ -169,13 +171,13 @@ func CheckScenario(sc Scenario, workers ...int) (Outcome, error) {
 		if err := compareErrors(refErr, stepRefErr); err != nil {
 			return out, fmt.Errorf("reference-driven step form: %w", err)
 		}
-		if err := compareResults(refRes, stepRefRes); err != nil {
+		if err := compareResults(stepWant, stepRefRes); err != nil {
 			return out, fmt.Errorf("reference-driven step form: %w", err)
 		}
 		// Natively stepped on the production engine.
 		prog := sim.Steps(func(c *sim.Ctx) sim.StepProgram { return simStep{mkNode(c)} })
 		stepped := func(e *sim.Engine) (*sim.Result, error) { return e.RunProgram(prog) }
-		if err := matchEngine(g, cfg, refRes, refErr, stepped, workers, " step mode"); err != nil {
+		if err := matchEngine(g, cfg, stepWant, refErr, stepped, workers, " step mode"); err != nil {
 			return out, err
 		}
 		out.Stepped = true
@@ -206,6 +208,23 @@ func matchEngine(g sim.Topology, cfg refsim.Config, refRes *sim.Result, refErr e
 		}
 	}
 	return nil
+}
+
+// withoutDeferred returns a copy of res with the deferred values dropped
+// from its outputs: the result the blocking program's step twin must
+// reproduce.
+func withoutDeferred(res *sim.Result) *sim.Result {
+	cp := *res
+	cp.Outputs = make([][]any, len(res.Outputs))
+	for v, vals := range res.Outputs {
+		cp.Outputs[v] = slices.DeleteFunc(slices.Clone(vals), isDeferred)
+	}
+	return &cp
+}
+
+func isDeferred(v any) bool {
+	_, ok := v.(deferred)
+	return ok
 }
 
 func compareErrors(ref, got error) error {

@@ -221,3 +221,51 @@ func TestDifferentialShardScale(t *testing.T) {
 		t.Errorf("shard-scale class needs 2 faulty scenarios (has %d) and a strict μ abort (has %d)", faulty, strictAborts)
 	}
 }
+
+// sleepers is the sleep-path class: fixed scenarios of the sleeper
+// behavior, whose nodes spend most rounds inside Idle, where the engine
+// completes their rounds without resuming them. It covers what can
+// interrupt a sleep: crash/restart under loss, edge churn on a
+// multi-shard cycle, a strict μ abort and a node-error abort. Like
+// shardScale it is a fixed list beside the corpus, so the corpus and
+// its seeds stay as they are.
+var sleepers = []Scenario{
+	{Behavior: "sleeper", TopoSpec: "torus:rows=8,cols=8", N: 64, Compact: true,
+		Seed: 21, TopoSeed: 1, Order: sim.OrderBySender, EdgeCap: 1, Rounds: 6, FailNode: -1,
+		Mu: 12, Faults: "loss:p=0.2+crash:p=0.05,restart=3"},
+	{Behavior: "sleeper", TopoSpec: "cycle:n=1536", N: 1536,
+		Seed: 22, TopoSeed: 2, Order: sim.OrderRandom, EdgeCap: 1, Rounds: 6, FailNode: -1,
+		Mu: 8, Faults: "edgedown:p=0.1,up=2"},
+	{Behavior: "sleeper", TopoSpec: "cycle:n=40", N: 40,
+		Seed: 23, TopoSeed: 3, Order: sim.OrderReversed, EdgeCap: 1, Rounds: 8, FailNode: -1,
+		Mu: 12, Strict: true},
+	{Behavior: "sleeper", TopoSpec: "grid:rows=6,cols=7", N: 42,
+		Seed: 24, TopoSeed: 4, Order: sim.OrderBySender, EdgeCap: 1, Rounds: 6, FailNode: 17, FailRound: 2},
+}
+
+// TestDifferentialSleepers runs the sleep-path class on the oracle at
+// workers 1 and 4, in both program forms, and checks that each scenario
+// did what it is there for: crashes and restarts, fault drops across
+// shards, a strict μ abort and a node-error abort.
+func TestDifferentialSleepers(t *testing.T) {
+	var crashed, churned, strictAbort, errorAbort bool
+	for _, sc := range sleepers {
+		out, err := CheckScenario(sc, 1, 4)
+		if err != nil {
+			t.Errorf("%v: %v", sc, err)
+			continue
+		}
+		t.Logf("%s: %+v", sc.TopoSpec, out)
+		if !out.Stepped {
+			t.Errorf("%v: the step twin did not run", sc)
+		}
+		crashed = crashed || out.Crashes > 0 && out.Restarts > 0
+		churned = churned || sc.N > sim.ShardSpan && out.FaultDrops > 0
+		strictAbort = strictAbort || sc.Strict && out.Aborted && out.Violations > 0
+		errorAbort = errorAbort || sc.FailNode >= 0 && out.Aborted
+	}
+	if !crashed || !churned || !strictAbort || !errorAbort {
+		t.Errorf("sleepers class coverage: crash/restart %v, multi-shard fault drops %v, strict abort %v, node-error abort %v",
+			crashed, churned, strictAbort, errorAbort)
+	}
+}

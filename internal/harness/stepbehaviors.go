@@ -44,6 +44,9 @@ var StepBehaviors = map[string]func(sc Scenario) func(sim.Node) refsim.StepNode{
 	"restartaware": func(sc Scenario) func(sim.Node) refsim.StepNode {
 		return func(sim.Node) refsim.StepNode { return &restartAwareStep{sc: sc} }
 	},
+	"sleeper": func(sc Scenario) func(sim.Node) refsim.StepNode {
+		return func(sim.Node) refsim.StepNode { return &sleeperStep{sc: sc} }
+	},
 }
 
 type gossipStep struct {
@@ -197,5 +200,36 @@ func (s *strictPressureStep) Step(c sim.Node, in []sim.Incoming) bool {
 	c.Charge(int64(c.ID()%2 + 1))
 	c.Broadcast(sim.Msg{Kind: 6, A: int64(c.ID()), B: int64(s.r)})
 	s.r++
+	return true
+}
+
+// sleeperStep spells Idle(k) out as k true returns with nothing in
+// between. It has no deferred Emit (see deferred).
+type sleeperStep struct {
+	sc      Scenario
+	r       int
+	left    int // true returns left in iteration r's Idle
+	started bool
+}
+
+func (s *sleeperStep) Step(c sim.Node, _ []sim.Incoming) bool {
+	if s.left > 0 {
+		s.left--
+		return true
+	}
+	if s.started {
+		c.Emit(int64(c.Round()))
+		c.Charge(int64(c.ID()%2 + 1))
+		if c.ID() == s.sc.FailNode && s.r == s.sc.FailRound {
+			panic(fmt.Sprintf("harness: node %d injected failure at round %d", c.ID(), s.r))
+		}
+		s.r++
+	}
+	s.started = true
+	if s.r >= s.sc.Rounds {
+		return false
+	}
+	c.Broadcast(sim.Msg{Kind: 8, A: int64(c.ID()), B: int64(s.r)})
+	s.left = (c.ID() + s.r) % 4 // this return is the Idle's first Tick
 	return true
 }

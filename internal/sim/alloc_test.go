@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"mucongest/internal/graph"
 )
@@ -73,10 +74,26 @@ func TestSteadyStateRoundAllocFree(t *testing.T) {
 			runErr = err
 		}
 	}
+	// The idle-heavy twin broadcasts every fourth round and sleeps
+	// through the other three in Idle: the rounds the engine completes
+	// without resuming a node, and the inboxes they discard, must be as
+	// allocation-free as a resumed round.
+	runIdle := func(rounds int, workers int) {
+		e := New(topo, WithSeed(1), WithSimWorkers(workers))
+		program := func(c *Ctx) {
+			for r := 0; r < rounds; r += 4 {
+				c.Broadcast(Msg{Kind: 1, A: int64(c.ID()), B: int64(r)})
+				c.Idle(4)
+			}
+		}
+		if _, err := e.Run(program); err != nil && runErr == nil {
+			runErr = err
+		}
+	}
 	for _, mode := range []struct {
 		name string
 		run  func(rounds, workers int)
-	}{{"goroutine", run}, {"step", runStep}, {"emptyfaults", runEmptyFaults}} {
+	}{{"goroutine", run}, {"step", runStep}, {"emptyfaults", runEmptyFaults}, {"idle", runIdle}} {
 		for _, workers := range []int{1, 4} {
 			short := testing.AllocsPerRun(5, func() { mode.run(base, workers) })
 			full := testing.AllocsPerRun(5, func() { mode.run(long, workers) })
@@ -136,6 +153,17 @@ func TestColdRunAllocsPerNode(t *testing.T) {
 				t.Errorf("%s workers=%d: cold run allocates %.2f times per node, want ≤ 1.25", tp.name, workers, perNode)
 			}
 		}
+	}
+}
+
+// TestNodeRTSize pins the node runtime slot at two cache lines. The
+// account and resume phases walk every slot every round; at 128 B each
+// slot of a large (page-aligned) array is exactly two lines, with the
+// fields a round reads in the first, while a larger slot straddles
+// lines.
+func TestNodeRTSize(t *testing.T) {
+	if got := unsafe.Sizeof(nodeRT{}); got > 128 {
+		t.Errorf("nodeRT is %d bytes, want at most 128", got)
 	}
 }
 

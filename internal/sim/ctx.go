@@ -292,10 +292,24 @@ func (c *Ctx) Tick() []Incoming {
 }
 
 // Idle performs k rounds with no sends, discarding any received
-// messages.
+// messages. It is k Ticks, observably: the first one stages the sends
+// queued before the call, every round's inbox is delivered and counts
+// toward the node's memory until the next, and Round() has grown by k
+// when Idle returns. The node yields once and sleeps through the other
+// k−1 rounds: the engine completes them without resuming it (see
+// stepNode), unless the run aborts or the node crashes, which wake it
+// so its Tick panics as usual.
 func (c *Ctx) Idle(k int) {
-	for i := 0; i < k; i++ {
+	rt := c.rt
+	for k > 0 {
+		// One yield per math.MaxInt32 rounds keeps the sleep counter an
+		// int32.
+		n := min(k, math.MaxInt32)
+		if rt.co != nil { // a step program's Tick fails below
+			rt.sleep = int32(n - 1)
+		}
 		c.Tick()
+		k -= n
 	}
 }
 

@@ -246,11 +246,17 @@ type nodeRT struct {
 	live       int64 // words charged by the algorithm
 	peak       int64
 	ticks      int
-	nodeErr    error
+	// sleep is the number of rounds a blocking node still sleeps through
+	// in Ctx.Idle: stepNode completes them without resuming it. As an
+	// int32 it shares the 8 bytes before nodeErr with the two bools, so
+	// the slot stays at 128 B and every field a round reads sits in its
+	// first 64.
+	sleep     int32
+	crashing  bool // node's program is being unwound by crashNode right now
+	violation bool // a Violation was already recorded for this node (dedup)
+	nodeErr   error
 	// Fault-layer state, all written at the serial fault point: a
 	// parked node restarts at restartRound.
-	crashing     bool // node's program is being unwound by crashNode right now
-	violation    bool // a Violation was already recorded for this node (dedup)
 	restartRound int
 	restarts     int
 	vioIdx       int // index of this node's Violation in the run's slice
@@ -304,6 +310,7 @@ func grab(n int) *runScratch {
 		rt.violation = false
 		rt.vioIdx = 0
 		rt.crashing = false
+		rt.sleep = 0
 		rt.restartRound = 0
 		rt.restarts = 0
 	}

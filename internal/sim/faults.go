@@ -339,13 +339,13 @@ func (e *Engine) applyFaults() {
 }
 
 // crashNode parks one node: a stepped node's machine is discarded, a
-// blocking node is unwound with its crashing flag set, so its Tick
-// panics errCrash, the program's deferred code runs and its coroutine
-// finishes. Sends the unwinding program makes are cut off the shard's
-// send arena again, unpublished. The node's staged sends from the round
-// boundary it already passed still route — fail-stop at the barrier,
-// not retroactive — but from this round on it receives nothing and
-// holds no memory.
+// blocking node — sleeping in Idle or not — is unwound with its
+// crashing flag set, so its Tick panics errCrash, the program's
+// deferred code runs and its coroutine finishes. Sends the unwinding
+// program makes are cut off the shard's send arena again, unpublished.
+// The node's staged sends from the round boundary it already passed
+// still route — fail-stop at the barrier, not retroactive — but from
+// this round on it receives nothing and holds no memory.
 func (e *Engine) crashNode(id, round int) {
 	rt := &e.nodes[id]
 	if rt.co != nil {
@@ -358,6 +358,7 @@ func (e *Engine) crashNode(id, round int) {
 	}
 	rt.step = nil
 	rt.co = nil
+	rt.sleep = 0
 	e.state[id] |= stParked
 	rt.restartRound = round + e.faults.RestartDelay()
 	rt.live = 0

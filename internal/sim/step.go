@@ -26,7 +26,9 @@ import (
 // A blocking func(*Ctx) runs as an iter.Pull coroutine wrapped in the
 // internal coroutine StepProgram: its Step resumes the program, and
 // Ctx.Tick yields back to the worker. Both forms therefore share one
-// dispatch path and are observably identical.
+// dispatch path and are observably identical. Ctx.Idle(k) yields once:
+// the engine completes the other k-1 rounds without resuming the node
+// (see stepNode).
 
 // StepProgram is a node program in explicit state-machine form. The
 // engine calls Step once per round with the messages delivered at the
@@ -145,8 +147,19 @@ func (e *Engine) stopCoroutines() {
 // (continue) or record termination (return/panic). The caller opened
 // the outbox (see Ctx.openSends).
 //
+// A node sleeping in Ctx.Idle is not resumed: the round counts as one
+// more tick that sends nothing, and the inbox the caller accounted is
+// discarded. An aborted round wakes it, so its Tick panics errAbort as
+// usual.
+//
 //muvet:hotpath
 func (e *Engine) stepNode(c *Ctx, rt *nodeRT, in []Incoming) {
+	if rt.sleep > 0 && !e.aborted {
+		rt.sleep--
+		rt.ticks++
+		c.stage()
+		return
+	}
 	if len(in) == 0 {
 		in = nil
 	}

@@ -380,3 +380,54 @@ func (s *dropProbeStep) Step(c *Ctx, in []Incoming) bool {
 	s.r++
 	return true
 }
+
+// TestIdleSleepsExactlyK pins Idle's round count on the sleep path:
+// Idle(k) advances Round() by exactly k (none for k ≤ 0), a send queued
+// before the call goes out with its first round, and the node wakes
+// with its sleep counter spent. A step program calling Idle fails like
+// one calling Tick.
+func TestIdleSleepsExactlyK(t *testing.T) {
+	ks := []int{0, -3, 1, 2, 7, 1}
+	res, err := New(graph.Path(2), WithSimWorkers(1)).Run(func(c *Ctx) {
+		for _, k := range ks {
+			before := c.Round()
+			if k > 0 {
+				c.SendID(1-c.ID(), Msg{Kind: 1})
+			}
+			c.Idle(k)
+			c.Emit([2]int{c.Round() - before, int(c.rt.sleep)})
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, sends := 0, int64(0)
+	for i, k := range ks {
+		if k > 0 {
+			total += k
+			sends += 2
+		}
+		for v, out := range res.Outputs {
+			if got := out[i].([2]int); got != [2]int{max(k, 0), 0} {
+				t.Errorf("node %d Idle(%d): advanced %d rounds, woke with sleep %d", v, k, got[0], got[1])
+			}
+		}
+	}
+	if res.Rounds != total || res.Messages != sends || res.Dropped != 0 {
+		t.Errorf("rounds = %d, messages = %d, dropped = %d; want %d, %d, 0",
+			res.Rounds, res.Messages, res.Dropped, total, sends)
+	}
+	_, err = New(graph.Path(2)).RunProgram(Steps(func(c *Ctx) StepProgram { return idlingStep{} }))
+	if err == nil || !strings.Contains(err.Error(), "runs a step program") {
+		t.Fatalf("err = %v, want the step-program Tick guard", err)
+	}
+}
+
+// idlingStep violates the step contract by calling Idle.
+type idlingStep struct{}
+
+func (idlingStep) Step(c *Ctx, in []Incoming) bool {
+	//muvet:allow stepblock(fixture proving the runtime guard covers Idle too)
+	c.Idle(3)
+	return true
+}
