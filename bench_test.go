@@ -278,29 +278,29 @@ func BenchmarkEngineRoundTorus65536(b *testing.B) {
 }
 
 // BenchmarkEngineRoundPowerlaw65536 drives heavy-tailed degrees at
-// 65536 nodes on the compact CSR adjacency, goroutine-free and warm:
-// the per-round engine cost on the representation and runtime the
-// large-n experiments actually use. Before the CSR layer this cell ran
-// the explicit graph.Graph in goroutine mode, cold — 1.05 s and 112 MB
-// per op; both that baseline and the one recording the CSR + step +
-// warm speedup are in git history.
+// 65536 nodes on the flat graph, goroutine-free and warm: the
+// per-round engine cost on the representation and runtime the large-n
+// experiments actually use. Before the flat layout this cell ran a
+// [][]int adjacency in goroutine mode, cold — 1.05 s and 112 MB per op;
+// both that baseline and the one recording the flat + step + warm
+// speedup are in git history.
 func BenchmarkEngineRoundPowerlaw65536(b *testing.B) {
 	if benchLargeTopo.powerlaw == nil {
-		benchLargeTopo.powerlaw = graph.BarabasiAlbertCSR(65536, 3, rand.New(rand.NewSource(1)))
+		benchLargeTopo.powerlaw = graph.BarabasiAlbert(65536, 3, rand.New(rand.NewSource(1)))
 	}
 	benchEngineRoundsStepWarm(b, benchLargeTopo.powerlaw, 4, sim.WithSimWorkers(0))
 }
 
 // The 1M cells pin the large-n story end to end: a million-node
-// power-law CSR (built once, outside the timer) and a million-node
+// power-law graph (built once, outside the timer) and a million-node
 // implicit torus (O(1) memory, port arithmetic only) each complete a
 // goroutine-free broadcast round loop. Run with -benchtime 1x in CI; a
 // single op proves the representation layer serves engine rounds at
-// the scale the explicit adjacency could not hold.
+// the scale a [][]int adjacency could not hold.
 
 func BenchmarkEngineRoundPowerlaw1MStep(b *testing.B) {
 	if benchLargeTopo.powerlaw1m == nil {
-		benchLargeTopo.powerlaw1m = graph.BarabasiAlbertCSR(1<<20, 3, rand.New(rand.NewSource(1)))
+		benchLargeTopo.powerlaw1m = graph.BarabasiAlbert(1<<20, 3, rand.New(rand.NewSource(1)))
 	}
 	benchEngineRoundsStep(b, benchLargeTopo.powerlaw1m, 2, sim.WithSimWorkers(0))
 }
@@ -311,7 +311,7 @@ func BenchmarkEngineRoundTorus1MStep(b *testing.B) {
 
 // BenchmarkEngineRoundComplete65536Setup pins the implicit Complete
 // topology: engine construction plus one-node port arithmetic at a
-// scale where the old explicit adjacency (O(n²) ints) was unbuildable.
+// scale where a materialized adjacency (O(n²) ints) is unbuildable.
 func BenchmarkEngineRoundComplete65536Setup(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -205,16 +205,18 @@ func main() {
 	if *engineSpec != "" {
 		err = runEngineLoad(ew, *engineSpec, *engineMode, *engineRounds, *seed, faultPlan)
 	} else {
-		tables := bench.RunParallel(selected, *seed, *parallel)
-		switch *format {
-		case "table":
-			for _, t := range tables {
-				t.Fprint(ew)
+		var tables []*bench.Table
+		if tables, err = bench.RunParallel(selected, *seed, *parallel); err == nil {
+			switch *format {
+			case "table":
+				for _, t := range tables {
+					t.Fprint(ew)
+				}
+			case "csv":
+				err = bench.WriteRecordsCSV(ew, bench.Records(tables))
+			case "json":
+				err = bench.WriteRecordsJSON(ew, bench.Records(tables))
 			}
-		case "csv":
-			err = bench.WriteRecordsCSV(ew, bench.Records(tables))
-		case "json":
-			err = bench.WriteRecordsJSON(ew, bench.Records(tables))
 		}
 	}
 	if err == nil {

@@ -3,11 +3,11 @@
 // diameter, lazy random-walk mixing time, and triangle count.
 //
 // Above 65536 nodes the tool switches to the registry's compact
-// representation (CSR adjacency or implicit arithmetic — reported with
-// a memory estimate) and skips the superlinear statistics, so
+// representation (the flat graph or implicit arithmetic — reported
+// with a memory estimate) and skips the superlinear statistics, so
 // multi-million-node specs print their shape instead of exhausting
-// memory; specs whose compact form still exceeds the build budget fail
-// with a clear estimate.
+// memory. Specs whose graph exceeds the build budget fail with a clear
+// estimate at any size.
 //
 // -kind takes a registry spec — a bare family name (defaults apply) or
 // family:key=value,...:
@@ -104,15 +104,15 @@ func main() {
 		fmt.Printf("topo      %s\n", spec)
 		fmt.Printf("repr      %s (~%d bytes)\n", est.Repr, est.Bytes)
 		fmt.Printf("n         %d\n", t.N())
-		if c, ok := t.(*graph.CSR); ok {
-			fmt.Printf("m         %d\n", c.M())
-			fmt.Printf("maxDeg Δ  %d\n", c.MaxDegree())
-			fmt.Printf("avgDeg    %.2f\n", c.AvgDegree())
-			fmt.Printf("connected %v\n", c.Connected())
+		if g, ok := t.(*graph.Graph); ok {
+			fmt.Printf("m         %d\n", g.M())
+			fmt.Printf("maxDeg Δ  %d\n", g.MaxDegree())
+			fmt.Printf("avgDeg    %.2f\n", g.AvgDegree())
+			fmt.Printf("connected %v\n", g.Connected())
 		} else {
 			fmt.Printf("m         %d\n", est.M)
 		}
-		fmt.Println("diameter, τ_mix and triangles skipped (superlinear scans over the explicit adjacency)")
+		fmt.Println("diameter, τ_mix and triangles skipped (superlinear scans over the adjacency)")
 	}
 	if est.N > largeN {
 		printCompact()
@@ -121,9 +121,10 @@ func main() {
 
 	g, err := spec.Build(rand.New(rand.NewSource(*seed)))
 	if err != nil {
-		// Families with explicit-only caps (complete beyond 2048,
-		// hypercube beyond dim 20) still have a compact form: report its
-		// shape instead of refusing outright.
+		// Families with Build-only caps (complete beyond 2048, hypercube
+		// beyond dim 20) and implicit families over the budget still
+		// have a compact form: report its shape instead of refusing
+		// outright.
 		if _, terr := spec.BuildTopology(rand.New(rand.NewSource(*seed))); terr == nil {
 			printCompact()
 			return
@@ -132,7 +133,7 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Printf("topo      %s\n", spec)
-	fmt.Printf("repr      %s (~%d bytes compact; explicit adjacency built for full stats)\n", est.Repr, est.Bytes)
+	fmt.Printf("repr      %s (~%d bytes compact; flat graph built for full stats)\n", est.Repr, est.Bytes)
 	fmt.Printf("n         %d\n", g.N())
 	fmt.Printf("m         %d\n", g.M())
 	fmt.Printf("maxDeg Δ  %d\n", g.MaxDegree())

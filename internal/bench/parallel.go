@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"hash/fnv"
 	"sync"
 
@@ -133,8 +134,12 @@ func RunSerial(specs []Spec, rootSeed int64) []*Table {
 // Results land in grid order and every cell runs with its CellSeed, so
 // the returned tables — rendered text and structured records alike —
 // are identical to RunSerial's for any worker count; only the
-// wall-clock changes.
-func RunParallel(specs []Spec, rootSeed int64, workers int) []*Table {
+// wall-clock changes. The experiment runners panic on an engine error
+// or an unsuitable topology; RunParallel recovers each cell's panic
+// and, once every worker has exited, returns the error of the
+// lowest-index failing cell, so the error too is the same at any
+// worker count.
+func RunParallel(specs []Spec, rootSeed int64, workers int) ([]*Table, error) {
 	if workers > len(specs) {
 		workers = len(specs)
 	}
@@ -142,6 +147,7 @@ func RunParallel(specs []Spec, rootSeed int64, workers int) []*Table {
 		workers = 1
 	}
 	tables := make([]*Table, len(specs))
+	errs := make([]error, len(specs))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -149,7 +155,7 @@ func RunParallel(specs []Spec, rootSeed int64, workers int) []*Table {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				tables[i] = runCell(specs[i], rootSeed)
+				tables[i], errs[i] = tryCell(specs[i], rootSeed)
 			}
 		}()
 	}
@@ -158,5 +164,20 @@ func RunParallel(specs []Spec, rootSeed int64, workers int) []*Table {
 	}
 	close(jobs)
 	wg.Wait()
-	return tables
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return tables, nil
+}
+
+// tryCell is runCell with the cell's panic reported as its error.
+func tryCell(sp Spec, rootSeed int64) (t *Table, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("cell %s: %v", sp.ID, p)
+		}
+	}()
+	return runCell(sp, rootSeed), nil
 }

@@ -58,7 +58,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 	wantJSON := renderJSON(t, serial)
 	for _, workers := range []int{-3, 0, 1, 2, 4, 16} {
 		// workers < 1 must clamp to a serial pool, not hang or panic.
-		par := RunParallel(specs, 7, workers)
+		par, err := RunParallel(specs, 7, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		if got := render(par); !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d: output differs from serial runner\nserial:\n%s\nparallel:\n%s",
 				workers, want, got)
@@ -70,6 +73,25 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if got := renderJSON(t, par); !bytes.Equal(got, wantJSON) {
 			t.Fatalf("workers=%d: JSON differs from serial runner\nserial:\n%s\nparallel:\n%s",
 				workers, wantJSON, got)
+		}
+	}
+}
+
+// TestParallelReportsLowestFailingCell pins the failure contract of
+// the pool: a cell that panics among good ones fails the run with the
+// error of the lowest-index failing cell, the same at every worker
+// count, instead of crashing the process from a worker goroutine.
+func TestParallelReportsLowestFailingCell(t *testing.T) {
+	boom := func(id string) Spec {
+		return Spec{id, []string{"E0"}, "path:n=4", func(topo.Spec, int64) *Table { panic(id + " exploded") }}
+	}
+	good := tinySpecs()
+	specs := []Spec{good[0], boom("X1"), good[1], boom("X2"), good[2]}
+	const want = "cell X1: X1 exploded"
+	for _, workers := range []int{1, 4} {
+		tables, err := RunParallel(specs, 7, workers)
+		if err == nil || err.Error() != want || tables != nil {
+			t.Errorf("workers=%d: tables=%v err=%v, want no tables and %q", workers, tables, err, want)
 		}
 	}
 }

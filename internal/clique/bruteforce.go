@@ -8,6 +8,8 @@
 package clique
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"mucongest/internal/graph"
@@ -27,8 +29,10 @@ func (c Clique) Key() string {
 }
 
 // ListAll enumerates every k-clique of g by ordered extension: cliques
-// are grown in increasing node order, intersecting candidate sets. The
-// reference algorithm for tests.
+// are grown in increasing node order, intersecting candidate sets with
+// rows read through g's port view, so no neighbor slice is
+// materialized. The reference algorithm for tests, and the local
+// listing of ListInEdgeSet.
 func ListAll(g *graph.Graph, k int) []Clique {
 	if k < 1 {
 		return nil
@@ -48,8 +52,7 @@ func ListAll(g *graph.Graph, k int) []Clique {
 			if len(cur) == k {
 				extend(nil)
 			} else {
-				next := intersectGreater(cands[i+1:], g.Neighbors(v))
-				extend(next)
+				extend(intersectRow(cands[i+1:], g, v))
 			}
 			cur = cur[:len(cur)-1]
 		}
@@ -62,20 +65,20 @@ func ListAll(g *graph.Graph, k int) []Clique {
 	return out
 }
 
-// intersectGreater returns the intersection of two sorted int slices.
-func intersectGreater(a, b []int) []int {
-	out := make([]int, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
+// intersectRow returns the members of the sorted slice a that are
+// neighbors of v, merging a with v's ascending row port by port.
+func intersectRow(a []int, g *graph.Graph, v int) []int {
+	d := g.Degree(v)
+	out := make([]int, 0, min(len(a), d))
+	i := 0
+	for p := 0; p < d && i < len(a); p++ {
+		u := g.NeighborAt(v, p)
+		for i < len(a) && a[i] < u {
 			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
+		}
+		if i < len(a) && a[i] == u {
+			out = append(out, u)
 			i++
-			j++
 		}
 	}
 	return out
@@ -83,46 +86,37 @@ func intersectGreater(a, b []int) []int {
 
 // ListInEdgeSet enumerates all k-cliques of the graph induced by the
 // given edge list (node ids arbitrary). Used by master nodes on their
-// ≤ μ-word edge batches.
+// ≤ μ-word edge batches, which may repeat an edge in either direction
+// and hold self-loops; both are ignored.
 func ListInEdgeSet(edges [][2]int, k int) []Clique {
-	ids := make(map[int]int)
-	var order []int
+	// A node's batch id is its rank among the batch's distinct ids, so
+	// batch cliques map back in ascending order.
+	order := make([]int, 0, 2*len(edges))
 	for _, e := range edges {
-		for _, v := range e {
-			if _, ok := ids[v]; !ok {
-				ids[v] = len(order)
-				order = append(order, v)
-			}
-		}
+		order = append(order, e[0], e[1])
 	}
-	sort.Ints(order)
-	for i, v := range order {
-		ids[v] = i
+	slices.Sort(order)
+	order = slices.Compact(order)
+	rank := func(id int) int {
+		i, _ := slices.BinarySearch(order, id)
+		return i
 	}
-	g := graph.New(len(order))
-	seen := make(map[[2]int]bool, len(edges))
+	es := make([]graph.Edge, 0, len(edges))
 	for _, e := range edges {
-		u, v := ids[e[0]], ids[e[1]]
-		if u == v {
-			continue
-		}
-		if u > v {
-			u, v = v, u
-		}
-		if !seen[[2]int{u, v}] {
-			seen[[2]int{u, v}] = true
-			g.AddEdge(u, v)
+		if u, v := rank(e[0]), rank(e[1]); u != v {
+			es = append(es, graph.Edge{U: min(u, v), V: max(u, v)})
 		}
 	}
-	g.Finish()
-	var out []Clique
-	for _, cl := range ListAll(g, k) {
-		mapped := make(Clique, len(cl))
+	slices.SortFunc(es, func(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+	g, err := graph.FromEdges(len(order), slices.Compact(es))
+	if err != nil {
+		panic(err) // unreachable: es holds distinct in-range edges without self-loops
+	}
+	out := ListAll(g, k)
+	for _, cl := range out {
 		for i, v := range cl {
-			mapped[i] = order[v]
+			cl[i] = order[v]
 		}
-		sort.Ints(mapped)
-		out = append(out, mapped)
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package clique
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -29,18 +30,43 @@ func TestListAllSmall(t *testing.T) {
 	}
 }
 
+// TestListInEdgeSetMatchesListAll feeds ListInEdgeSet two batches of
+// one graph's edges: each edge once in order, and the shape a master
+// receives from several multisets — every edge twice, once reversed,
+// plus a self-loop, with ids offset by 1000. Both must list exactly
+// ListAll's cliques, each once and in ascending id order.
 func TestListInEdgeSetMatchesListAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.Gnp(14, 0.5, rng)
-	var edges [][2]int
+	const off = 1000
+	var plain, messy [][2]int
 	for _, e := range g.Edges() {
-		edges = append(edges, [2]int{e.U, e.V})
+		plain = append(plain, [2]int{e.U, e.V})
+		messy = append(messy, [2]int{off + e.V, off + e.U}, [2]int{off + e.U, off + e.V})
 	}
-	for k := 3; k <= 4; k++ {
-		a := ListAll(g, k)
-		b := ListInEdgeSet(edges, k)
-		if !SameSet(a, b) {
-			t.Fatalf("k=%d: edge-set listing differs (%d vs %d)", k, len(a), len(b))
+	messy = append(messy, [2]int{off + 3, off + 3})
+	for _, batch := range []struct {
+		name  string
+		edges [][2]int
+		off   int
+	}{{"plain", plain, 0}, {"messy", messy, off}} {
+		for k := 2; k <= 4; k++ {
+			var want []Clique
+			for _, cl := range ListAll(g, k) {
+				for i := range cl {
+					cl[i] += batch.off
+				}
+				want = append(want, cl)
+			}
+			got := ListInEdgeSet(batch.edges, k)
+			if len(got) != len(want) || !SameSet(got, want) {
+				t.Fatalf("%s k=%d: edge-set listing differs (%d vs %d)", batch.name, k, len(got), len(want))
+			}
+			for _, cl := range got {
+				if !sort.IntsAreSorted(cl) {
+					t.Fatalf("%s k=%d: clique %v not in ascending order", batch.name, k, cl)
+				}
+			}
 		}
 	}
 }
@@ -293,7 +319,7 @@ func TestCongestedCliqueRoundsPerBlock(t *testing.T) {
 // n−1 = 0. The listing finds nothing, a self-addressed packet arrives,
 // and both runs end without a node error.
 func TestCongestedCliqueSingleNode(t *testing.T) {
-	g := graph.New(1)
+	g := graph.Path(1)
 	for k := 3; k <= 4; k++ {
 		prog := CongestedCliqueKCliques(g, k, 1, NewOracleRouter(1))
 		res, err := sim.New(sim.NewComplete(1)).Run(func(c *sim.Ctx) { prog(c) })

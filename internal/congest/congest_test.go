@@ -271,7 +271,7 @@ func TestRelabelRoundsLinearInDepthPlusLog(t *testing.T) {
 // join/ack alternation has no edges to use, but the subroutine must
 // still run its fixed round schedule and terminate.
 func TestBFSTreeSingleNode(t *testing.T) {
-	g := graph.New(1)
+	g := graph.Path(1)
 	res := runAll(t, g, func(c *sim.Ctx) {
 		tr := BuildBFSTree(c, 0, 0)
 		c.Emit(tr)
@@ -291,7 +291,7 @@ func TestBFSTreeSingleNode(t *testing.T) {
 // result must be the identity: new id 0 in class 0 with a one-entry
 // histogram.
 func TestRelabelSingleNodeIdentity(t *testing.T) {
-	g := graph.New(1)
+	g := graph.Path(1)
 	res := runAll(t, g, func(c *sim.Ctx) {
 		tr := BuildBFSTree(c, 0, 0)
 		c.Emit(DegreeClassRelabel(c, tr, 0, c.Degree()))

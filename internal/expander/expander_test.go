@@ -170,7 +170,7 @@ func TestEmbeddingWordsFormula(t *testing.T) {
 // graph with an actual walk — must converge in a handful of lazy steps
 // without dividing by zero or overrunning maxT.
 func TestMixingTimeDegenerateGraphs(t *testing.T) {
-	if got := MixingTime(graph.New(1), 100); got != 0 {
+	if got := MixingTime(graph.Path(1), 100); got != 0 {
 		t.Fatalf("single node τmix = %d, want 0", got)
 	}
 	two := graph.Path(2)

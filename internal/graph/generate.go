@@ -6,24 +6,13 @@ import (
 	"math/rand"
 )
 
-// The random generators in this file are built around flat edge-pair
-// lists ([]int32 of u0,v0,u1,v1,...): one core draws the edges, and
-// thin wrappers materialize either the explicit *Graph (pairsGraph) or
-// the compact *CSR (fromPairs). The cores preserve the historical RNG
-// draw sequences exactly — the golden determinism digests and every
-// recorded experiment depend on a seed reproducing the same graph —
-// except where a generator switches to a sparse sampler above
-// gnpDenseLimit, which is documented on the generator.
-
-// pairsGraph materializes a pair list as an explicit adjacency graph.
-func pairsGraph(n int, pairs []int32) *Graph {
-	g := New(n)
-	for i := 0; i < len(pairs); i += 2 {
-		g.addEdge(int(pairs[i]), int(pairs[i+1]))
-	}
-	g.sortAdj()
-	return g
-}
+// The generators in this file emit flat edge-pair lists ([]int32 of
+// u0,v0,u1,v1,...), which fromPairs turns into a Graph. The random ones
+// preserve the historical RNG draw sequences exactly — the golden
+// determinism digests and every recorded experiment depend on a seed
+// reproducing the same graph — except where a generator switches to a
+// sparse sampler above gnpDenseLimit, which is documented on the
+// generator.
 
 // gnpDenseLimit is the node count up to which G(n,p) sampling draws
 // one rng.Float64 per candidate pair (the historical draw sequence).
@@ -91,13 +80,6 @@ func gnpPairs(n int, p float64, rng *rand.Rand) []int32 {
 // gnpDenseLimit nodes the sampler switches from per-pair draws to
 // geometric skip sampling (see gnpPairsInto).
 func Gnp(n int, p float64, rng *rand.Rand) *Graph {
-	return pairsGraph(n, gnpPairs(n, p, rng))
-}
-
-// GnpCSR is Gnp emitting the compact CSR representation directly: the
-// identical draw sequence as Gnp for equal n, so both representations
-// of a seed are edge-for-edge identical.
-func GnpCSR(n int, p float64, rng *rand.Rand) *CSR {
 	return fromPairs(n, gnpPairs(n, p, rng))
 }
 
@@ -113,21 +95,7 @@ func GnpConnected(n int, p float64, rng *rand.Rand) (*Graph, error) {
 			return g, nil
 		}
 	}
-	return nil, gnpGaveUp(n, p)
-}
-
-// GnpConnectedCSR is GnpConnected emitting CSR directly.
-func GnpConnectedCSR(n int, p float64, rng *rand.Rand) (*CSR, error) {
-	for i := 0; i < gnpConnectedTries; i++ {
-		if c := GnpCSR(n, p, rng); c.Connected() {
-			return c, nil
-		}
-	}
-	return nil, gnpGaveUp(n, p)
-}
-
-func gnpGaveUp(n int, p float64) error {
-	return fmt.Errorf("graph: could not sample connected G(%d,%g) in %d tries", n, p, gnpConnectedTries)
+	return nil, fmt.Errorf("graph: could not sample connected G(%d,%g) in %d tries", n, p, gnpConnectedTries)
 }
 
 // cycliquesPairs emits the CycleOfCliques edge list.
@@ -152,10 +120,7 @@ func cycliquesPairs(k, s int) []int32 {
 // CycleOfCliques builds the Theorem 1.4 lower-bound instance: k cliques
 // of size s connected in a cycle through their 0-th members. The total
 // node count is k·s; Δ = s+1 at the connector nodes.
-func CycleOfCliques(k, s int) *Graph { return pairsGraph(k*s, cycliquesPairs(k, s)) }
-
-// CycleOfCliquesCSR is CycleOfCliques emitting CSR directly.
-func CycleOfCliquesCSR(k, s int) *CSR { return fromPairs(k*s, cycliquesPairs(k, s)) }
+func CycleOfCliques(k, s int) *Graph { return fromPairs(k*s, cycliquesPairs(k, s)) }
 
 func starPairs(n int) []int32 {
 	pairs := make([]int32, 0, 2*(n-1))
@@ -167,10 +132,7 @@ func starPairs(n int) []int32 {
 
 // Star builds a star on n nodes with center 0: the extreme max-degree
 // topology used for the streaming-simulator workloads.
-func Star(n int) *Graph { return pairsGraph(n, starPairs(n)) }
-
-// StarCSR is Star emitting CSR directly.
-func StarCSR(n int) *CSR { return fromPairs(n, starPairs(n)) }
+func Star(n int) *Graph { return fromPairs(n, starPairs(n)) }
 
 // hubPairs emits the hub edges followed by the blob sample; the blob
 // draws are identical to a G(n-1,p) over ids shifted by one.
@@ -187,11 +149,6 @@ func hubPairs(n int, p float64, rng *rand.Rand) []int32 {
 // p-pass streaming simulation picks the hub as simulator. The blob
 // inherits Gnp's sampler switch above gnpDenseLimit nodes.
 func HubAndBlob(n int, p float64, rng *rand.Rand) *Graph {
-	return pairsGraph(n, hubPairs(n, p, rng))
-}
-
-// HubAndBlobCSR is HubAndBlob emitting CSR directly.
-func HubAndBlobCSR(n int, p float64, rng *rand.Rand) *CSR {
 	return fromPairs(n, hubPairs(n, p, rng))
 }
 
@@ -270,16 +227,6 @@ func RandomRegular(n, d int, rng *rand.Rand) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pairsGraph(n, pairs), nil
-}
-
-// RandomRegularCSR is RandomRegular emitting CSR directly, with the
-// identical draw sequence.
-func RandomRegularCSR(n, d int, rng *rand.Rand) (*CSR, error) {
-	pairs, err := regularPairs(n, d, rng)
-	if err != nil {
-		return nil, err
-	}
 	return fromPairs(n, pairs), nil
 }
 
@@ -293,24 +240,20 @@ func pathPairs(n int) []int32 {
 
 // Path builds the n-node path 0-1-...-(n-1); the extreme-diameter
 // topology for aggregation tests.
-func Path(n int) *Graph { return pairsGraph(n, pathPairs(n)) }
+func Path(n int) *Graph { return fromPairs(n, pathPairs(n)) }
 
-// PathCSR is Path emitting CSR directly.
-func PathCSR(n int) *CSR { return fromPairs(n, pathPairs(n)) }
-
-// Complete builds the complete graph K_n with explicit adjacency:
+// Complete builds the complete graph K_n with materialized adjacency:
 // O(n²) memory, intended for workload-graph scales. Engine-scale
 // all-to-all topologies should use the implicit sim.NewComplete, which
 // is O(1).
 func Complete(n int) *Graph {
-	g := New(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			g.addEdge(u, v)
+	pairs := make([]int32, 0, n*(n-1))
+	for u := int32(0); u < int32(n); u++ {
+		for v := u + 1; v < int32(n); v++ {
+			pairs = append(pairs, u, v)
 		}
 	}
-	g.sortAdj()
-	return g
+	return fromPairs(n, pairs)
 }
 
 func cyclePairs(n int) []int32 {
@@ -325,10 +268,7 @@ func cyclePairs(n int) []int32 {
 }
 
 // Cycle builds the n-node cycle.
-func Cycle(n int) *Graph { return pairsGraph(n, cyclePairs(n)) }
-
-// CycleCSR is Cycle emitting CSR directly.
-func CycleCSR(n int) *CSR { return fromPairs(n, cyclePairs(n)) }
+func Cycle(n int) *Graph { return fromPairs(n, cyclePairs(n)) }
 
 // barbellPairs draws both blobs. Up to gnpDenseLimit nodes per blob the
 // two blobs' per-pair draws interleave (the historical sequence); above
@@ -356,11 +296,6 @@ func barbellPairs(s int, p float64, rng *rand.Rand) []int32 {
 // BarbellExpanders joins two G(s, p) blobs by a single bridge edge:
 // a standard low-conductance instance for expander-decomposition tests.
 func BarbellExpanders(s int, p float64, rng *rand.Rand) *Graph {
-	return pairsGraph(2*s, barbellPairs(s, p, rng))
-}
-
-// BarbellExpandersCSR is BarbellExpanders emitting CSR directly.
-func BarbellExpandersCSR(s int, p float64, rng *rand.Rand) *CSR {
 	return fromPairs(2*s, barbellPairs(s, p, rng))
 }
 
@@ -371,20 +306,19 @@ func Grid(rows, cols int) *Graph {
 	if rows < 1 || cols < 1 {
 		panic("graph: Grid needs rows, cols ≥ 1")
 	}
-	g := New(rows * cols)
+	pairs := make([]int32, 0, 2*(rows*(cols-1)+cols*(rows-1)))
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			v := r*cols + c
+			v := int32(r*cols + c)
 			if c+1 < cols {
-				g.addEdge(v, v+1)
+				pairs = append(pairs, v, v+1)
 			}
 			if r+1 < rows {
-				g.addEdge(v, v+cols)
+				pairs = append(pairs, v, v+int32(cols))
 			}
 		}
 	}
-	g.sortAdj()
-	return g
+	return fromPairs(rows*cols, pairs)
 }
 
 // Torus builds the rows×cols grid with wraparound edges in both
@@ -395,16 +329,14 @@ func Torus(rows, cols int) *Graph {
 	if rows < 3 || cols < 3 {
 		panic("graph: Torus needs rows, cols ≥ 3")
 	}
-	g := New(rows * cols)
+	pairs := make([]int32, 0, 4*rows*cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			v := r*cols + c
-			g.addEdge(v, r*cols+(c+1)%cols)
-			g.addEdge(v, ((r+1)%rows)*cols+c)
+			v := int32(r*cols + c)
+			pairs = append(pairs, v, int32(r*cols+(c+1)%cols), v, int32(((r+1)%rows)*cols+c))
 		}
 	}
-	g.sortAdj()
-	return g
+	return fromPairs(rows*cols, pairs)
 }
 
 // Hypercube builds the dim-dimensional hypercube on 2^dim nodes: ids
@@ -414,18 +346,16 @@ func Hypercube(dim int) *Graph {
 	if dim < 1 || dim > 20 {
 		panic("graph: Hypercube needs 1 ≤ dim ≤ 20")
 	}
-	n := 1 << dim
-	g := New(n)
-	for v := 0; v < n; v++ {
+	n := int32(1) << dim
+	pairs := make([]int32, 0, int(n)*dim)
+	for v := int32(0); v < n; v++ {
 		for b := 0; b < dim; b++ {
-			u := v ^ (1 << b)
-			if v < u {
-				g.addEdge(v, u)
+			if u := v ^ (1 << b); v < u {
+				pairs = append(pairs, v, u)
 			}
 		}
 	}
-	g.sortAdj()
-	return g
+	return fromPairs(int(n), pairs)
 }
 
 // baPairs draws the preferential-attachment edge list into flat
@@ -484,14 +414,6 @@ func baPairs(n, attach int, rng *rand.Rand) []int32 {
 // their current degree. Requires n > attach ≥ 1. The result is always
 // connected.
 func BarabasiAlbert(n, attach int, rng *rand.Rand) *Graph {
-	return pairsGraph(n, baPairs(n, attach, rng))
-}
-
-// BarabasiAlbertCSR is BarabasiAlbert emitting the compact CSR
-// representation directly — identical draw sequence, identical
-// adjacency, no per-node slices. This is the engine-scale power-law
-// constructor.
-func BarabasiAlbertCSR(n, attach int, rng *rand.Rand) *CSR {
 	return fromPairs(n, baPairs(n, attach, rng))
 }
 
@@ -530,12 +452,4 @@ func ColorEdges(g *Graph, c int, weights []float64, rng *rand.Rand) map[[2]int]i
 		colors[[2]int{e.U, e.V}] = col
 	}
 	return colors
-}
-
-// ColoredGnp samples G(n,p) and colors its edges via ColorEdges. It
-// returns the graph and the edge→color map, the input for
-// monochromatic-triangle statistics (§1.2.2).
-func ColoredGnp(n int, p float64, c int, weights []float64, rng *rand.Rand) (*Graph, map[[2]int]int64) {
-	g := Gnp(n, p, rng)
-	return g, ColorEdges(g, c, weights, rng)
 }

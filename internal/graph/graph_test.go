@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -23,17 +25,30 @@ func TestFromEdgesBasics(t *testing.T) {
 	if g.Degree(0) != 2 || g.Degree(3) != 1 {
 		t.Fatal("bad degrees")
 	}
+	defer func() {
+		if p := recover(); fmt.Sprint(p) != "graph: node 3 has no port 1 (degree 1)" {
+			t.Fatalf("NeighborAt on a bad port: panic %v", p)
+		}
+	}()
+	g.NeighborAt(3, 1)
 }
 
 func TestFromEdgesRejectsBad(t *testing.T) {
-	if _, err := FromEdges(3, []Edge{{U: 1, V: 1}}); err == nil {
-		t.Fatal("self-loop accepted")
+	cases := []struct {
+		edges []Edge
+		want  string
+	}{
+		{[]Edge{{U: 1, V: 1}}, "graph: self-loop at 1"},
+		{[]Edge{{U: 0, V: 1}, {U: 1, V: 0}}, "graph: duplicate edge {0,1}"},
+		{[]Edge{{U: 0, V: 5}}, "graph: edge {0,5} out of range [0,3)"},
+		// The first bad edge in input order names the error.
+		{[]Edge{{U: 0, V: 1}, {U: 1, V: 0}, {U: 2, V: 2}}, "graph: duplicate edge {0,1}"},
+		{[]Edge{{U: 1, V: 2}, {U: 2, V: 1}, {U: 0, V: 1}, {U: 1, V: 0}}, "graph: duplicate edge {1,2}"},
 	}
-	if _, err := FromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 0}}); err == nil {
-		t.Fatal("duplicate accepted")
-	}
-	if _, err := FromEdges(3, []Edge{{U: 0, V: 5}}); err == nil {
-		t.Fatal("out of range accepted")
+	for _, c := range cases {
+		if _, err := FromEdges(3, c.edges); err == nil || err.Error() != c.want {
+			t.Errorf("FromEdges(3, %v) error = %v, want %q", c.edges, err, c.want)
+		}
 	}
 }
 
@@ -122,21 +137,11 @@ func TestHubAndBlob(t *testing.T) {
 	}
 }
 
-func TestSubgraph(t *testing.T) {
-	g, _ := FromEdges(5, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 0, V: 4}})
-	sub, orig := g.Subgraph(map[int]bool{1: true, 2: true, 3: true})
-	if sub.N() != 3 || sub.M() != 2 {
-		t.Fatalf("sub n=%d m=%d", sub.N(), sub.M())
-	}
-	if orig[0] != 1 || orig[2] != 3 {
-		t.Fatalf("orig mapping %v", orig)
-	}
-}
-
 func TestDiameterDisconnected(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.Finish()
+	g, err := FromEdges(4, []Edge{{U: 0, V: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if g.Diameter() != -1 {
 		t.Fatal("disconnected diameter must be -1")
 	}
@@ -165,7 +170,8 @@ func TestBarbellLowConductance(t *testing.T) {
 
 func TestColoredGnp(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	g, colors := ColoredGnp(40, 0.3, 5, []float64{10, 1, 1, 1, 1}, rng)
+	g := Gnp(40, 0.3, rng)
+	colors := ColorEdges(g, 5, []float64{10, 1, 1, 1, 1}, rng)
 	if len(colors) != g.M() {
 		t.Fatalf("colors %d edges %d", len(colors), g.M())
 	}
@@ -355,5 +361,99 @@ func TestGnpInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCSRConnected pins Connected on both sides of the truth.
+func TestCSRConnected(t *testing.T) {
+	if !Cycle(50).Connected() {
+		t.Error("cycle must be connected")
+	}
+	if Gnp(50, 0, rand.New(rand.NewSource(1))).Connected() {
+		t.Error("empty G(50,0) must be disconnected")
+	}
+	if !Gnp(1, 0, rand.New(rand.NewSource(1))).Connected() {
+		t.Error("single node is connected")
+	}
+}
+
+// TestGnpSparseSampler checks the skip-sampling regime above
+// gnpDenseLimit: determinism for equal seeds, symmetric well-formed
+// adjacency whose port views agree with the rows, and an edge count
+// within a loose binomial window.
+func TestGnpSparseSampler(t *testing.T) {
+	const n = 3000 // > gnpDenseLimit
+	const p = 0.001
+	a := Gnp(n, p, rand.New(rand.NewSource(7)))
+	b := Gnp(n, p, rand.New(rand.NewSource(7)))
+	if a.M() != b.M() {
+		t.Fatalf("same seed, different edge counts: %d vs %d", a.M(), b.M())
+	}
+	for v := 0; v < n; v++ {
+		if a.Degree(v) != b.Degree(v) {
+			t.Fatalf("same seed, node %d degree %d vs %d", v, a.Degree(v), b.Degree(v))
+		}
+	}
+	exp := p * float64(n) * float64(n-1) / 2 // ≈ 4498
+	if m := float64(a.M()); m < exp/2 || m > 2*exp {
+		t.Errorf("edge count %v far from expectation %v", m, exp)
+	}
+	for v := 0; v < n; v++ {
+		for port, u := range a.Neighbors(v) {
+			if u == v {
+				t.Fatalf("self-loop at %d", v)
+			}
+			if !a.HasEdge(u, v) {
+				t.Fatalf("asymmetric edge {%d,%d}", v, u)
+			}
+			if a.NeighborAt(v, port) != u || a.PortOf(v, u) != port {
+				t.Fatalf("node %d port %d: NeighborAt/PortOf disagree with the row", v, port)
+			}
+		}
+		for _, id := range []int{v, -1, n} {
+			if got := a.PortOf(v, id); got != -1 {
+				t.Fatalf("PortOf(%d,%d) = %d, want -1", v, id, got)
+			}
+		}
+	}
+}
+
+// TestCSRNeighborsConcurrent hammers the lazy Neighbors cache from many
+// goroutines (run under -race in CI): every call must return the same
+// canonical slice content.
+func TestCSRNeighborsConcurrent(t *testing.T) {
+	g := BarabasiAlbert(512, 3, rand.New(rand.NewSource(3)))
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := 0; v < g.N(); v++ {
+				nb := g.Neighbors(v)
+				if len(nb) != g.Degree(v) {
+					t.Errorf("node %d: len(Neighbors)=%d, Degree=%d", v, len(nb), g.Degree(v))
+					return
+				}
+				for p, u := range nb {
+					if g.NeighborAt(v, p) != u {
+						t.Errorf("node %d port %d mismatch", v, p)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestCSRBytes pins the memory model the topo registry budgets with.
+func TestCSRBytes(t *testing.T) {
+	g := Cycle(1000)
+	want := CSRBytes(1000, 1000)
+	if g.Bytes() != want {
+		t.Fatalf("Bytes() = %d, want %d", g.Bytes(), want)
+	}
+	if want != 8*1001+8*1000 {
+		t.Fatalf("CSRBytes(1000,1000) = %d", want)
 	}
 }

@@ -12,12 +12,11 @@ import (
 )
 
 // BuildTopology materializes the scenario's communication graph through
-// the topo registry: the explicit *graph.Graph by default, or — for
-// compact scenarios — the registry's compact representation
-// (topo.Spec.BuildTopology: CSR adjacency or engine-native implicit
-// arithmetic). Both satisfy the same sim.Topology contract; the compact
-// forms answer Degree / NeighborAt / PortOf from flat rows or
-// arithmetic instead of per-node slices.
+// the topo registry: the flat *graph.Graph of Spec.Build by default,
+// or — for compact scenarios — the registry's compact representation
+// (topo.Spec.BuildTopology: the same graph, or engine-native implicit
+// arithmetic for grid/torus/hypercube/complete). Both satisfy the same
+// sim.Topology contract.
 func BuildTopology(sc Scenario) (sim.Topology, error) {
 	spec, err := topo.Parse(sc.TopoSpec)
 	if err != nil {
@@ -27,7 +26,7 @@ func BuildTopology(sc Scenario) (sim.Topology, error) {
 	if sc.Compact {
 		t, err = spec.BuildTopology(rand.New(rand.NewSource(sc.TopoSeed)))
 	} else {
-		t, err = buildExplicit(spec, sc.TopoSeed)
+		t, err = buildGraph(spec, sc.TopoSeed)
 	}
 	if err != nil {
 		return nil, err
@@ -38,20 +37,16 @@ func BuildTopology(sc Scenario) (sim.Topology, error) {
 	return t, nil
 }
 
-func buildExplicit(spec topo.Spec, seed int64) (*graph.Graph, error) {
+func buildGraph(spec topo.Spec, seed int64) (*graph.Graph, error) {
 	return spec.Build(rand.New(rand.NewSource(seed)))
 }
 
 // repr names the representation class of a built topology.
 func repr(t sim.Topology) string {
-	switch t.(type) {
-	case *graph.Graph:
-		return "graph"
-	case *graph.CSR:
+	if _, ok := t.(*graph.Graph); ok {
 		return "csr"
-	default:
-		return "implicit"
 	}
+	return "implicit"
 }
 
 // Outcome summarizes what a checked scenario's (agreed-upon) execution
@@ -73,7 +68,7 @@ type Outcome struct {
 	Restarts   int64
 	FaultDrops int64
 	// Repr is the representation class the scenario actually ran on
-	// ("graph", "csr" or "implicit"), for corpus coverage accounting.
+	// ("csr" or "implicit"), for corpus coverage accounting.
 	Repr string
 }
 
@@ -130,27 +125,28 @@ func CheckScenario(sc Scenario, workers ...int) (Outcome, error) {
 		Repr:       repr(g),
 	}
 
-	// Compact scenarios additionally certify the representation itself:
-	// the reference engine rerun on the explicit graph (same generator
-	// seed, shared draw sequence) must agree byte-for-byte with the run
-	// on the compact topology — any adjacency, ordering or port skew
-	// between the representations diverges here before it can masquerade
-	// as an engine bug.
-	if sc.Compact {
+	// A scenario on an implicit topology additionally certifies the
+	// representation itself: the reference engine rerun on the flat
+	// graph of Spec.Build (same spec, same topology seed) must agree
+	// byte-for-byte with the run on the implicit topology — any
+	// adjacency, ordering or port skew between the two diverges here
+	// before it can masquerade as an engine bug. Every other family's
+	// compact topology is that graph already.
+	if out.Repr == "implicit" {
 		spec, err := topo.Parse(sc.TopoSpec)
 		if err != nil {
 			return out, err
 		}
-		eg, err := buildExplicit(spec, sc.TopoSeed)
+		eg, err := buildGraph(spec, sc.TopoSeed)
 		if err != nil {
-			return out, fmt.Errorf("harness: explicit twin of %q: %w", sc.TopoSpec, err)
+			return out, fmt.Errorf("harness: flat-graph twin of %q: %w", sc.TopoSpec, err)
 		}
 		twinRes, twinErr := refsim.New(eg, cfg).Run(program)
 		if err := compareErrors(refErr, twinErr); err != nil {
-			return out, fmt.Errorf("explicit-representation twin: %w", err)
+			return out, fmt.Errorf("flat-graph twin: %w", err)
 		}
 		if err := compareResults(refRes, twinRes); err != nil {
-			return out, fmt.Errorf("explicit-representation twin: %w", err)
+			return out, fmt.Errorf("flat-graph twin: %w", err)
 		}
 	}
 

@@ -54,16 +54,14 @@ type Scenario struct {
 	// EdgeCap is the per-edge per-round message budget (≥ 1).
 	EdgeCap int
 	// Compact selects the registry's compact representation
-	// (topo.Spec.BuildTopology: CSR adjacency for generated families,
-	// engine-native implicit arithmetic for grid/torus/hypercube/
-	// complete) instead of the explicit *graph.Graph. Compact and
-	// explicit builds share generator draw sequences, so the two
-	// representations are edge-for-edge identical — CheckScenario
-	// certifies that differentially by running the reference engine on
-	// both and requiring byte-identical results, while the production
-	// engine runs exercise the compact Degree / NeighborAt / PortOf
-	// implementations (flat CSR rows, implicit arithmetic) in place of
-	// the explicit graph's.
+	// (topo.Spec.BuildTopology) instead of the flat *graph.Graph of
+	// topo.Spec.Build. The two differ only for the families with an
+	// engine-native implicit topology (grid/torus/hypercube/complete),
+	// where Compact runs the implicit Degree / NeighborAt / PortOf
+	// arithmetic in place of the graph's rows. The two are
+	// edge-for-edge identical — CheckScenario certifies that
+	// differentially by running the reference engine on both and
+	// requiring byte-identical results.
 	Compact bool
 	// Behavior names the node program (see behaviors.go); Rounds is its
 	// horizon. FailNode/FailRound parameterize the node-error behavior
@@ -93,8 +91,8 @@ func Generate(rng *rand.Rand) Scenario {
 	spec, n, compact := drawTopo(rng)
 	// Beyond the complete-family draw, a third of scenarios run the
 	// production engine on the compact representation of whatever family
-	// was drawn (CSR or implicit), certified against the explicit graph
-	// by an extra reference run inside CheckScenario.
+	// was drawn; an implicit one is certified against the flat graph by
+	// an extra reference run inside CheckScenario.
 	if !compact {
 		compact = rng.Intn(3) == 0
 	}

@@ -93,12 +93,12 @@ func TestDifferentialEngineRandomized(t *testing.T) {
 			t.Errorf("corpus never drew registered topology family %q", fam)
 		}
 	}
-	// Every representation class must run: the explicit baseline, the
-	// compact CSR adjacency, and the implicit arithmetic topologies —
-	// each compact scenario is also cross-certified against its explicit
-	// twin inside CheckScenario, so nonzero counts here mean the
-	// representation equivalence was actually exercised differentially.
-	for _, r := range []string{"graph", "csr", "implicit"} {
+	// Every representation class must run: the flat graph and the
+	// implicit arithmetic topologies — each implicit scenario is also
+	// cross-certified against its flat twin inside CheckScenario, so
+	// nonzero counts here mean the representation equivalence was
+	// actually exercised differentially.
+	for _, r := range []string{"csr", "implicit"} {
 		if reprs[r] == 0 {
 			t.Errorf("corpus never ran a scenario on the %q representation", r)
 		}
@@ -186,8 +186,8 @@ var shardScale = []Scenario{
 
 // TestDifferentialShardScale runs the shard-scale class on the oracle at
 // workers 1 and 4 and checks that it covers what it exists for: every
-// scenario at 8 to 24 shards, the explicit graph and both compact
-// representations, faults that bit, and a strict μ abort.
+// scenario at 8 to 24 shards, both representations, faults that bit,
+// and a strict μ abort.
 func TestDifferentialShardScale(t *testing.T) {
 	reprs := map[string]bool{}
 	faulty, strictAborts := 0, 0
@@ -212,7 +212,7 @@ func TestDifferentialShardScale(t *testing.T) {
 			strictAborts++
 		}
 	}
-	for _, r := range []string{"graph", "csr", "implicit"} {
+	for _, r := range []string{"csr", "implicit"} {
 		if !reprs[r] {
 			t.Errorf("shard-scale class never ran on the %q representation", r)
 		}

@@ -125,8 +125,8 @@ func TestColdRunAllocsPerNode(t *testing.T) {
 		name string
 		topo Topology
 	}{
-		{"cycle", graph.CycleCSR(n)},
-		{"powerlaw", graph.BarabasiAlbertCSR(n, 3, rand.New(rand.NewSource(1)))},
+		{"cycle", graph.Cycle(n)},
+		{"powerlaw", graph.BarabasiAlbert(n, 3, rand.New(rand.NewSource(1)))},
 	}
 	for _, tp := range topos {
 		for _, workers := range []int{1, 4} {

@@ -11,7 +11,7 @@ import (
 // and PortOf from arithmetic, so the engine never touches a
 // materialized neighbor list. Port numbering follows the repository
 // convention everywhere: ports index the ascending-sorted neighbor id
-// list, exactly as the explicit graph.Grid / graph.Torus /
+// list, exactly as the flat graph.Grid / graph.Torus /
 // graph.Hypercube counterparts sort their adjacency — the two
 // representations of a family are port-for-port interchangeable (the
 // repr tests pin this).

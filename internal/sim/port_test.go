@@ -12,15 +12,14 @@ import (
 // TestBadPortErrorIsTopologyIndependent pins the error a node gets for a
 // port outside [0, Degree()): Ctx.Send and Ctx.Neighbor check the port
 // before metering or asking the topology, so every representation —
-// explicit, CSR and implicit — fails with the same message, and the
-// reference engine with it.
+// the flat graph and the implicit ones — fails with the same message,
+// and the reference engine with it.
 func TestBadPortErrorIsTopologyIndependent(t *testing.T) {
 	topos := []struct {
 		name string
 		topo sim.Topology
 	}{
 		{"graph", graph.Cycle(6)},
-		{"csr", graph.CycleCSR(6)},
 		{"complete", sim.NewComplete(5)},
 		{"grid", sim.NewGrid(2, 3)},
 		{"torus", sim.NewTorus(3, 3)},

@@ -8,18 +8,17 @@ import (
 	"mucongest/internal/graph"
 )
 
-// This file pins the topology-representation contract: the compact CSR
-// graphs and the implicit arithmetic topologies must be edge-for-edge,
-// port-for-port interchangeable with their explicit counterparts — the
-// historical golden digests reproduce bit-for-bit on the new
-// representations, in both execution modes, for every inbox order.
+// This file pins the topology-representation contract: the flat
+// graph.Graph and the implicit arithmetic topologies must be
+// edge-for-edge, port-for-port interchangeable — the historical golden
+// digests reproduce bit-for-bit on both, in both execution modes, for
+// every inbox order.
 
 // TestGoldenDigestsOnCSR reruns the golden determinism corpora on the
-// CSR representation: the cycle and powerlaw graphs built directly in
-// CSR form (identical generator draw sequences) must reproduce the
-// digests recorded on the explicit graphs, goroutine and step mode
-// alike. A single byte of divergence in adjacency, port numbering or
-// the CSR's Degree/NeighborAt/PortOf answers would shift the digest.
+// flat graph in both execution modes: the cycle and powerlaw graphs
+// must reproduce the recorded digests, goroutine and step mode alike.
+// A single byte of divergence in adjacency, port numbering or the
+// graph's Degree/NeighborAt/PortOf answers would shift the digest.
 func TestGoldenDigestsOnCSR(t *testing.T) {
 	corpora := []struct {
 		name   string
@@ -27,8 +26,8 @@ func TestGoldenDigestsOnCSR(t *testing.T) {
 		seed   int64
 		golden map[InboxOrder]uint64
 	}{
-		{"cycle1536csr", graph.CycleCSR(1536), 7, goldenCycle1536},
-		{"powerlaw1536csr", graph.BarabasiAlbertCSR(1536, 3, rand.New(rand.NewSource(13))), 7, goldenPowerlaw1536},
+		{"cycle1536", graph.Cycle(1536), 7, goldenCycle1536},
+		{"powerlaw1536", graph.BarabasiAlbert(1536, 3, rand.New(rand.NewSource(13))), 7, goldenPowerlaw1536},
 	}
 	for _, cp := range corpora {
 		for order, want := range cp.golden {

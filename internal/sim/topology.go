@@ -8,8 +8,8 @@ import (
 
 // Topology describes the communication graph the engine runs on, as a
 // node sees it through its incident links: its degree, the neighbor on
-// each port, and the port of each neighbor id. It is satisfied by
-// graph.Graph, graph.CSR and the implicit Complete, Grid, Torus and
+// each port, and the port of each neighbor id. It is satisfied by the
+// flat graph.Graph and the implicit Complete, Grid, Torus and
 // Hypercube. Adjacency must be symmetric (u lists v iff v lists u) and
 // the three port views must agree with Neighbors:
 // NeighborAt(v, p) == Neighbors(v)[p] and PortOf(v, Neighbors(v)[p]) == p.

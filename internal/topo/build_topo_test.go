@@ -106,8 +106,9 @@ func TestEstimateShapes(t *testing.T) {
 
 // TestBuildTopologyMatchesBuild builds every family at its defaults
 // through both construction views with equal rng states and requires
-// the compact topology to be edge-for-edge identical to the explicit
-// graph.
+// the compact topology to be edge-for-edge identical to the Build
+// graph, and to be that graph's type exactly when the estimate says
+// csr.
 func TestBuildTopologyMatchesBuild(t *testing.T) {
 	for _, f := range Families() {
 		sp := MustParse(f.Name)
@@ -138,8 +139,8 @@ func TestBuildTopologyMatchesBuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Estimate: %v", f.Name, err)
 		}
-		_, isCSR := tp.(*graph.CSR)
-		if (est.Repr == "csr") != isCSR {
+		_, isGraph := tp.(*graph.Graph)
+		if (est.Repr == "csr") != isGraph {
 			t.Errorf("%s: estimate says %s but BuildTopology returned %T", f.Name, est.Repr, tp)
 		}
 	}
@@ -185,9 +186,9 @@ func TestBuildTopologyMillion(t *testing.T) {
 		if tp.N() < n {
 			t.Fatalf("%s: n=%d, want ≥ %d", spec, tp.N(), n)
 		}
-		if c, ok := tp.(*graph.CSR); ok {
-			if c.Bytes() > DefaultTopoBudget {
-				t.Fatalf("%s: built CSR is %d bytes, over budget", spec, c.Bytes())
+		if g, ok := tp.(*graph.Graph); ok {
+			if g.Bytes() > DefaultTopoBudget {
+				t.Fatalf("%s: built graph is %d bytes, over budget", spec, g.Bytes())
 			}
 		}
 		// Spot-check the port contract on a few nodes without touching
@@ -213,13 +214,13 @@ func TestBuildTopologyBudget(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "build budget") {
 		t.Fatalf("quadratic gnp error = %v, want a budget error", err)
 	}
-	_, err = MustParse("cycle:n=100000").BuildTopologyBudget(rand.New(rand.NewSource(1)), 1024)
+	_, err = MustParse("cycle:n=100000").buildTopologyBudget(rand.New(rand.NewSource(1)), 1024)
 	if err == nil || !strings.Contains(err.Error(), "build budget") {
 		t.Fatalf("tiny-budget cycle error = %v, want a budget error", err)
 	}
 	// Implicit families cost O(1) regardless of n: a tiny budget still
 	// admits a ten-million-node complete topology.
-	tp, err := MustParse("complete:n=10000000").BuildTopologyBudget(rand.New(rand.NewSource(1)), 128)
+	tp, err := MustParse("complete:n=10000000").buildTopologyBudget(rand.New(rand.NewSource(1)), 128)
 	if err != nil || tp.N() != 10000000 {
 		t.Fatalf("complete n=10M under 128-byte budget: tp=%v err=%v", tp, err)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // maxNodes bounds the node count of a family whose count is a product
-// of parameters (cycliques, barbell, grid, torus): graph.CSR's node
+// of parameters (cycliques, barbell, grid, torus): graph.Graph's node
 // limit. Check compares by division, so the product cannot wrap before
 // the comparison.
 const maxNodes = math.MaxInt32
@@ -28,12 +28,12 @@ func estEdges(x float64) int64 {
 
 // registry lists every family in declaration order. Spec.String renders
 // parameters in the order declared here, so keep parameter order
-// meaningful (size first, then shape knobs). Build and Topo share
-// generator draw sequences, so for equal rng states the two
-// representations are edge-for-edge and port-for-port identical.
-// Families whose explicit form is inherently quadratic (complete) or
-// exponential (hypercube) keep documented caps on Build only; Topo
-// lifts them.
+// meaningful (size first, then shape knobs). The four families with an
+// implicit topology (grid, torus, hypercube, complete) are the only
+// ones with a Topo view; it is edge-for-edge and port-for-port
+// identical to their Build graph. Of those, the families whose graph is
+// inherently quadratic (complete) or exponential (hypercube) keep
+// documented caps on Build only; Topo lifts them.
 var registry = []Family{
 	{
 		Name: "gnp",
@@ -66,17 +66,6 @@ var registry = []Family{
 			g, err := graph.GnpConnected(n, p, rng)
 			return g, v.gaveUp(err)
 		},
-		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			n, p := v.Int("n"), v.Float("p")
-			if !v.Bool("conn") {
-				return graph.GnpCSR(n, p, rng), nil
-			}
-			c, err := graph.GnpConnectedCSR(n, p, rng)
-			if err != nil {
-				return nil, v.gaveUp(err)
-			}
-			return c, nil
-		},
 		Estimate: func(v *Values) Estimate {
 			n, p := v.Int("n"), v.Float("p")
 			return csrEstimate(n, estEdges(p*float64(n)*float64(n-1)/2))
@@ -104,9 +93,6 @@ var registry = []Family{
 		},
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
 			return graph.CycleOfCliques(v.Int("k"), v.Int("size")), nil
-		},
-		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			return graph.CycleOfCliquesCSR(v.Int("k"), v.Int("size")), nil
 		},
 		Estimate: func(v *Values) Estimate {
 			k, size := v.Int("k"), v.Int("size")
@@ -137,9 +123,6 @@ var registry = []Family{
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
 			return graph.HubAndBlob(v.Int("n"), v.Float("p"), rng), nil
 		},
-		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			return graph.HubAndBlobCSR(v.Int("n"), v.Float("p"), rng), nil
-		},
 		Estimate: func(v *Values) Estimate {
 			n, p := v.Int("n"), v.Float("p")
 			m := float64(n-1) + p*float64(n-1)*float64(n-2)/2
@@ -167,13 +150,6 @@ var registry = []Family{
 			g, err := graph.RandomRegular(v.Int("n"), v.Int("d"), rng)
 			return g, v.gaveUp(err)
 		},
-		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			c, err := graph.RandomRegularCSR(v.Int("n"), v.Int("d"), rng)
-			if err != nil {
-				return nil, v.gaveUp(err)
-			}
-			return c, nil
-		},
 		Estimate: func(v *Values) Estimate {
 			n, d := v.Int("n"), v.Int("d")
 			return csrEstimate(n, int64(n)*int64(d)/2)
@@ -186,9 +162,6 @@ var registry = []Family{
 		Check:  minNodes(2),
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
 			return graph.Star(v.Int("n")), nil
-		},
-		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			return graph.StarCSR(v.Int("n")), nil
 		},
 		Estimate: func(v *Values) Estimate {
 			n := v.Int("n")
@@ -220,9 +193,6 @@ var registry = []Family{
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
 			return graph.BarbellExpanders(v.Int("size"), v.Float("p"), rng), nil
 		},
-		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			return graph.BarbellExpandersCSR(v.Int("size"), v.Float("p"), rng), nil
-		},
 		Estimate: func(v *Values) Estimate {
 			size, p := v.Int("size"), v.Float("p")
 			m := p*float64(size)*float64(size-1) + 1
@@ -237,9 +207,6 @@ var registry = []Family{
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
 			return graph.Path(v.Int("n")), nil
 		},
-		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			return graph.PathCSR(v.Int("n")), nil
-		},
 		Estimate: func(v *Values) Estimate {
 			n := v.Int("n")
 			return csrEstimate(n, int64(n-1))
@@ -252,9 +219,6 @@ var registry = []Family{
 		Check:  minNodes(3),
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
 			return graph.Cycle(v.Int("n")), nil
-		},
-		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			return graph.CycleCSR(v.Int("n")), nil
 		},
 		Estimate: func(v *Values) Estimate {
 			n := v.Int("n")
@@ -370,9 +334,6 @@ var registry = []Family{
 		},
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
 			return graph.BarabasiAlbert(v.Int("n"), v.Int("attach"), rng), nil
-		},
-		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			return graph.BarabasiAlbertCSR(v.Int("n"), v.Int("attach"), rng), nil
 		},
 		Estimate: func(v *Values) Estimate {
 			n, attach := v.Int("n"), v.Int("attach")

@@ -14,9 +14,9 @@
 // recorded run names its topology reproducibly.
 //
 // Spec.BuildTopology builds the most compact representation the family
-// supports — CSR adjacency for generated graphs, O(1) implicit
-// arithmetic topologies for grid/torus/hypercube/complete — and
-// enforces a memory budget so multi-million-node specs either build
+// supports — the flat graph.Graph for generated graphs, O(1) implicit
+// arithmetic topologies for grid/torus/hypercube/complete. Both builds
+// enforce a memory budget, so multi-million-node specs either build
 // cheaply or fail with a clear estimate instead of exhausting memory.
 // Spec.Estimate reports the representation and projected footprint
 // without building anything.
@@ -88,11 +88,13 @@ type Param struct {
 // parameter values (defaults merged with the spec's explicit arguments)
 // once, before any view runs: it reads every parameter and returns the
 // family's error for values no view can build. The views then read only
-// accepted values. Build generates the explicit graph and Topo the
-// compact engine topology (CSR or implicit), both deterministic in
-// (values, rng); they fail only for what the values cannot decide —
-// Build's explicit-adjacency caps and a sampler that gives up. Estimate
-// projects Topo's footprint and cannot fail.
+// accepted values. Build generates the graph, deterministic in
+// (values, rng); it fails only for what the values cannot decide —
+// the caps of complete and hypercube, and a sampler that gives up.
+// Topo builds the implicit engine topology and is set only on the four
+// families that have one (grid, torus, hypercube, complete); every
+// other family's compact topology is its Build graph. Estimate
+// projects the compact topology's footprint and cannot fail.
 type Family struct {
 	Name     string
 	Doc      string
@@ -130,8 +132,8 @@ func (v *Values) fail(name, kind string) {
 	}
 }
 
-// gaveUp names the canonical spec in a sampler's give-up error, so the
-// explicit and compact views of one spec fail with the same message.
+// gaveUp names the canonical spec in a sampler's give-up error, so
+// Build and BuildTopology of one spec fail with the same message.
 func (v *Values) gaveUp(err error) error {
 	if err == nil {
 		return nil
@@ -278,13 +280,24 @@ func (s Spec) Values() (*Values, error) {
 }
 
 // Build generates the graph described by the spec, drawing any
-// randomness from rng. Deterministic: equal canonical specs and equal
-// rng states yield identical graphs.
+// randomness from rng, under DefaultTopoBudget: a spec whose graph
+// would outgrow the budget (graph.CSRBytes of its estimated size)
+// fails before anything is allocated. Deterministic: equal canonical
+// specs and equal rng states yield identical graphs.
 func (s Spec) Build(rng *rand.Rand) (*graph.Graph, error) {
 	v, err := s.Values()
 	if err != nil {
 		return nil, err
 	}
+	est := v.f.Estimate(v)
+	if err := s.checkBudget(csrEstimate(est.N, est.M), DefaultTopoBudget); err != nil {
+		return nil, err
+	}
+	return v.build(rng)
+}
+
+// build runs the family's Build on accepted values.
+func (v *Values) build(rng *rand.Rand) (*graph.Graph, error) {
 	g, err := v.f.Build(v, rng)
 	if err == nil {
 		err = v.Err() // a parameter Check did not read
@@ -307,15 +320,16 @@ type Estimate struct {
 	N int
 	M int64
 	// Bytes is the projected topology footprint: graph.CSRBytes(N, M)
-	// for CSR families, a small constant for implicit ones.
+	// for flat-graph families, a small constant for implicit ones.
 	Bytes int64
 }
 
-// DefaultTopoBudget is the byte budget Spec.BuildTopology enforces: a
-// spec whose estimated footprint exceeds it fails with a clear error
-// instead of attempting the build. 4 GiB admits every registry family
-// at n = 10M (CSR powerlaw:n=10M,attach=3 is ~560 MB) while rejecting
-// accidental quadratic explosions like gnp:n=1000000,p=0.5.
+// DefaultTopoBudget is the byte budget Spec.Build and
+// Spec.BuildTopology enforce: a spec whose estimated footprint exceeds
+// it fails with a clear error instead of attempting the build. 4 GiB
+// admits every registry family at n = 10M (powerlaw:n=10M,attach=3 is
+// ~560 MB) while rejecting accidental quadratic explosions like
+// gnp:n=1000000,p=0.5.
 const DefaultTopoBudget int64 = 4 << 30
 
 // fmtBytes renders a byte count for budget errors.
@@ -348,28 +362,30 @@ func (s Spec) Estimate() (Estimate, error) {
 }
 
 // BuildTopology builds the most compact engine topology the family
-// supports — CSR adjacency for generated graphs, O(1) implicit
-// arithmetic for grid/torus/hypercube/complete — under
-// DefaultTopoBudget. Deterministic in (canonical spec, rng state), and
-// edge-for-edge, port-for-port identical to the explicit Build graph
-// for equal rng states (the repr tests pin this).
+// supports — O(1) implicit arithmetic for grid/torus/hypercube/complete,
+// the Build graph for every other family — under DefaultTopoBudget.
+// Deterministic in (canonical spec, rng state), and edge-for-edge,
+// port-for-port identical to the Build graph for equal rng states (the
+// repr tests pin this).
 func (s Spec) BuildTopology(rng *rand.Rand) (sim.Topology, error) {
-	return s.BuildTopologyBudget(rng, DefaultTopoBudget)
+	return s.buildTopologyBudget(rng, DefaultTopoBudget)
 }
 
-// BuildTopologyBudget is BuildTopology with an explicit byte budget
-// (≤ 0 means DefaultTopoBudget).
-func (s Spec) BuildTopologyBudget(rng *rand.Rand, budget int64) (sim.Topology, error) {
-	if budget <= 0 {
-		budget = DefaultTopoBudget
-	}
+// buildTopologyBudget is BuildTopology with an explicit byte budget.
+func (s Spec) buildTopologyBudget(rng *rand.Rand, budget int64) (sim.Topology, error) {
 	v, err := s.Values()
 	if err != nil {
 		return nil, err
 	}
-	if est := v.f.Estimate(v); est.Bytes > budget {
-		return nil, fmt.Errorf("topo: %s needs ~%s as %s (n=%d, m≈%d), over the %s build budget",
-			s, fmtBytes(est.Bytes), est.Repr, est.N, est.M, fmtBytes(budget))
+	if err := s.checkBudget(v.f.Estimate(v), budget); err != nil {
+		return nil, err
+	}
+	if v.f.Topo == nil {
+		g, err := v.build(rng)
+		if err != nil {
+			return nil, err
+		}
+		return g, nil
 	}
 	t, err := v.f.Topo(v, rng)
 	if err == nil {
@@ -381,7 +397,18 @@ func (s Spec) BuildTopologyBudget(rng *rand.Rand, budget int64) (sim.Topology, e
 	return t, nil
 }
 
-// csrEstimate is the Estimate of a CSR-represented family.
+// checkBudget refuses est when its footprint exceeds budget, with an
+// error naming the spec, the representation and the estimate.
+func (s Spec) checkBudget(est Estimate, budget int64) error {
+	if est.Bytes <= budget {
+		return nil
+	}
+	return fmt.Errorf("topo: %s needs ~%s as %s (n=%d, m≈%d), over the %s build budget",
+		s, fmtBytes(est.Bytes), est.Repr, est.N, est.M, fmtBytes(budget))
+}
+
+// csrEstimate is the Estimate of a family whose topology is the flat
+// graph.Graph.
 func csrEstimate(n int, m int64) Estimate {
 	return Estimate{Repr: "csr", N: n, M: m, Bytes: graph.CSRBytes(n, m)}
 }

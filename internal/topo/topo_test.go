@@ -72,9 +72,11 @@ func TestParseErrors(t *testing.T) {
 
 // TestBuildValueErrors pins that a spec fails every view with one
 // error: the family's Check runs before Estimate, BuildTopology and
-// Build alike. Two kinds of entry fail only where the values cannot
+// Build alike. Three kinds of entry fail only where the values cannot
 // tell: a sampler that gives up passes Estimate and fails both builds
-// with the same error, and an explicit-adjacency cap fails Build alone.
+// with the same error, a cap of complete or hypercube fails Build
+// alone, and a graph over the build budget fails Build, and
+// BuildTopology too unless the family has an implicit topology.
 func TestBuildValueErrors(t *testing.T) {
 	cases := []struct{ spec, why string }{
 		{"gnp:n=many", "check"},     // non-integer
@@ -106,6 +108,9 @@ func TestBuildValueErrors(t *testing.T) {
 		{"complete:n=4096", "cap"},             // beyond the explicit-adjacency cap
 		{"gnp:n=40,p=0.001,conn=1", "sampler"}, // never samples a connected graph
 		{"regular:n=10,d=9", "sampler"},        // switch repair does not converge
+		{"path:n=2000000000", "budget"},        // ~30 GiB of flat graph
+		{"gnp:n=65536,p=1", "budget"},          // ~16 GiB below mugraph's compact threshold
+		{"grid:rows=40000,cols=40000", "budget"},
 	}
 	for _, c := range cases {
 		sp, err := Parse(c.spec)
@@ -123,6 +128,17 @@ func TestBuildValueErrors(t *testing.T) {
 			t.Errorf("Build(%q) error %q lacks the package prefix", c.spec, buildErr)
 		}
 		switch c.why {
+		case "budget":
+			if estErr != nil || !strings.Contains(buildErr.Error(), "over the 4.0 GiB build budget") {
+				t.Errorf("%q: Estimate error %v, Build error %v; want Estimate to pass and Build to fail the budget", c.spec, estErr, buildErr)
+			}
+			est, _ := sp.Estimate()
+			if est.Repr == "implicit" && topoErr != nil {
+				t.Errorf("%q: BuildTopology error %v; want the implicit topology", c.spec, topoErr)
+			}
+			if est.Repr != "implicit" && (topoErr == nil || topoErr.Error() != buildErr.Error()) {
+				t.Errorf("%q: BuildTopology error %v, Build error %v; want the same", c.spec, topoErr, buildErr)
+			}
 		case "cap":
 			if estErr != nil || topoErr != nil {
 				t.Errorf("%q: Estimate error %v, BuildTopology error %v; want both to pass", c.spec, estErr, topoErr)

@@ -12,7 +12,8 @@ func TestPipelineFindsHeavyColors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	// Color 1 dominates: most edges share it, so most monochromatic
 	// triangles are color 1.
-	g, colors := graph.ColoredGnp(36, 0.5, 6, []float64{20, 1, 1, 1, 1, 1}, rng)
+	g := graph.Gnp(36, 0.5, rng)
+	colors := graph.ColorEdges(g, 6, []float64{20, 1, 1, 1, 1, 1}, rng)
 	res, err := Run(Config{G: g, Colors: colors, Mu: int64(2 * g.N()), Eps: 0.2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
