@@ -460,32 +460,7 @@ func E13(tp topo.Spec, seed int64) *Table {
 	mustConnected("E13", tp, g)
 	n := g.N()
 
-	// Deterministic BFS tree from node 0 (children in id order).
-	const root = 0
-	depth := make([]int, n)
-	parent := make([]int, n)
-	children := make([][]int, n)
-	for v := range depth {
-		depth[v], parent[v] = -1, -1
-	}
-	depth[root] = 0
-	queue := []int{root}
-	maxDepth := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range g.Neighbors(v) {
-			if depth[u] < 0 {
-				depth[u] = depth[v] + 1
-				parent[u] = v
-				children[v] = append(children[v], u)
-				if depth[u] > maxDepth {
-					maxDepth = depth[u]
-				}
-				queue = append(queue, u)
-			}
-		}
-	}
+	depth, parent, children, maxDepth := mergesim.BFSTree(g)
 
 	// Shared workload: the E8-style Zipf stream, plus the exact answers
 	// every kind's error metric compares against.

@@ -1,12 +1,15 @@
 package clique
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"mucongest/internal/congest"
 	"mucongest/internal/cover"
 	"mucongest/internal/graph"
 	"mucongest/internal/lowerbound"
@@ -150,9 +153,9 @@ func TestOracleRouterDelivers(t *testing.T) {
 	e := sim.New(sim.NewComplete(n))
 	res, err := e.Run(func(c *sim.Ctx) {
 		// Everyone sends its id to node (id+1) mod n, 5 copies.
-		var out []Packet
+		var out []congest.Packet
 		for i := 0; i < 5; i++ {
-			out = append(out, Packet{Dst: (c.ID() + 1) % n, A: int64(c.ID()), B: int64(i)})
+			out = append(out, congest.Packet{Dst: (c.ID() + 1) % n, A: int64(c.ID()), B: int64(i)})
 		}
 		in := router.Route(c, out)
 		if len(in) != 5 {
@@ -184,11 +187,11 @@ func TestOracleRouterRoundCharge(t *testing.T) {
 	// Each node sends 2 messages to every other node: maxIn = maxOut =
 	// 2(n-1), so routing costs ⌈2(n-1)/(n-1)⌉+1 = 3 rounds + 2 barriers.
 	res, err := e.Run(func(c *sim.Ctx) {
-		var out []Packet
+		var out []congest.Packet
 		for rep := 0; rep < 2; rep++ {
 			for d := 0; d < n; d++ {
 				if d != c.ID() {
-					out = append(out, Packet{Dst: d, A: int64(rep)})
+					out = append(out, congest.Packet{Dst: d, A: int64(rep)})
 				}
 			}
 		}
@@ -267,7 +270,7 @@ func TestCongestedCliqueRoundsDecreaseWithMu(t *testing.T) {
 // asymptotic shape n^(k-2)/μ^(k/2-1) of Theorem 2.10, which the default
 // scales are too small to show.
 //
-// The schedule runs one OracleRouter.Route per cover block, and the
+// The schedule runs one NewOracleRouter Route per cover block, and the
 // plan's block count is cover.Size of its largest multiset universe
 // with sets of at most b = max(k, ⌊√μ⌋) nodes (k groups of ⌊b/k⌋).
 // Route costs 2 agreement ticks, plus ⌈L/(n−1)⌉+1 idle rounds when the
@@ -331,9 +334,9 @@ func TestCongestedCliqueSingleNode(t *testing.T) {
 		}
 	}
 	router := NewOracleRouter(1)
-	var got []Packet
+	var got []congest.Packet
 	res, err := sim.New(sim.NewComplete(1)).Run(func(c *sim.Ctx) {
-		got = router.Route(c, []Packet{{Dst: 0, A: 7}})
+		got = router.Route(c, []congest.Packet{{Dst: 0, A: 7}})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -374,5 +377,63 @@ func TestCliqueCountBoundLemma21(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLowDegreeListingReducedView runs the Theorem B.1 protocol the way
+// the μ-CONGEST listing does: on the network g, over rows and an
+// adjacency test that hide some of g's edges. Every lister (1 ≤ reduced
+// degree ≤ bound) must emit exactly the triangles of the reduced graph
+// that contain it, each once, and every other node nothing.
+func TestLowDegreeListingReducedView(t *testing.T) {
+	g := graph.Gnp(24, 0.45, rand.New(rand.NewSource(8)))
+	var kept []graph.Edge
+	for _, e := range g.Edges() {
+		if (e.U+e.V)%3 != 0 {
+			kept = append(kept, e)
+		}
+	}
+	h, err := graph.FromEdges(g.N(), kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.M() == g.M() {
+		t.Fatal("the reduced view hides no edge")
+	}
+	const bound = 5
+	res, err := sim.New(g).Run(func(c *sim.Ctx) {
+		id := c.ID()
+		listLowDegree(c, h.Neighbors(id), bound, bound, func(w int) bool { return h.HasEdge(id, w) })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := func(cl Clique) string {
+		cl = slices.Clone(cl)
+		slices.Sort(cl)
+		return fmt.Sprint(cl)
+	}
+	listers := 0
+	for v, outs := range res.Outputs {
+		var got, want []string
+		for _, o := range outs {
+			got = append(got, name(o.(Clique)))
+		}
+		if d := h.Degree(v); d >= 1 && d <= bound {
+			listers++
+			for _, tri := range ListAll(h, 3) {
+				if slices.Contains(tri, v) {
+					want = append(want, name(tri))
+				}
+			}
+		}
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("node %d (reduced degree %d): emitted %v, want %v", v, h.Degree(v), got, want)
+		}
+	}
+	if listers == 0 || listers == g.N() {
+		t.Fatalf("%d of %d nodes list; the bound separates nothing", listers, g.N())
 	}
 }

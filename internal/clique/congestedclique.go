@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"mucongest/internal/congest"
 	"mucongest/internal/cover"
 	"mucongest/internal/graph"
 	"mucongest/internal/sim"
@@ -121,7 +122,7 @@ func newCCPlan(n, k int, mu int64) *ccPlan {
 // edges inside the i-th set of its subset cover (at most ~μ edge words)
 // via Lenzen routing, lists the k-cliques in that batch, emits them,
 // and frees the batch.
-func CongestedCliqueKCliques(g *graph.Graph, k int, mu int64, router *OracleRouter) func(sim.Node) {
+func CongestedCliqueKCliques(g *graph.Graph, k int, mu int64, router *congest.Router) func(sim.Node) {
 	plan := newCCPlan(g.N(), k, mu)
 	return func(c sim.Node) {
 		id := c.ID()
@@ -130,7 +131,7 @@ func CongestedCliqueKCliques(g *graph.Graph, k int, mu int64, router *OracleRout
 		defer c.Release(int64(len(nbr)))
 
 		for blk := 0; blk < plan.blocks; blk++ {
-			var out []Packet
+			var out []congest.Packet
 			for t := range plan.sets {
 				s := plan.set(t, blk)
 				if s == nil || !s.has(id) {
@@ -139,7 +140,7 @@ func CongestedCliqueKCliques(g *graph.Graph, k int, mu int64, router *OracleRout
 				dst := plan.masters[t]
 				for _, w := range nbr {
 					if w > id && s.has(w) {
-						out = append(out, Packet{Dst: dst, A: int64(id), B: int64(w)})
+						out = append(out, congest.Packet{Dst: dst, A: int64(id), B: int64(w)})
 					}
 				}
 			}

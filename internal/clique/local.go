@@ -14,10 +14,8 @@ const (
 // LocalListing implements Theorem B.1: every node v with
 // deg(v) ≤ degBound learns all triangles it belongs to, in
 // O(max active degree) rounds, using only its incident edges. All other
-// nodes cooperate by answering adjacency queries. Triangles are emitted
-// as Clique values by the active node with the smallest id in the
-// triangle among active ids (so each triangle with at least one active
-// node is emitted at least once; callers dedup).
+// nodes cooperate by answering adjacency queries. Each triangle is
+// emitted as a Clique value by every active node in it (callers dedup).
 //
 // Memory: each node stores its adjacency list (deg words, an input) and
 // O(1) extra words.
@@ -26,45 +24,57 @@ const (
 // rounds where phaseCount must upper-bound every active node's degree.
 func LocalListing(g *graph.Graph, degBound, phaseCount int) func(sim.Node) {
 	return func(c sim.Node) {
-		id := c.ID()
-		nbr := g.Neighbors(id)
-		deg := len(nbr)
-		c.Charge(int64(deg)) // the node's input adjacency
-		defer c.Release(int64(deg))
-		active := deg <= degBound && deg > 0
-		for phase := 0; phase < phaseCount; phase++ {
-			// Round A: active nodes broadcast their phase-th neighbor.
-			var queried int64 = -1
-			if active && phase < deg {
-				queried = int64(nbr[phase])
-				c.Broadcast(sim.Msg{Kind: kindQuery, A: queried})
+		id, nbrs := c.ID(), c.Neighbors()
+		c.Charge(int64(len(nbrs))) // the node's input adjacency
+		defer c.Release(int64(len(nbrs)))
+		listLowDegree(c, nbrs, degBound, phaseCount,
+			func(w int) bool { return g.HasEdge(id, w) })
+	}
+}
+
+// listLowDegree is the query protocol of Theorem B.1 over the graph
+// whose rows the callers pass: nbrs is this node's sorted row and
+// adjacent tests an edge from this node. A node with 1 ≤ len(nbrs) ≤
+// bound is a lister. In phase i it sends its i-th neighbor u to every
+// neighbor, each neighbor w answers whether w–u is an edge, and the
+// lister emits every triangle {id, u, w} with u < w it learns, sorted.
+// Every node answers. The protocol takes 2·phases rounds, and phases
+// must be at least bound.
+func listLowDegree(c sim.Node, nbrs []int, bound, phases int, adjacent func(w int) bool) {
+	id := c.ID()
+	lister := len(nbrs) > 0 && len(nbrs) <= bound
+	for phase := 0; phase < phases; phase++ {
+		// Round A: listers send their phase-th neighbor to every neighbor.
+		var queried int64 = -1
+		if lister && phase < len(nbrs) {
+			queried = int64(nbrs[phase])
+			for _, u := range nbrs {
+				c.SendID(u, sim.Msg{Kind: kindQuery, A: queried})
 			}
-			inA := c.Tick()
-			// Round B: answer each query on the edge it arrived on.
-			for _, m := range inA {
-				if m.Msg.Kind != kindQuery {
-					continue
-				}
-				ans := int64(0)
-				if g.HasEdge(id, int(m.Msg.A)) {
-					ans = 1
-				}
-				c.SendID(m.From, sim.Msg{Kind: kindAnswer, A: m.Msg.A, B: ans})
-			}
-			inB := c.Tick()
-			if queried < 0 {
+		}
+		inA := c.Tick()
+		// Round B: answer each query on the edge it arrived on.
+		for _, m := range inA {
+			if m.Msg.Kind != kindQuery {
 				continue
 			}
-			u := int(queried)
-			for _, m := range inB {
-				if m.Msg.Kind != kindAnswer || int(m.Msg.A) != u || m.Msg.B != 1 {
-					continue
-				}
-				w := m.From
-				if u >= w {
-					continue // emit each (u,w) pair once
-				}
-				tri := Clique{id, u, w}
+			ans := int64(0)
+			if adjacent(int(m.Msg.A)) {
+				ans = 1
+			}
+			c.SendID(m.From, sim.Msg{Kind: kindAnswer, A: m.Msg.A, B: ans})
+		}
+		inB := c.Tick()
+		if queried < 0 {
+			continue
+		}
+		u := int(queried)
+		for _, m := range inB {
+			if m.Msg.Kind != kindAnswer || int(m.Msg.A) != u || m.Msg.B != 1 {
+				continue
+			}
+			if u < m.From { // emit each (u,w) pair once
+				tri := Clique{id, u, m.From}
 				sortClique(tri)
 				c.Emit(tri)
 			}

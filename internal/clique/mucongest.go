@@ -3,18 +3,11 @@ package clique
 import (
 	"math"
 	"sort"
-	"sync"
 
+	"mucongest/internal/congest"
 	"mucongest/internal/expander"
 	"mucongest/internal/graph"
 	"mucongest/internal/sim"
-)
-
-// Message kinds for the μ-CONGEST triangle listing.
-const (
-	kindMPXClaim int32 = 140 + iota
-	kindTriQuery
-	kindTriAnswer
 )
 
 // MuTriangleConfig parameterizes the Theorem 1.2 listing.
@@ -28,13 +21,12 @@ type MuTriangleConfig struct {
 
 // muPlan is the shared oracle state of the listing driver: the evolving
 // active edge set, the per-iteration clustering and the bucket/triple
-// assignments. All mutations happen at node 0 between engine barriers
-// (the same pattern as clique.OracleRouter); every quantity is
-// computable in the model — centralizing it is a bookkeeping
-// convenience, while all listing traffic is routed (and charged) by
-// expander.Router.
+// assignments. Node 0 mutates it between engine barriers, as
+// congest.Router schedules; the one other write is every node's own
+// clusterOf slot. Every quantity is computable in the model —
+// centralizing it is a bookkeeping convenience, while all listing
+// traffic is routed (and charged) by expander.NewRouter's router.
 type muPlan struct {
-	mu      sync.Mutex
 	adj     []map[int]bool // active adjacency
 	edges   int
 	removed []bool
@@ -53,8 +45,9 @@ type muPlan struct {
 
 func newMuPlan(g *graph.Graph) *muPlan {
 	p := &muPlan{
-		adj:     make([]map[int]bool, g.N()),
-		removed: make([]bool, g.N()),
+		adj:       make([]map[int]bool, g.N()),
+		removed:   make([]bool, g.N()),
+		clusterOf: make([]int, g.N()),
 	}
 	for v := 0; v < g.N(); v++ {
 		p.adj[v] = make(map[int]bool, g.Degree(v))
@@ -65,6 +58,16 @@ func newMuPlan(g *graph.Graph) *muPlan {
 	}
 	p.edges /= 2
 	return p
+}
+
+// row returns v's active neighbors in ascending order.
+func (p *muPlan) row(v int) []int {
+	var nbrs []int
+	for u := range p.adj[v] {
+		nbrs = append(nbrs, u)
+	}
+	sort.Ints(nbrs)
+	return nbrs
 }
 
 func (p *muPlan) activeDeg(v int) int {
@@ -100,7 +103,7 @@ func (p *muPlan) removeEdge(u, v int) {
 // router (Lemma A.2 charge); remove intra-cluster edges and recurse}.
 // All triangles are emitted as Clique values; dedupe with
 // CollectTriangles.
-func MuCongestTriangles(cfg MuTriangleConfig, router *expander.Router) func(sim.Node) {
+func MuCongestTriangles(cfg MuTriangleConfig, router *congest.Router) func(sim.Node) {
 	g := cfg.G
 	n := g.N()
 	if cfg.Beta <= 0 {
@@ -130,8 +133,9 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *expander.Router) func(sim.
 			if plan.edges == 0 {
 				return
 			}
-			// Phase A: low-degree nodes list their triangles (Thm B.1).
-			lowDegreeListing(c, plan, tau)
+			// Phase A: low-degree nodes list their triangles (Thm B.1)
+			// over the active subgraph.
+			listLowDegree(c, plan.row(id), tau, tau, func(w int) bool { return plan.adj[id][w] })
 			// Barrier: node 0 removes the listed nodes.
 			c.Tick()
 			if id == 0 {
@@ -146,9 +150,6 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *expander.Router) func(sim.
 					}
 				}
 				for _, v := range toRemove {
-					if debugNodeRemovalHook != nil {
-						debugNodeRemovalHook(plan, v)
-					}
 					plan.removeNode(v)
 				}
 			}
@@ -156,14 +157,13 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *expander.Router) func(sim.
 			if plan.edges == 0 {
 				return
 			}
-			// Phase B: MPX clustering of the remaining graph.
-			runMPXPhase(c, plan, cfg.Beta, mpxHorizon)
+			// Phase B: MPX clustering of the remaining graph. Each node
+			// writes only its own slot; node 0 reads them after the tick.
+			row := plan.row(id)
+			plan.clusterOf[id] = expander.MPXRace(c, row, len(row) > 0, cfg.Beta, mpxHorizon)
 			c.Tick()
 			if id == 0 {
 				buildListingPlan(plan, cfg.Mu, c.Rand())
-				if debugPlanHook != nil {
-					debugPlanHook(plan)
-				}
 			}
 			c.Tick()
 			// Phase C: chunked triple delivery and listing.
@@ -188,9 +188,6 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *expander.Router) func(sim.
 				for v := 0; v < n; v++ {
 					for u := range plan.adj[v] {
 						if v < u && plan.clusterOf[v] >= 0 && plan.clusterOf[v] == plan.clusterOf[u] {
-							if debugRemovalHook != nil {
-								debugRemovalHook(plan, v, u)
-							}
 							plan.removeEdge(v, u)
 						}
 					}
@@ -199,98 +196,6 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *expander.Router) func(sim.
 			c.Tick()
 		}
 	}
-}
-
-// lowDegreeListing is Theorem B.1 restricted to the active subgraph:
-// nodes with active degree ≤ tau query their neighbors about mutual
-// active edges and emit every triangle they belong to, in 2·tau rounds.
-func lowDegreeListing(c sim.Node, plan *muPlan, tau int) {
-	id := c.ID()
-	var nbrs []int
-	for u := range plan.adj[id] {
-		nbrs = append(nbrs, u)
-	}
-	sort.Ints(nbrs)
-	amLister := !plan.removed[id] && len(nbrs) > 0 && len(nbrs) <= tau
-	for phase := 0; phase < tau; phase++ {
-		var queried int64 = -1
-		if amLister && phase < len(nbrs) {
-			queried = int64(nbrs[phase])
-			for _, u := range nbrs {
-				c.SendID(u, sim.Msg{Kind: kindTriQuery, A: queried})
-			}
-		}
-		inA := c.Tick()
-		for _, m := range inA {
-			if m.Msg.Kind != kindTriQuery {
-				continue
-			}
-			ans := int64(0)
-			if plan.adj[id][int(m.Msg.A)] {
-				ans = 1
-			}
-			c.SendID(m.From, sim.Msg{Kind: kindTriAnswer, A: m.Msg.A, B: ans})
-		}
-		inB := c.Tick()
-		if queried < 0 {
-			continue
-		}
-		u := int(queried)
-		for _, m := range inB {
-			if m.Msg.Kind != kindTriAnswer || int(m.Msg.A) != u || m.Msg.B != 1 {
-				continue
-			}
-			if u < m.From {
-				tri := Clique{id, u, m.From}
-				sortClique(tri)
-				c.Emit(tri)
-			}
-		}
-	}
-}
-
-// runMPXPhase runs the random-shift clustering over active nodes and
-// deposits the result into the shared plan.
-func runMPXPhase(c sim.Node, plan *muPlan, beta float64, horizon int) {
-	id := c.ID()
-	active := !plan.removed[id] && len(plan.adj[id]) > 0
-	cluster := -1
-	if active {
-		shift := int(c.Rand().ExpFloat64() / beta)
-		if shift > horizon-1 {
-			shift = horizon - 1
-		}
-		start := horizon - 1 - shift
-		joinedAt := -1
-		for r := 0; r < horizon; r++ {
-			if cluster < 0 && r == start {
-				cluster = id
-				joinedAt = r
-			}
-			if cluster >= 0 && r == joinedAt {
-				for u := range plan.adj[id] {
-					c.SendID(u, sim.Msg{Kind: kindMPXClaim, A: int64(cluster)})
-				}
-			}
-			for _, m := range c.Tick() {
-				if m.Msg.Kind == kindMPXClaim && cluster < 0 {
-					cluster = int(m.Msg.A)
-					joinedAt = r + 1
-				}
-			}
-		}
-		if cluster < 0 {
-			cluster = id
-		}
-	} else {
-		c.Idle(horizon)
-	}
-	plan.mu.Lock()
-	if plan.clusterOf == nil || len(plan.clusterOf) != c.N() {
-		plan.clusterOf = make([]int, c.N())
-	}
-	plan.clusterOf[id] = cluster
-	plan.mu.Unlock()
 }
 
 // buildListingPlan (node 0, between barriers) derives buckets, degree-
@@ -400,8 +305,8 @@ func buildListingPlan(plan *muPlan, mu int64, rng interface{ Intn(int) int }) {
 // packetsFor computes the edges node id must ship in the given block:
 // for every cluster whose universe contains it, every owned active edge
 // whose endpoints' buckets both lie in a triple assigned this block.
-func packetsFor(plan *muPlan, id, blk int) []expander.Packet {
-	var out []expander.Packet
+func packetsFor(plan *muPlan, id, blk int) []congest.Packet {
+	var out []congest.Packet
 	for _, ord := range plan.nodeCls[id] {
 		buckets := plan.bucketOf[ord]
 		listers := plan.listers[ord]
@@ -426,7 +331,7 @@ func packetsFor(plan *muPlan, id, blk int) []expander.Packet {
 				if !okW || !inTriple(tri, bw) {
 					continue
 				}
-				out = append(out, expander.Packet{Dst: lister, A: int64(id), B: int64(w)})
+				out = append(out, congest.Packet{Dst: lister, A: int64(id), B: int64(w)})
 			}
 		}
 	}
@@ -463,15 +368,3 @@ func RunMuCongestTriangles(cfg MuTriangleConfig, opts ...sim.Option) ([]Clique, 
 	}
 	return CollectTriangles(res), res, nil
 }
-
-// debugRemovalHook, when non-nil, observes every intra-cluster edge
-// removal with the plan state still intact (test instrumentation).
-var debugRemovalHook func(p *muPlan, v, u int)
-
-// debugNodeRemovalHook, when non-nil, observes every low-degree node
-// removal with the plan state still intact (test instrumentation).
-var debugNodeRemovalHook func(p *muPlan, v int)
-
-// debugPlanHook, when non-nil, observes the freshly built listing plan
-// (test instrumentation).
-var debugPlanHook func(p *muPlan)

@@ -1,117 +1,22 @@
 package clique
 
 import (
-	"sort"
-	"sync"
+	"slices"
 
-	"mucongest/internal/sim"
+	"mucongest/internal/congest"
 )
 
-// Packet is one routed message: a destination and an O(log n)-bit
-// payload.
-type Packet struct {
-	Dst     int
-	A, B, C int64
-}
-
-// OracleRouter realizes Lenzen's routing scheme (Lemma 2.9 of the
-// paper) for the μ-Congested-Clique: a routing instance in which every
-// node sends and receives at most L messages completes in
-// ⌈L/(n-1)⌉ + O(1) rounds. Lenzen's theorem guarantees a conflict-free
-// schedule of that length exists; rather than re-implement his
-// distributed sorting protocol, the router computes the schedule
-// centrally (a documented substitution from the paper’s Section 2 routing) while charging
-// the exact round count of the lemma and preserving the per-node
-// message loads, which is what the experiments measure.
-//
-// Route is an SPMD subroutine: every node must call it at the same
-// logical point. Memory for the received batch is charged to the
-// receiving node by the caller.
-type OracleRouter struct {
-	n        int
-	mu       sync.Mutex
-	deposits [][]Packet
-	received [][]Packet
-	rounds   int
-}
-
-// NewOracleRouter returns a router for an n-node clique.
-func NewOracleRouter(n int) *OracleRouter {
-	return &OracleRouter{
-		n:        n,
-		deposits: make([][]Packet, n),
-		received: make([][]Packet, n),
-	}
-}
-
-// Route delivers every node's out packets and returns the packets
-// addressed to this node, charging ⌈maxLoad/(n-1)⌉ + 1 rounds plus the
-// two barrier rounds used for schedule agreement.
-func (r *OracleRouter) Route(c sim.Node, out []Packet) []Packet {
-	r.mu.Lock()
-	r.deposits[c.ID()] = out
-	r.mu.Unlock()
-	c.Tick() // barrier: all deposits visible afterwards
-	if c.ID() == 0 {
-		r.schedule()
-	}
-	c.Tick() // barrier: schedule visible to all
-	c.Idle(r.rounds)
-	return r.received[c.ID()]
-}
-
-// schedule computes the Lenzen round count from the realized loads and
-// groups packets by destination in deterministic (src, payload) order.
-func (r *OracleRouter) schedule() {
-	in := make([]int, r.n)
-	maxOut := 0
-	for _, d := range r.deposits {
-		if len(d) > maxOut {
-			maxOut = len(d)
+// NewOracleRouter returns the Lenzen routing of Lemma 2.9 for an n-node
+// μ-Congested-Clique: an instance in which every node sends and
+// receives at most L packets costs ⌈L/(n-1)⌉ + 1 rounds, charged from
+// the realized loads (see congest.Router). A silent instance costs no
+// rounds, and a single node, which has no links, divides by 1.
+func NewOracleRouter(n int) *congest.Router {
+	return congest.NewRouter(n, func(sent, recv []int) int {
+		load := max(slices.Max(sent), slices.Max(recv))
+		if load == 0 {
+			return 0
 		}
-		for _, p := range d {
-			in[p.Dst]++
-		}
-	}
-	maxIn := 0
-	for _, k := range in {
-		if k > maxIn {
-			maxIn = k
-		}
-	}
-	for v := range r.received {
-		r.received[v] = nil
-	}
-	type tagged struct {
-		src int
-		p   Packet
-	}
-	byDst := make([][]tagged, r.n)
-	for src, d := range r.deposits {
-		for _, p := range d {
-			byDst[p.Dst] = append(byDst[p.Dst], tagged{src, p})
-		}
-		r.deposits[src] = nil
-	}
-	for v := range byDst {
-		sort.Slice(byDst[v], func(i, j int) bool {
-			a, b := byDst[v][i], byDst[v][j]
-			if a.src != b.src {
-				return a.src < b.src
-			}
-			if a.p.A != b.p.A {
-				return a.p.A < b.p.A
-			}
-			return a.p.B < b.p.B
-		})
-		for _, tg := range byDst[v] {
-			r.received[v] = append(r.received[v], tg.p)
-		}
-	}
-	// A silent instance costs no rounds. A single node has no links, so
-	// its divisor is clamped to 1 instead of dividing by zero.
-	r.rounds = 0
-	if load := max(maxOut, maxIn); load > 0 {
-		r.rounds = (load+r.n-2)/max(1, r.n-1) + 1
-	}
+		return (load+n-2)/max(1, n-1) + 1
+	}, nil)
 }

@@ -1,8 +1,11 @@
 // Package congest implements the standard CONGEST building blocks the
 // paper relies on, as synchronous subroutines over sim.Node: BFS-tree
-// construction, pipelined convergecast aggregation (Lemma B.4),
-// pipelined broadcast, global aggregate helpers, and the degree-class
-// relabeling of Lemma B.5.
+// construction, the FINISH countdown that ends a data-dependent tree
+// protocol on one global round, pipelined convergecast aggregation
+// (Lemma B.4), pipelined broadcast, global aggregate helpers, the
+// degree-class relabeling of Lemma B.5, and the one Router behind the
+// paper's two routing lemmas (Lenzen routing, Lemma 2.9, and expander
+// routing, Lemma A.2), whose constructors live in clique and expander.
 //
 // Calling convention: these are SPMD subroutines — every node of the
 // engine must call the same function at the same logical point of its
@@ -23,6 +26,8 @@ const (
 	kindChildAck
 	kindAgg
 	kindDown
+	// KindFinish is FinishCountdown's message; A carries the ttl.
+	KindFinish
 	// KindUser is the first message kind available to client packages.
 	KindUser int32 = 64
 )
@@ -37,6 +42,22 @@ type Tree struct {
 
 // Joined reports whether this node is part of the tree.
 func (t *Tree) Joined() bool { return t.Depth >= 0 }
+
+// FinishCountdown ends a subroutine whose length depends on the data:
+// it forwards FINISH with ttl−1 to the node's tree children and idles
+// ttl rounds, so every node leaves on the same global round as the
+// root. The root starts it with ttl = maxDepth+1 once the tree has
+// drained; a node that receives a KindFinish message calls it with the
+// message's A.
+func FinishCountdown(c sim.Node, tr *Tree, ttl int) {
+	if ttl <= 0 {
+		return
+	}
+	for _, ch := range tr.Children {
+		c.SendID(ch, sim.Msg{Kind: KindFinish, A: int64(ttl - 1)})
+	}
+	c.Idle(ttl)
+}
 
 // BuildBFSTree constructs a BFS tree rooted at root. maxDepth must be
 // an upper bound on the eccentricity of root (n-1 is always safe; tight

@@ -1,9 +1,11 @@
 package expander
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"mucongest/internal/congest"
 	"mucongest/internal/graph"
 	"mucongest/internal/sim"
 )
@@ -98,7 +100,7 @@ func TestRouterDeliversAndCharges(t *testing.T) {
 		r := NewRouter(g, alpha)
 		e := sim.New(g)
 		res, err := e.Run(func(c *sim.Ctx) {
-			out := []Packet{{Dst: (c.ID() + 1) % g.N(), A: int64(c.ID())}}
+			out := []congest.Packet{{Dst: (c.ID() + 1) % g.N(), A: int64(c.ID())}}
 			in := r.Route(c, out)
 			if len(in) != 1 || int(in[0].A) != (c.ID()+g.N()-1)%g.N() {
 				c.Emit("bad")
@@ -130,9 +132,9 @@ func TestRouterAlphaTradeoffCharges(t *testing.T) {
 		r := NewRouter(g, alpha)
 		e := sim.New(g)
 		res, err := e.Run(func(c *sim.Ctx) {
-			var out []Packet
+			var out []congest.Packet
 			for i := 0; i < 3*c.Degree(); i++ {
-				out = append(out, Packet{Dst: (c.ID() + i) % g.N(), A: int64(i)})
+				out = append(out, congest.Packet{Dst: (c.ID() + i) % g.N(), A: int64(i)})
 			}
 			r.Route(c, out)
 		})
@@ -153,14 +155,12 @@ func TestRouterAlphaTradeoffCharges(t *testing.T) {
 
 func TestEmbeddingWordsFormula(t *testing.T) {
 	g := graph.Star(17)
-	r := NewRouter(g, 4)
-	hub := r.EmbeddingWords(0)
-	leaf := r.EmbeddingWords(1)
+	hub := EmbeddingWords(g, 4, 0)
+	leaf := EmbeddingWords(g, 4, 1)
 	if hub <= leaf {
 		t.Fatal("hub embedding must exceed leaf's")
 	}
-	r1 := NewRouter(g, 1)
-	if r1.EmbeddingWords(0) <= hub {
+	if EmbeddingWords(g, 1, 0) <= hub {
 		t.Fatal("α must shrink the embedding")
 	}
 }
@@ -222,4 +222,82 @@ func TestMPXTwoNodes(t *testing.T) {
 			t.Fatalf("center %d of node %d not in own cluster", cl, v)
 		}
 	}
+}
+
+// TestMPXRaceOnActiveSubgraph runs the race the way the μ-CONGEST
+// listing does: half the nodes are inactive, and every active node
+// passes only its active neighbors. Inactive nodes must get -1; every
+// center must be an active node that centers its own cluster and lies
+// in the same component of the active subgraph; and claims travel only
+// on active edges, so the run sends at most one message per directed
+// active edge. Broadcasting to every neighbor would exceed that.
+func TestMPXRaceOnActiveSubgraph(t *testing.T) {
+	g, err := graph.GnpConnected(40, 0.12, rand.New(rand.NewSource(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := func(v int) bool { return v%2 == 0 }
+	rows := make([][]int, g.N())
+	directed := 0
+	for v := range rows {
+		for _, u := range g.Neighbors(v) {
+			if active(v) && active(u) {
+				rows[v] = append(rows[v], u)
+			}
+		}
+		directed += len(rows[v])
+	}
+	comp := components(rows, active)
+	horizon := int(8*math.Log(float64(g.N())+2)/0.4) + 4
+	for seed := int64(1); seed <= 3; seed++ {
+		res, err := sim.New(g, sim.WithSeed(seed)).Run(func(c *sim.Ctx) {
+			c.Emit(MPXRace(c, rows[c.ID()], active(c.ID()), 0.4, horizon))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clusters := make([]int, g.N())
+		for v := range clusters {
+			clusters[v] = res.Outputs[v][0].(int)
+		}
+		for v, cl := range clusters {
+			switch {
+			case !active(v):
+				if cl != -1 {
+					t.Fatalf("seed=%d: inactive node %d got cluster %d", seed, v, cl)
+				}
+			case cl < 0 || !active(cl) || clusters[cl] != cl:
+				t.Fatalf("seed=%d: node %d joined %d, which is not an active center", seed, v, cl)
+			case comp[cl] != comp[v]:
+				t.Fatalf("seed=%d: node %d joined center %d of another active component", seed, v, cl)
+			}
+		}
+		if res.Messages > int64(directed) {
+			t.Fatalf("seed=%d: %d claims over %d directed active edges", seed, res.Messages, directed)
+		}
+	}
+}
+
+// components labels every active node with the smallest id of its
+// component in the graph given by rows.
+func components(rows [][]int, active func(int) bool) []int {
+	comp := make([]int, len(rows))
+	for v := range comp {
+		comp[v] = -1
+	}
+	for s := range rows {
+		if !active(s) || comp[s] >= 0 {
+			continue
+		}
+		comp[s] = s
+		for queue := []int{s}; len(queue) > 0; queue = queue[1:] {
+			for _, u := range rows[queue[0]] {
+				if comp[u] < 0 {
+					comp[u] = s
+					queue = append(queue, u)
+				}
+			}
+		}
+	}
+	return comp
 }

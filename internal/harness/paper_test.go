@@ -43,11 +43,12 @@ const paperMu = 10
 // call. E10's listing and sketch stages are E3's and E8's programs;
 // its case is the stage only E10 runs, the exact-count refinement.
 //
-// Crash and edge-churn faults stay out. The Congested-Clique router,
-// the expander router and the μ-CONGEST listing plan are shared between
-// nodes and assume every node calls them at the same point, which a
-// crash breaks. E13's aggregation shares nothing and runs under loss,
-// as its cell does.
+// Crash and edge-churn faults stay out. The congest.Router that both
+// E1/E2 and the μ-CONGEST listing route through, and that listing's
+// plan, are shared between nodes and assume every node calls them at
+// the same point, which a crash breaks. E13's aggregation shares
+// nothing and runs under loss, as its cell does, on the tree
+// mergesim.BFSTree derives for it.
 func paperCases() []paperCase {
 	rng := rand.New(rand.NewSource(17))
 	connected := func(n int, p float64) *graph.Graph {
@@ -80,7 +81,7 @@ func paperCases() []paperCase {
 	hub := graph.HubAndBlob(10, 0.4, rng)
 	tree := connected(14, 0.25)
 	treeItems := itemsOf(tree.N(), 6, 30)
-	depth, parent, children, maxDepth := bfsTree(tree)
+	depth, parent, children, maxDepth := mergesim.BFSTree(tree)
 	mg := sketch.NewMGKind(3)
 
 	return []paperCase{
@@ -125,29 +126,6 @@ func paperCases() []paperCase {
 			return mergesim.LossyTreeProgram(mg, treeItems, depth, parent, children, maxDepth, sums)
 		}},
 	}
-}
-
-// bfsTree is the BFS tree from node 0 with children in id order, as
-// experiment E13 derives it.
-func bfsTree(g *graph.Graph) (depth, parent []int, children [][]int, maxDepth int) {
-	n := g.N()
-	depth, parent, children = make([]int, n), make([]int, n), make([][]int, n)
-	for v := range depth {
-		depth[v], parent[v] = -1, -1
-	}
-	depth[0] = 0
-	for queue := []int{0}; len(queue) > 0; queue = queue[1:] {
-		v := queue[0]
-		for _, u := range g.Neighbors(v) {
-			if depth[u] < 0 {
-				depth[u], parent[u] = depth[v]+1, v
-				children[v] = append(children[v], u)
-				maxDepth = max(maxDepth, depth[u])
-				queue = append(queue, u)
-			}
-		}
-	}
-	return depth, parent, children, maxDepth
 }
 
 // TestPaperWorkloadsDifferential is the paper-workload axis: every

@@ -1,9 +1,35 @@
 package mergesim
 
 import (
+	"mucongest/internal/graph"
 	"mucongest/internal/sim"
 	"mucongest/internal/stream"
 )
+
+// BFSTree is the spanning tree LossyTreeProgram runs on: the BFS tree
+// of g (n ≥ 1) from node 0, children in id order, with each node's
+// depth and parent (-1 for the root and for nodes 0 cannot reach) and
+// the tree's depth.
+func BFSTree(g *graph.Graph) (depth, parent []int, children [][]int, maxDepth int) {
+	n := g.N()
+	depth, parent, children = make([]int, n), make([]int, n), make([][]int, n)
+	for v := range depth {
+		depth[v], parent[v] = -1, -1
+	}
+	depth[0] = 0
+	for queue := []int{0}; len(queue) > 0; queue = queue[1:] {
+		v := queue[0]
+		for _, u := range g.Neighbors(v) {
+			if depth[u] < 0 {
+				depth[u], parent[u] = depth[v]+1, v
+				children[v] = append(children[v], u)
+				maxDepth = max(maxDepth, depth[u])
+				queue = append(queue, u)
+			}
+		}
+	}
+	return depth, parent, children, maxDepth
+}
 
 // LossyTreeProgram returns experiment E13's loss-swept aggregation:
 // every node inserts its local items, waits for its children's wave,
@@ -15,7 +41,8 @@ import (
 // is discarded with its whole subtree.
 //
 // depth, parent and children describe a spanning tree rooted at node 0
-// of depth maxDepth. The root stores its merged summary in sums[0].
+// of depth maxDepth, as BFSTree returns. The root stores its merged
+// summary in sums[0].
 func LossyTreeProgram(kind stream.Kind, items [][]int64, depth, parent []int,
 	children [][]int, maxDepth int, sums []stream.Summary) func(sim.Node) {
 	M := kind.M()

@@ -36,7 +36,6 @@ const (
 	kindItemCredit
 	kindSumWord
 	kindSumDone
-	kindFinish2
 	kindWeight
 	kindCluster
 	kindRole
@@ -169,10 +168,7 @@ func gatherItems(c sim.Node, tr *congest.Tree, maxDepth int,
 			}
 		}
 		if isRoot && len(childDone) == len(tr.Children) && len(queue) == 0 {
-			for _, ch := range tr.Children {
-				c.SendID(ch, sim.Msg{Kind: kindFinish2, A: int64(maxDepth)})
-			}
-			c.Idle(maxDepth + 1)
+			congest.FinishCountdown(c, tr, maxDepth+1)
 			return
 		}
 		for _, m := range c.Tick() {
@@ -188,8 +184,8 @@ func gatherItems(c sim.Node, tr *congest.Tree, maxDepth int,
 				childDone[m.From] = true
 			case kindItemCredit:
 				credits++
-			case kindFinish2:
-				finishDown(c, tr, int(m.Msg.A))
+			case congest.KindFinish:
+				congest.FinishCountdown(c, tr, int(m.Msg.A))
 				return
 			}
 		}
@@ -239,10 +235,7 @@ func gatherSummaries(c sim.Node, tr *congest.Tree, maxDepth int,
 			}
 		}
 		if c.ID() == root && len(childDone) == len(tr.Children) {
-			for _, ch := range tr.Children {
-				c.SendID(ch, sim.Msg{Kind: kindFinish2, A: int64(maxDepth)})
-			}
-			c.Idle(maxDepth + 1)
+			congest.FinishCountdown(c, tr, maxDepth+1)
 			return main.Words()
 		}
 		for _, m := range c.Tick() {
@@ -267,20 +260,10 @@ func gatherSummaries(c sim.Node, tr *congest.Tree, maxDepth int,
 				}
 			case kindSumDone:
 				childDone[m.From] = true
-			case kindFinish2:
-				finishDown(c, tr, int(m.Msg.A))
+			case congest.KindFinish:
+				congest.FinishCountdown(c, tr, int(m.Msg.A))
 				return nil
 			}
 		}
 	}
-}
-
-func finishDown(c sim.Node, tr *congest.Tree, ttl int) {
-	if ttl <= 0 {
-		return
-	}
-	for _, ch := range tr.Children {
-		c.SendID(ch, sim.Msg{Kind: kindFinish2, A: int64(ttl - 1)})
-	}
-	c.Idle(ttl)
 }

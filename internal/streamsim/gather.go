@@ -11,7 +11,6 @@ const (
 	kindEdge int32 = congest.KindUser + iota
 	kindDone
 	kindCredit
-	kindFinish
 	kindCache       // sink -> neighbor: store this edge in the cache
 	kindCacheCredit // kindCache that simultaneously grants one credit
 	kindDirective   // sink -> neighbor: Birkhoff schedule entry (dest,count)
@@ -60,7 +59,6 @@ func gatherToSink(c sim.Node, tr *congest.Tree, maxDepth int,
 	outstanding := make(map[int]int, len(tr.Children))
 	credits := 0
 	doneSent := false
-	finished := false
 	queueCap := 2*len(tr.Children) + 4
 	nextCache := 0 // round-robin cache target index
 
@@ -119,12 +117,8 @@ func gatherToSink(c sim.Node, tr *congest.Tree, maxDepth int,
 			}
 		}
 		// Sink: fire FINISH when the whole tree and cache egress drained.
-		if isSink && !finished && len(childDone) == len(tr.Children) && len(egress) == 0 {
-			finished = true
-			for _, ch := range tr.Children {
-				c.SendID(ch, sim.Msg{Kind: kindFinish, A: int64(maxDepth)})
-			}
-			c.Idle(maxDepth + 1)
+		if isSink && len(childDone) == len(tr.Children) && len(egress) == 0 {
+			congest.FinishCountdown(c, tr, maxDepth+1)
 			return myCache
 		}
 
@@ -148,25 +142,12 @@ func gatherToSink(c sim.Node, tr *congest.Tree, maxDepth int,
 				myCache = append(myCache, graph.Edge{U: int(m.Msg.A), V: int(m.Msg.B), Label: m.Msg.C})
 			case kindCache:
 				myCache = append(myCache, graph.Edge{U: int(m.Msg.A), V: int(m.Msg.B), Label: m.Msg.C})
-			case kindFinish:
-				finishCountdown(c, tr, int(m.Msg.A))
+			case congest.KindFinish:
+				congest.FinishCountdown(c, tr, int(m.Msg.A))
 				return myCache
 			}
 		}
 	}
-}
-
-// finishCountdown forwards FINISH with a decremented ttl and idles so
-// that every node exits the enclosing subroutine on the same global
-// round as the sink.
-func finishCountdown(c sim.Node, tr *congest.Tree, ttl int) {
-	if ttl <= 0 {
-		return
-	}
-	for _, ch := range tr.Children {
-		c.SendID(ch, sim.Msg{Kind: kindFinish, A: int64(ttl - 1)})
-	}
-	c.Idle(ttl)
 }
 
 // replayFromCache streams every sink-neighbor's cached edge list to the
@@ -194,10 +175,7 @@ func replayFromCache(c sim.Node, tr *congest.Tree, maxDepth int,
 				}
 			}
 		}
-		for _, ch := range tr.Children {
-			c.SendID(ch, sim.Msg{Kind: kindFinish, A: int64(maxDepth)})
-		}
-		c.Idle(maxDepth + 1)
+		congest.FinishCountdown(c, tr, maxDepth+1)
 		return
 	}
 	sendIdx := 0
@@ -216,8 +194,8 @@ func replayFromCache(c sim.Node, tr *congest.Tree, maxDepth int,
 		}
 		in := c.Tick()
 		for _, m := range in {
-			if m.Msg.Kind == kindFinish {
-				finishCountdown(c, tr, int(m.Msg.A))
+			if m.Msg.Kind == congest.KindFinish {
+				congest.FinishCountdown(c, tr, int(m.Msg.A))
 				return
 			}
 		}
