@@ -78,9 +78,10 @@ func E1E2(tp topo.Spec, k int, seed int64) *Table {
 		t.AddRecord(recordOf("E1/E2", tp, mu, P("k", k, "mu", mu), res, time.Since(start)))
 	}
 	t.Notes = append(t.Notes,
-		"each subset-cover block costs 2 router agreement ticks plus ⌈L/(n-1)⌉+1 routing "+
-			"rounds, so 2 ≤ rounds/blocks ≤ 3+⌈L̂/(n-1)⌉ for the block-load bound L̂ "+
-			"(asserted by clique.TestCongestedCliqueRoundsPerBlock)",
+		"each subset-cover block costs 2 router rounds (an agreement tick and the first "+
+			"round of the routing sleep) plus ⌈L/(n-1)⌉+1 charged rounds, so 2 ≤ rounds/blocks "+
+			"≤ 3+⌈L̂/(n-1)⌉ for the block-load bound L̂ (asserted by "+
+			"clique.TestCongestedCliqueRoundsPerBlock)",
 		"rounds/UB is for display: at this n the cover's ⌊√μ/k⌋-node groups are too "+
 			"small for Thm 2.10's asymptotic shape to show")
 	return t

@@ -10,23 +10,12 @@ package clique
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"mucongest/internal/graph"
 )
 
 // Clique is a sorted list of k node ids forming a clique.
 type Clique []int
-
-// Key returns a canonical string key for set-comparison in tests and
-// dedup.
-func (c Clique) Key() string {
-	b := make([]byte, 0, len(c)*4)
-	for _, v := range c {
-		b = append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-	}
-	return string(b)
-}
 
 // ListAll enumerates every k-clique of g by ordered extension: cliques
 // are grown in increasing node order, intersecting candidate sets with
@@ -87,8 +76,13 @@ func intersectRow(a []int, g *graph.Graph, v int) []int {
 // ListInEdgeSet enumerates all k-cliques of the graph induced by the
 // given edge list (node ids arbitrary). Used by master nodes on their
 // ≤ μ-word edge batches, which may repeat an edge in either direction
-// and hold self-loops; both are ignored.
+// and hold self-loops; both are ignored. A batch of fewer than C(k,2)
+// entries holds fewer distinct edges than a k-clique, so it lists
+// nothing without building a graph.
 func ListInEdgeSet(edges [][2]int, k int) []Clique {
+	if len(edges) < k*(k-1)/2 {
+		return nil
+	}
 	// A node's batch id is its rank among the batch's distinct ids, so
 	// batch cliques map back in ascending order.
 	order := make([]int, 0, 2*len(edges))
@@ -121,42 +115,21 @@ func ListInEdgeSet(edges [][2]int, k int) []Clique {
 	return out
 }
 
-// Dedup returns the set union of cliques, sorted canonically.
+// Dedup returns the set union of cliques, each sorted ascending, in
+// lexicographic order.
 func Dedup(cls []Clique) []Clique {
-	seen := make(map[string]Clique, len(cls))
-	for _, c := range cls {
-		s := make(Clique, len(c))
-		copy(s, c)
-		sort.Ints(s)
-		seen[s.Key()] = s
+	out := make([]Clique, len(cls))
+	for i, c := range cls {
+		out[i] = slices.Clone(c)
+		slices.Sort(out[i])
 	}
-	out := make([]Clique, 0, len(seen))
-	for _, c := range seen {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		for x := range out[i] {
-			if out[i][x] != out[j][x] {
-				return out[i][x] < out[j][x]
-			}
-		}
-		return false
-	})
-	return out
+	slices.SortFunc(out, slices.Compare)
+	return slices.CompactFunc(out, slices.Equal)
 }
 
 // SameSet reports whether two clique collections are equal as sets.
 func SameSet(a, b []Clique) bool {
-	da, db := Dedup(a), Dedup(b)
-	if len(da) != len(db) {
-		return false
-	}
-	for i := range da {
-		if da[i].Key() != db[i].Key() {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(Dedup(a), Dedup(b), slices.Equal)
 }
 
 func min(a, b int) int {

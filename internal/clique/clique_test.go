@@ -72,6 +72,84 @@ func TestListInEdgeSetMatchesListAll(t *testing.T) {
 			}
 		}
 	}
+	// Batch-size rows around C(k,2), the edges of one K_k: one entry
+	// fewer lists nothing; exactly its edges list exactly it; C(k,2)
+	// entries over fewer distinct edges (the last one a repeat of the
+	// first, reversed, or a self-loop) list nothing through the full
+	// path.
+	for k := 2; k <= 4; k++ {
+		ids := []int{40, 7, 93, 12}[:k]
+		var kk [][2]int
+		for i := range ids {
+			for _, w := range ids[i+1:] {
+				kk = append(kk, [2]int{w, ids[i]})
+			}
+		}
+		last := len(kk) - 1
+		if got := ListInEdgeSet(kk[:last], k); got != nil {
+			t.Errorf("k=%d: %d entries listed %v", k, last, got)
+		}
+		if got, want := ListInEdgeSet(kk, k), slices.Sorted(slices.Values(ids)); len(got) != 1 || !slices.Equal(got[0], want) {
+			t.Errorf("k=%d: the edges of one K_k listed %v, want [%v]", k, got, want)
+		}
+		lastEntries := [][2]int{{ids[0], ids[0]}}
+		if last > 0 {
+			lastEntries = append(lastEntries, [2]int{kk[0][1], kk[0][0]})
+		}
+		for _, e := range lastEntries {
+			fewer := append(slices.Clone(kk[:last]), e)
+			if got := ListInEdgeSet(fewer, k); got != nil {
+				t.Errorf("k=%d: %v listed %v", k, fewer, got)
+			}
+		}
+	}
+}
+
+// TestDedupMatchesMapReference feeds Dedup random cliques of mixed
+// lengths, with repeats and permuted members, and compares the result
+// with a set built in a map: each distinct member set once, sorted, in
+// lexicographic order with a proper prefix first. The input must not
+// change.
+func TestDedupMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		var cls []Clique
+		for i := rng.Intn(40); i > 0; i-- {
+			if len(cls) > 0 && rng.Intn(3) == 0 {
+				cl := slices.Clone(cls[rng.Intn(len(cls))])
+				rng.Shuffle(len(cl), func(i, j int) { cl[i], cl[j] = cl[j], cl[i] })
+				cls = append(cls, cl)
+				continue
+			}
+			cls = append(cls, rng.Perm(6)[:1+rng.Intn(4)])
+		}
+		before := fmt.Sprint(cls)
+		set := map[string]Clique{}
+		for _, cl := range cls {
+			s := slices.Sorted(slices.Values(cl))
+			set[fmt.Sprint(s)] = s
+		}
+		var want []Clique
+		for _, cl := range set {
+			want = append(want, cl)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			for x := 0; x < len(a) && x < len(b); x++ {
+				if a[x] != b[x] {
+					return a[x] < b[x]
+				}
+			}
+			return len(a) < len(b)
+		})
+		got := Dedup(cls)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: Dedup(%v) = %v, want %v", trial, cls, got, want)
+		}
+		if fmt.Sprint(cls) != before {
+			t.Fatalf("trial %d: Dedup changed its input to %v", trial, cls)
+		}
+	}
 }
 
 func TestDedupAndSameSet(t *testing.T) {
@@ -85,6 +163,11 @@ func TestDedupAndSameSet(t *testing.T) {
 	}
 	if SameSet(a, []Clique{{1, 2, 3}}) {
 		t.Fatal("SameSet false positive")
+	}
+	// A proper prefix sorts first, and mixed lengths never index past
+	// the shorter clique.
+	if d := Dedup([]Clique{{1, 2, 3}, {2, 1}}); fmt.Sprint(d) != "[[1 2] [1 2 3]]" {
+		t.Fatalf("mixed lengths: %v", d)
 	}
 }
 
@@ -118,7 +201,7 @@ func TestLocalListingPartialCoverage(t *testing.T) {
 	}
 	got := map[string]bool{}
 	for _, cl := range CollectTriangles(res) {
-		got[cl.Key()] = true
+		got[fmt.Sprint(cl)] = true
 	}
 	// Every triangle containing an active (deg ≤ bound) node must appear.
 	for _, tri := range ListAll(g, 3) {
@@ -128,7 +211,7 @@ func TestLocalListingPartialCoverage(t *testing.T) {
 				hasActive = true
 			}
 		}
-		if hasActive && !got[tri.Key()] {
+		if hasActive && !got[fmt.Sprint(tri)] {
 			t.Fatalf("missed triangle %v with active node", tri)
 		}
 	}
@@ -185,7 +268,8 @@ func TestOracleRouterRoundCharge(t *testing.T) {
 	router := NewOracleRouter(n)
 	e := sim.New(sim.NewComplete(n))
 	// Each node sends 2 messages to every other node: maxIn = maxOut =
-	// 2(n-1), so routing costs ⌈2(n-1)/(n-1)⌉+1 = 3 rounds + 2 barriers.
+	// 2(n-1), so routing charges ⌈2(n-1)/(n-1)⌉+1 = 3 rounds on top of
+	// Route's 2: the agreement tick and the first round of its sleep.
 	res, err := e.Run(func(c *sim.Ctx) {
 		var out []congest.Packet
 		for rep := 0; rep < 2; rep++ {
@@ -273,10 +357,11 @@ func TestCongestedCliqueRoundsDecreaseWithMu(t *testing.T) {
 // The schedule runs one NewOracleRouter Route per cover block, and the
 // plan's block count is cover.Size of its largest multiset universe
 // with sets of at most b = max(k, ⌊√μ⌋) nodes (k groups of ⌊b/k⌋).
-// Route costs 2 agreement ticks, plus ⌈L/(n−1)⌉+1 idle rounds when the
-// block's load L (the larger of the most packets one node sends and
-// the most one node receives) is positive. So every block costs
-// between 2 and 3 + ⌈L̂/(n−1)⌉ rounds for any bound L̂ ≥ L. In a block,
+// Route costs 2 rounds (the agreement tick and the first round of its
+// sleep), plus ⌈L/(n−1)⌉+1 charged rounds when the block's load L (the
+// larger of the most packets one node sends and the most one node
+// receives) is positive. So every block costs between 2 and
+// 3 + ⌈L̂/(n−1)⌉ rounds for any bound L̂ ≥ L. In a block,
 // a node sends each multiset whose set holds it at most its b−1 set
 // neighbors, and the multisets whose universes hold a node's group
 // number Tv = C(gc+k−2, k−1) over gc node groups; a master receives at
@@ -344,8 +429,8 @@ func TestCongestedCliqueSingleNode(t *testing.T) {
 	if len(got) != 1 || got[0].A != 7 {
 		t.Errorf("self-addressed packet: received %v", got)
 	}
-	// Two agreement ticks, then the clamped divisor makes a load of L
-	// cost L rounds: here 1.
+	// Route's 2 rounds, then the clamped divisor makes a load of L cost
+	// L more: here 1.
 	if res.Rounds != 3 {
 		t.Errorf("rounds = %d, want 3", res.Rounds)
 	}

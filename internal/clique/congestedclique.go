@@ -130,8 +130,12 @@ func CongestedCliqueKCliques(g *graph.Graph, k int, mu int64, router *congest.Ro
 		c.Charge(int64(len(nbr))) // input adjacency
 		defer c.Release(int64(len(nbr)))
 
+		// Both buffers are reused across blocks: Route is done with out
+		// when it returns, and the batch is listed before the next block.
+		var out []congest.Packet
+		var edges [][2]int
 		for blk := 0; blk < plan.blocks; blk++ {
-			var out []congest.Packet
+			out = out[:0]
 			for t := range plan.sets {
 				s := plan.set(t, blk)
 				if s == nil || !s.has(id) {
@@ -147,9 +151,9 @@ func CongestedCliqueKCliques(g *graph.Graph, k int, mu int64, router *congest.Ro
 			recv := router.Route(c, out)
 			if len(recv) > 0 {
 				c.Charge(int64(2 * len(recv))) // the ≤ O(μ) edge batch
-				edges := make([][2]int, len(recv))
-				for i, p := range recv {
-					edges[i] = [2]int{int(p.A), int(p.B)}
+				edges = edges[:0]
+				for _, p := range recv {
+					edges = append(edges, [2]int{int(p.A), int(p.B)})
 				}
 				for _, cl := range ListInEdgeSet(edges, k) {
 					c.Emit(cl)

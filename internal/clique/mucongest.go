@@ -21,9 +21,8 @@ type MuTriangleConfig struct {
 
 // muPlan is the shared oracle state of the listing driver: the evolving
 // active edge set, the per-iteration clustering and the bucket/triple
-// assignments. Node 0 mutates it between engine barriers, as
-// congest.Router schedules; the one other write is every node's own
-// clusterOf slot. Every quantity is computable in the model —
+// assignments. Node 0 mutates it between engine barriers; the one
+// other write is every node's own clusterOf slot. Every quantity is computable in the model —
 // centralizing it is a bookkeeping convenience, while all listing
 // traffic is routed (and charged) by expander.NewRouter's router.
 type muPlan struct {

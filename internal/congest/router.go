@@ -1,7 +1,9 @@
 package congest
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync/atomic"
 
 	"mucongest/internal/sim"
 )
@@ -28,17 +30,31 @@ type Packet struct {
 type Router struct {
 	// rounds converts the realized per-node sent and received packet
 	// counts into the lemma's round charge; hold is the words node v
-	// holds while it sleeps those rounds.
+	// holds from the round after the deposit barrier through its sleep.
 	rounds func(sent, recv []int) int
 	hold   func(v int) int64
 
-	// Node v writes only deposits[v], before the first agreement tick,
-	// and reads received[v] and charge after the second; node 0
-	// schedules in between. The engine's round barrier orders every
-	// access, so no lock is needed.
+	// Node v writes only deposits[v], then counts itself in arrived.
+	// The node whose count completes the instance resets arrived and
+	// schedules before its tick: the atomic orders every deposit before
+	// its reads, and the round barrier orders the schedule before every
+	// node reads byDst[v] and charge. The next schedule waits for every
+	// node's next deposit, which each makes only after its reads, so no
+	// lock is needed.
+	arrived  atomic.Int64
 	deposits [][]Packet
-	received [][]Packet
 	charge   int
+
+	// Scratch of schedule, reused by every instance: the per-node
+	// loads and, per destination, its packets in delivery order.
+	sent, recv []int
+	byDst      [][]tagged
+}
+
+// tagged is a packet with its source, the first key of delivery order.
+type tagged struct {
+	src int
+	p   Packet
 }
 
 // NewRouter returns a router for n nodes. rounds is the lemma's round
@@ -52,64 +68,68 @@ func NewRouter(n int, rounds func(sent, recv []int) int, hold func(v int) int64)
 		rounds:   rounds,
 		hold:     hold,
 		deposits: make([][]Packet, n),
-		received: make([][]Packet, n),
+		sent:     make([]int, n),
+		recv:     make([]int, n),
+		byDst:    make([][]tagged, n),
 	}
 }
 
 // Route delivers every node's out packets and returns the packets
-// addressed to this node, sorted by (source, A, B). It costs two
-// agreement ticks plus the charged rounds, which the node sleeps while
-// holding the router's words.
+// addressed to this node, sorted by (source, A, B). It takes 2 + charge
+// rounds: the agreement tick, then one sleep of 1 + charge rounds during
+// which the node holds the router's words. out is free again when Route
+// returns.
+//
+//muvet:hotpath
 func (r *Router) Route(c sim.Node, out []Packet) []Packet {
 	id := c.ID()
 	r.deposits[id] = out
-	c.Tick() // barrier: all deposits visible afterwards
-	if id == 0 {
+	if r.arrived.Add(1) == int64(len(r.deposits)) {
+		r.arrived.Store(0)
 		r.schedule()
 	}
-	c.Tick() // barrier: schedule visible to all
+	c.Tick() // barrier: the schedule is visible to all
 	words := r.hold(id)
 	c.Charge(words)
-	c.Idle(r.charge)
+	c.Idle(1 + r.charge)
 	c.Release(words)
-	return r.received[id]
+	buf := r.byDst[id]
+	if len(buf) == 0 {
+		return nil
+	}
+	//muvet:allow hotalloc(the returned batch is the caller's: one slice per receiving node)
+	in := make([]Packet, len(buf))
+	for i, tg := range buf {
+		in[i] = tg.p
+	}
+	return in
 }
 
 // schedule groups the deposited packets by destination in deterministic
 // (source, payload) order and computes the round charge from the
 // realized loads.
+//
+//muvet:hotpath
 func (r *Router) schedule() {
-	n := len(r.deposits)
-	sent := make([]int, n)
-	recv := make([]int, n)
-	type tagged struct {
-		src int
-		p   Packet
+	clear(r.recv)
+	for v := range r.byDst {
+		r.byDst[v] = r.byDst[v][:0]
 	}
-	byDst := make([][]tagged, n)
 	for src, d := range r.deposits {
-		sent[src] = len(d)
+		r.sent[src] = len(d)
 		for _, p := range d {
-			recv[p.Dst]++
-			byDst[p.Dst] = append(byDst[p.Dst], tagged{src, p})
+			r.recv[p.Dst]++
+			r.byDst[p.Dst] = append(r.byDst[p.Dst], tagged{src, p})
 		}
 		r.deposits[src] = nil
 	}
-	for v := range byDst {
-		sort.Slice(byDst[v], func(i, j int) bool {
-			a, b := byDst[v][i], byDst[v][j]
-			if a.src != b.src {
-				return a.src < b.src
-			}
-			if a.p.A != b.p.A {
-				return a.p.A < b.p.A
-			}
-			return a.p.B < b.p.B
-		})
-		r.received[v] = nil
-		for _, tg := range byDst[v] {
-			r.received[v] = append(r.received[v], tg.p)
-		}
+	for _, buf := range r.byDst {
+		slices.SortFunc(buf, byDelivery)
 	}
-	r.charge = r.rounds(sent, recv)
+	r.charge = r.rounds(r.sent, r.recv)
+}
+
+// byDelivery orders one destination's packets by (source, A, B).
+func byDelivery(a, b tagged) int {
+	return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.p.A, b.p.A), cmp.Compare(a.p.B, b.p.B))
 }
