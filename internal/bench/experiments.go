@@ -121,7 +121,10 @@ func E3(tp topo.Spec, seed int64) *Table {
 		t.AddRecord(recordOf("E3", tp, mu, P("mu", mu), res, time.Since(start)))
 	}
 	t.Notes = append(t.Notes,
-		"rounds·√μ/n flat ⇒ the 1/√μ tradeoff of Thm 1.2 holds (polylog drift expected)")
+		"rounds·√μ/n is for display: it stays flat only if rounds fall as 1/√μ, and at "+
+			"this n they need not, since every node waits through the routed blocks of the "+
+			"cluster with the most bucket triples per lister, whose bucket count the "+
+			"|U|^(1/3) floor can set")
 	return t
 }
 
@@ -435,7 +438,9 @@ func E11E12(tp topo.Spec, seed int64) *Table {
 		t.AddRecord(recordOf("E11/E12", tp, int64(n), P("alpha", alpha), res, time.Since(start)))
 	}
 	t.Notes = append(t.Notes,
-		"rounds/α² roughly flat ⇒ the Lemma A.2 round inflation",
+		"rounds/α² is for display: expander.NewRouter charges α² on every routed load, so "+
+			"the column is flat by construction except for the unrouted rounds (Thm B.1 "+
+			"phases, MPX clustering, barriers), which it divides by α² too",
 		"at this scale peak memory is dominated by the input adjacency and μ-sized "+
 			"chunks, not the routing embedding; the space side of the tradeoff is "+
 			"isolated in expander.TestRouterAlphaTradeoffCharges")

@@ -17,100 +17,117 @@ import (
 // Clique is a sorted list of k node ids forming a clique.
 type Clique []int
 
-// ListAll enumerates every k-clique of g by ordered extension: cliques
-// are grown in increasing node order, intersecting candidate sets with
-// rows read through g's port view, so no neighbor slice is
-// materialized. The reference algorithm for tests, and the local
-// listing of ListInEdgeSet.
+// ListAll enumerates every k-clique of g in lexicographic order, each
+// sorted ascending: the 1-cliques are g's nodes, and for k ≥ 2 it runs
+// listForward over g's edges, read from its ascending rows. The
+// reference algorithm for tests.
 func ListAll(g *graph.Graph, k int) []Clique {
-	if k < 1 {
-		return nil
-	}
-	var out []Clique
-	cur := make([]int, 0, k)
-	var extend func(cands []int)
-	extend = func(cands []int) {
-		if len(cur) == k {
-			cl := make(Clique, k)
-			copy(cl, cur)
-			out = append(out, cl)
-			return
+	if k == 1 {
+		var out []Clique
+		for v := range g.N() {
+			out = append(out, Clique{v})
 		}
-		for i, v := range cands {
-			cur = append(cur, v)
-			if len(cur) == k {
-				extend(nil)
-			} else {
-				extend(intersectRow(cands[i+1:], g, v))
+		return out
+	}
+	fwd := make([][2]int, 0, g.M())
+	for u := range g.N() {
+		for p := range g.Degree(u) {
+			if v := g.NeighborAt(u, p); v > u {
+				fwd = append(fwd, [2]int{u, v})
 			}
-			cur = cur[:len(cur)-1]
 		}
 	}
-	all := make([]int, g.N())
-	for i := range all {
-		all[i] = i
-	}
-	extend(all)
-	return out
-}
-
-// intersectRow returns the members of the sorted slice a that are
-// neighbors of v, merging a with v's ascending row port by port.
-func intersectRow(a []int, g *graph.Graph, v int) []int {
-	d := g.Degree(v)
-	out := make([]int, 0, min(len(a), d))
-	i := 0
-	for p := 0; p < d && i < len(a); p++ {
-		u := g.NeighborAt(v, p)
-		for i < len(a) && a[i] < u {
-			i++
-		}
-		if i < len(a) && a[i] == u {
-			out = append(out, u)
-			i++
-		}
-	}
-	return out
+	return listForward(fwd, k)
 }
 
 // ListInEdgeSet enumerates all k-cliques of the graph induced by the
-// given edge list (node ids arbitrary). Used by master nodes on their
-// ≤ μ-word edge batches, which may repeat an edge in either direction
-// and hold self-loops; both are ignored. A batch of fewer than C(k,2)
-// entries holds fewer distinct edges than a k-clique, so it lists
-// nothing without building a graph.
+// given edge list (node ids arbitrary), in ListAll's order. Used by
+// master nodes on their ≤ μ-word edge batches, which may repeat an edge
+// in either direction and hold self-loops; both are ignored, except
+// that at k = 1 every id in the batch is a clique. A batch of fewer
+// than C(k,2) entries holds fewer distinct edges than a k-clique, so it
+// lists nothing without sorting.
 func ListInEdgeSet(edges [][2]int, k int) []Clique {
 	if len(edges) < k*(k-1)/2 {
 		return nil
 	}
-	// A node's batch id is its rank among the batch's distinct ids, so
-	// batch cliques map back in ascending order.
-	order := make([]int, 0, 2*len(edges))
-	for _, e := range edges {
-		order = append(order, e[0], e[1])
+	if k == 1 {
+		ids := make([]int, 0, 2*len(edges))
+		for _, e := range edges {
+			ids = append(ids, e[0], e[1])
+		}
+		slices.Sort(ids)
+		var out []Clique
+		for _, v := range slices.Compact(ids) {
+			out = append(out, Clique{v})
+		}
+		return out
 	}
-	slices.Sort(order)
-	order = slices.Compact(order)
-	rank := func(id int) int {
-		i, _ := slices.BinarySearch(order, id)
-		return i
-	}
-	es := make([]graph.Edge, 0, len(edges))
+	fwd := make([][2]int, 0, len(edges))
 	for _, e := range edges {
-		if u, v := rank(e[0]), rank(e[1]); u != v {
-			es = append(es, graph.Edge{U: min(u, v), V: max(u, v)})
+		if e[0] != e[1] {
+			fwd = append(fwd, [2]int{min(e[0], e[1]), max(e[0], e[1])})
 		}
 	}
-	slices.SortFunc(es, func(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
-	g, err := graph.FromEdges(len(order), slices.Compact(es))
-	if err != nil {
-		panic(err) // unreachable: es holds distinct in-range edges without self-loops
+	slices.SortFunc(fwd, func(a, b [2]int) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+	return listForward(slices.Compact(fwd), k)
+}
+
+// listForward enumerates the k-cliques, k ≥ 2, of the graph whose edges
+// are fwd: pairs {u, v} with u < v, sorted and distinct. A node's
+// forward row, its edges to larger ids, is one run of fwd. Cliques grow
+// in increasing node order, so they come out sorted and in
+// lexicographic order: cands[d] holds the common forward neighbors of
+// the clique's first d nodes, in one buffer per depth that every
+// prefix of that length reuses.
+func listForward(fwd [][2]int, k int) []Clique {
+	if k < 2 {
+		return nil
 	}
-	out := ListAll(g, k)
-	for _, cl := range out {
-		for i, v := range cl {
-			cl[i] = order[v]
+	row := func(v int) [][2]int {
+		lo, _ := slices.BinarySearchFunc(fwd, v, func(e [2]int, v int) int { return cmp.Compare(e[0], v) })
+		hi := lo
+		for hi < len(fwd) && fwd[hi][0] == v {
+			hi++
 		}
+		return fwd[lo:hi]
+	}
+	var out []Clique
+	cur := make(Clique, k)
+	cands := make([][]int, k)
+	var extend func(d int)
+	extend = func(d int) {
+		for i, v := range cands[d] {
+			cur[d] = v
+			if d+1 == k {
+				out = append(out, slices.Clone(cur))
+				continue
+			}
+			// Merge the later candidates with v's forward row.
+			next, rest := cands[d+1][:0], cands[d][i+1:]
+			for _, e := range row(v) {
+				for len(rest) > 0 && rest[0] < e[1] {
+					rest = rest[1:]
+				}
+				if len(rest) == 0 {
+					break
+				}
+				if rest[0] == e[1] {
+					next = append(next, e[1])
+				}
+			}
+			cands[d+1] = next
+			extend(d + 1)
+		}
+	}
+	for lo := 0; lo < len(fwd); {
+		r := row(fwd[lo][0])
+		cur[0], cands[1] = fwd[lo][0], cands[1][:0]
+		for _, e := range r {
+			cands[1] = append(cands[1], e[1])
+		}
+		extend(1)
+		lo += len(r)
 	}
 	return out
 }
@@ -130,11 +147,4 @@ func Dedup(cls []Clique) []Clique {
 // SameSet reports whether two clique collections are equal as sets.
 func SameSet(a, b []Clique) bool {
 	return slices.EqualFunc(Dedup(a), Dedup(b), slices.Equal)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

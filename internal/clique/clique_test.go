@@ -3,6 +3,7 @@ package clique
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -31,28 +32,45 @@ func TestListAllSmall(t *testing.T) {
 	if k5 := ListAll(g, 5); len(k5) != 0 {
 		t.Fatalf("5-cliques in K4: %d", len(k5))
 	}
+	// The 1-cliques are the nodes, an isolated one included.
+	h, _ := graph.FromEdges(3, []graph.Edge{{U: 0, V: 2}})
+	if k1 := ListAll(h, 1); fmt.Sprint(k1) != "[[0] [1] [2]]" {
+		t.Fatalf("1-cliques of a 3-node graph: %v", k1)
+	}
+	// In an edge batch they are the batch's ids, a self-loop's too.
+	if k1 := ListInEdgeSet([][2]int{{9, 2}, {5, 5}, {2, 9}}, 1); fmt.Sprint(k1) != "[[2] [5] [9]]" {
+		t.Fatalf("1-cliques of a batch: %v", k1)
+	}
+}
+
+// messyBatch returns g's edges in the shape a master receives from
+// several multisets: every edge twice, once reversed, plus a self-loop,
+// with ids offset by off.
+func messyBatch(g *graph.Graph, off int) [][2]int {
+	var messy [][2]int
+	for _, e := range g.Edges() {
+		messy = append(messy, [2]int{off + e.V, off + e.U}, [2]int{off + e.U, off + e.V})
+	}
+	return append(messy, [2]int{off + 3, off + 3})
 }
 
 // TestListInEdgeSetMatchesListAll feeds ListInEdgeSet two batches of
-// one graph's edges: each edge once in order, and the shape a master
-// receives from several multisets — every edge twice, once reversed,
-// plus a self-loop, with ids offset by 1000. Both must list exactly
-// ListAll's cliques, each once and in ascending id order.
+// one graph's edges: each edge once in order, and messyBatch's shape
+// with ids offset by 1000. Both must list exactly ListAll's list, in
+// its lexicographic order, each clique once and in ascending id order.
 func TestListInEdgeSetMatchesListAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.Gnp(14, 0.5, rng)
 	const off = 1000
-	var plain, messy [][2]int
+	var plain [][2]int
 	for _, e := range g.Edges() {
 		plain = append(plain, [2]int{e.U, e.V})
-		messy = append(messy, [2]int{off + e.V, off + e.U}, [2]int{off + e.U, off + e.V})
 	}
-	messy = append(messy, [2]int{off + 3, off + 3})
 	for _, batch := range []struct {
 		name  string
 		edges [][2]int
 		off   int
-	}{{"plain", plain, 0}, {"messy", messy, off}} {
+	}{{"plain", plain, 0}, {"messy", messyBatch(g, off), off}} {
 		for k := 2; k <= 4; k++ {
 			var want []Clique
 			for _, cl := range ListAll(g, k) {
@@ -62,8 +80,8 @@ func TestListInEdgeSetMatchesListAll(t *testing.T) {
 				want = append(want, cl)
 			}
 			got := ListInEdgeSet(batch.edges, k)
-			if len(got) != len(want) || !SameSet(got, want) {
-				t.Fatalf("%s k=%d: edge-set listing differs (%d vs %d)", batch.name, k, len(got), len(want))
+			if !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("%s k=%d: edge-set listing differs from ListAll's list (%d vs %d cliques)", batch.name, k, len(got), len(want))
 			}
 			for _, cl := range got {
 				if !sort.IntsAreSorted(cl) {
@@ -101,6 +119,31 @@ func TestListInEdgeSetMatchesListAll(t *testing.T) {
 			if got := ListInEdgeSet(fewer, k); got != nil {
 				t.Errorf("k=%d: %v listed %v", k, fewer, got)
 			}
+		}
+	}
+}
+
+// TestListInEdgeSetAllocs pins what ListInEdgeSet allocates on
+// messyBatch of G(20, 1/2) (95 edges, 191 entries): one clique each,
+// plus the lister's buffers. Those are the forward edge list, the clique
+// being grown and the depth table (3), the doublings of the output slice
+// (at most bits.Len(cliques)+1) and of the k−1 candidate buffers, each
+// at most as long as a row (at most bits.Len(Δ)+1 each).
+func TestListInEdgeSetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	g := graph.Gnp(20, 0.5, rand.New(rand.NewSource(1)))
+	batch := messyBatch(g, 1000)
+	if len(batch) != 191 {
+		t.Fatalf("batch of %d entries, want 191", len(batch))
+	}
+	for k := 3; k <= 4; k++ {
+		cliques := len(ListAll(g, k))
+		buffers := 3 + bits.Len(uint(cliques)) + 1 + (k-1)*(bits.Len(uint(g.MaxDegree()))+1)
+		allocs := testing.AllocsPerRun(20, func() { ListInEdgeSet(batch, k) })
+		if allocs > float64(cliques+buffers) {
+			t.Errorf("k=%d: %.0f allocations for %d cliques, want at most %d beyond one per clique", k, allocs, cliques, buffers)
 		}
 	}
 }

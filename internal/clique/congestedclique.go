@@ -87,11 +87,10 @@ func newCCPlan(n, k int, mu int64) *ccPlan {
 	p.words = max(1, (n+63)/64)
 	for t, ms := range p.multisets {
 		p.masters = append(p.masters, t%n)
-		seen := map[int]bool{}
+		// ms is sorted, so a repeated group index follows its first.
 		var uni []int
-		for _, j := range ms {
-			if !seen[j] {
-				seen[j] = true
+		for i, j := range ms {
+			if i == 0 || j != ms[i-1] {
 				uni = append(uni, p.groups[j]...)
 			}
 		}
@@ -148,20 +147,29 @@ func CongestedCliqueKCliques(g *graph.Graph, k int, mu int64, router *congest.Ro
 					}
 				}
 			}
-			recv := router.Route(c, out)
-			if len(recv) > 0 {
-				c.Charge(int64(2 * len(recv))) // the ≤ O(μ) edge batch
-				edges = edges[:0]
-				for _, p := range recv {
-					edges = append(edges, [2]int{int(p.A), int(p.B)})
-				}
-				for _, cl := range ListInEdgeSet(edges, k) {
-					c.Emit(cl)
-				}
-				c.Release(int64(2 * len(recv)))
-			}
+			edges = listBatch(c, router.Route(c, out), k, edges)
 		}
 	}
+}
+
+// listBatch is a master's turn after a routed block, in E1/E2 and E3
+// alike: it holds the received edge batch (2 words per edge, ≤ O(μ))
+// while it lists the batch's k-cliques and emits them. edges is the
+// caller's buffer, reused across blocks and returned.
+func listBatch(c sim.Node, recv []congest.Packet, k int, edges [][2]int) [][2]int {
+	if len(recv) == 0 {
+		return edges
+	}
+	c.Charge(int64(2 * len(recv)))
+	edges = edges[:0]
+	for _, p := range recv {
+		edges = append(edges, [2]int{int(p.A), int(p.B)})
+	}
+	for _, cl := range ListInEdgeSet(edges, k) {
+		c.Emit(cl)
+	}
+	c.Release(int64(2 * len(recv)))
+	return edges
 }
 
 // PredictedCCRounds returns the Theorem 2.10 bound n^(k-2)/μ^(k/2-1),

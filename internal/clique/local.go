@@ -1,6 +1,8 @@
 package clique
 
 import (
+	"slices"
+
 	"mucongest/internal/graph"
 	"mucongest/internal/sim"
 )
@@ -75,17 +77,9 @@ func listLowDegree(c sim.Node, nbrs []int, bound, phases int, adjacent func(w in
 			}
 			if u < m.From { // emit each (u,w) pair once
 				tri := Clique{id, u, m.From}
-				sortClique(tri)
+				slices.Sort(tri)
 				c.Emit(tri)
 			}
-		}
-	}
-}
-
-func sortClique(c Clique) {
-	for i := 1; i < len(c); i++ {
-		for j := i; j > 0 && c[j] < c[j-1]; j-- {
-			c[j], c[j-1] = c[j-1], c[j]
 		}
 	}
 }

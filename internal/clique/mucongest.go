@@ -1,8 +1,9 @@
 package clique
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"mucongest/internal/congest"
 	"mucongest/internal/expander"
@@ -19,78 +20,100 @@ type MuTriangleConfig struct {
 	X     float64 // low-degree threshold multiplier x·n^(1/3) (default 2)
 }
 
-// muPlan is the shared oracle state of the listing driver: the evolving
-// active edge set, the per-iteration clustering and the bucket/triple
-// assignments. Node 0 mutates it between engine barriers; the one
-// other write is every node's own clusterOf slot. Every quantity is computable in the model —
-// centralizing it is a bookkeeping convenience, while all listing
+// muPlan is the shared oracle state of the listing driver: the active
+// edge set, the per-iteration clustering and the bucket/triple
+// assignments. The active edges are a mask over g's ports: the edge on
+// port p of node v is active iff active[off[v]+p], where off is the
+// prefix sum of g's degrees, so every row the plan hands out is a
+// sorted CSR row with its inactive ports skipped. deg counts each
+// node's active ports; a removed node is one with none. Node 0 mutates
+// the plan between engine barriers; the one other write is every
+// node's own clusterOf slot. Every quantity is computable in the model
+// — centralizing it is a bookkeeping convenience, while all listing
 // traffic is routed (and charged) by expander.NewRouter's router.
 type muPlan struct {
-	adj     []map[int]bool // active adjacency
-	edges   int
-	removed []bool
-	tau     int
+	g      *graph.Graph
+	off    []int  // off[v] is v's first slot in active; len n+1
+	active []bool // port mask, one slot per port
+	deg    []int  // active ports per node
+	edges  int    // active edges
 
 	clusterOf []int // per node; -1 inactive
-	// Per-cluster listing plan, rebuilt every iteration.
-	bucketOf  []map[int]int // cluster ordinal -> node -> bucket
-	sPerC     []int         // buckets per cluster
-	triples   [][][3]int    // cluster ordinal -> its full triple list
-	listers   [][]int       // cluster ordinal -> listing nodes
-	blocks    int
-	clusterIx map[int]int // cluster center -> ordinal
-	nodeCls   [][]int     // node -> cluster ordinals whose universe contains it
+	// Per-cluster listing plan, rebuilt every iteration. Clusters are
+	// numbered in ascending order of their centers.
+	triples [][][3]int     // cluster -> its bucket triples
+	listers [][]int        // cluster -> its listing nodes, ascending
+	in      [][]membership // node -> the cluster universes holding it, ascending
+	blocks  int
 }
 
+// membership is one cluster universe that holds a node: the cluster's
+// number and the node's bucket in it.
+type membership struct{ cl, bucket int }
+
 func newMuPlan(g *graph.Graph) *muPlan {
+	n := g.N()
 	p := &muPlan{
-		adj:       make([]map[int]bool, g.N()),
-		removed:   make([]bool, g.N()),
-		clusterOf: make([]int, g.N()),
+		g:         g,
+		off:       make([]int, n+1),
+		active:    slices.Repeat([]bool{true}, 2*g.M()),
+		deg:       make([]int, n),
+		edges:     g.M(),
+		clusterOf: make([]int, n),
 	}
-	for v := 0; v < g.N(); v++ {
-		p.adj[v] = make(map[int]bool, g.Degree(v))
-		for _, u := range g.Neighbors(v) {
-			p.adj[v][u] = true
-		}
-		p.edges += g.Degree(v)
+	for v := range n {
+		p.deg[v] = g.Degree(v)
+		p.off[v+1] = p.off[v] + p.deg[v]
 	}
-	p.edges /= 2
 	return p
 }
 
-// row returns v's active neighbors in ascending order.
-func (p *muPlan) row(v int) []int {
-	var nbrs []int
-	for u := range p.adj[v] {
-		nbrs = append(nbrs, u)
+// ports returns v's slots of the port mask, indexed by port.
+func (p *muPlan) ports(v int) []bool { return p.active[p.off[v]:p.off[v+1]] }
+
+// appendRow appends v's active neighbors to dst in ascending order.
+func (p *muPlan) appendRow(dst []int, v int) []int {
+	for port, on := range p.ports(v) {
+		if on {
+			dst = append(dst, p.g.NeighborAt(v, port))
+		}
 	}
-	sort.Ints(nbrs)
-	return nbrs
+	return dst
 }
 
-func (p *muPlan) activeDeg(v int) int {
-	if p.removed[v] {
-		return 0
-	}
-	return len(p.adj[v])
+// adjacent reports whether the edge {v, w} is active.
+func (p *muPlan) adjacent(v, w int) bool {
+	port := p.g.PortOf(v, w)
+	return port >= 0 && p.ports(v)[port]
 }
 
+// drop deactivates the active edge on v's port at both of its ends.
+func (p *muPlan) drop(v, port int) {
+	u := p.g.NeighborAt(v, port)
+	p.ports(v)[port] = false
+	p.ports(u)[p.g.PortOf(u, v)] = false
+	p.deg[v]--
+	p.deg[u]--
+	p.edges--
+}
+
+// removeNode drops every active edge of v.
 func (p *muPlan) removeNode(v int) {
-	for u := range p.adj[v] {
-		delete(p.adj[u], v)
-		p.edges--
+	for port, on := range p.ports(v) {
+		if on {
+			p.drop(v, port)
+		}
 	}
-	p.adj[v] = map[int]bool{}
-	p.removed[v] = true
 }
 
-func (p *muPlan) removeEdge(u, v int) {
-	if p.adj[u][v] {
-		delete(p.adj[u], v)
-		delete(p.adj[v], u)
-		p.edges--
+// bucket returns v's bucket in cluster cl, or false when cl's universe
+// does not hold v.
+func (p *muPlan) bucket(v, cl int) (int, bool) {
+	i, ok := slices.BinarySearchFunc(p.in[v], cl, func(m membership, cl int) int { return cmp.Compare(m.cl, cl) })
+	if !ok {
+		return 0, false
 	}
+	return p.in[v][i].bucket, true
 }
 
 // MuCongestTriangles implements Theorem 1.2's architecture: iterate
@@ -115,11 +138,7 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *congest.Router) func(sim.N
 		cfg.Alpha = 1
 	}
 	plan := newMuPlan(g)
-	tau := int(math.Ceil(cfg.X * math.Pow(float64(n), 1.0/3)))
-	if tau < 2 {
-		tau = 2
-	}
-	plan.tau = tau
+	tau := max(2, int(math.Ceil(cfg.X*math.Pow(float64(n), 1.0/3))))
 	mpxHorizon := int(8*math.Log(float64(n)+2)/cfg.Beta) + 4
 	maxIter := 4*int(math.Log2(float64(g.M()+2))) + 8
 
@@ -128,13 +147,20 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *congest.Router) func(sim.N
 		c.Charge(int64(g.Degree(id)))
 		defer c.Release(int64(g.Degree(id)))
 
+		// The buffers are reused: Route is done with out when it
+		// returns, listBatch with edges, and the Theorem B.1 protocol and
+		// the MPX race with row.
+		var row []int
+		var out []congest.Packet
+		var edges [][2]int
 		for iter := 0; iter < maxIter; iter++ {
 			if plan.edges == 0 {
 				return
 			}
 			// Phase A: low-degree nodes list their triangles (Thm B.1)
 			// over the active subgraph.
-			listLowDegree(c, plan.row(id), tau, tau, func(w int) bool { return plan.adj[id][w] })
+			row = plan.appendRow(row[:0], id)
+			listLowDegree(c, row, tau, tau, func(w int) bool { return plan.adjacent(id, w) })
 			// Barrier: node 0 removes the listed nodes.
 			c.Tick()
 			if id == 0 {
@@ -143,8 +169,8 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *congest.Router) func(sim.N
 				// Removing as we scan would cascade onto nodes whose
 				// degree only dropped below τ mid-loop.
 				var toRemove []int
-				for v := 0; v < n; v++ {
-					if !plan.removed[v] && plan.activeDeg(v) <= tau {
+				for v, d := range plan.deg {
+					if d > 0 && d <= tau {
 						toRemove = append(toRemove, v)
 					}
 				}
@@ -158,7 +184,7 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *congest.Router) func(sim.N
 			}
 			// Phase B: MPX clustering of the remaining graph. Each node
 			// writes only its own slot; node 0 reads them after the tick.
-			row := plan.row(id)
+			row = plan.appendRow(row[:0], id)
 			plan.clusterOf[id] = expander.MPXRace(c, row, len(row) > 0, cfg.Beta, mpxHorizon)
 			c.Tick()
 			if id == 0 {
@@ -167,27 +193,16 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *congest.Router) func(sim.N
 			c.Tick()
 			// Phase C: chunked triple delivery and listing.
 			for blk := 0; blk < plan.blocks; blk++ {
-				out := packetsFor(plan, id, blk)
-				recv := router.Route(c, out)
-				if len(recv) > 0 {
-					c.Charge(int64(2 * len(recv)))
-					edges := make([][2]int, len(recv))
-					for i, p := range recv {
-						edges[i] = [2]int{int(p.A), int(p.B)}
-					}
-					for _, tri := range ListInEdgeSet(edges, 3) {
-						c.Emit(tri)
-					}
-					c.Release(int64(2 * len(recv)))
-				}
+				out = packetsFor(plan, id, blk, out[:0])
+				edges = listBatch(c, router.Route(c, out), 3, edges)
 			}
 			// Barrier: node 0 removes intra-cluster edges.
 			c.Tick()
 			if id == 0 {
-				for v := 0; v < n; v++ {
-					for u := range plan.adj[v] {
-						if v < u && plan.clusterOf[v] >= 0 && plan.clusterOf[v] == plan.clusterOf[u] {
-							plan.removeEdge(v, u)
+				for v, cl := range plan.clusterOf {
+					for port, on := range plan.ports(v) {
+						if u := g.NeighborAt(v, port); on && u > v && cl >= 0 && plan.clusterOf[u] == cl {
+							plan.drop(v, port)
 						}
 					}
 				}
@@ -200,85 +215,59 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *congest.Router) func(sim.N
 // buildListingPlan (node 0, between barriers) derives buckets, degree-
 // class listing sets and triple assignments per cluster.
 func buildListingPlan(plan *muPlan, mu int64, rng interface{ Intn(int) int }) {
-	n := len(plan.adj)
-	members := map[int][]int{}
-	for v := 0; v < n; v++ {
-		if cl := plan.clusterOf[v]; cl >= 0 && !plan.removed[v] {
+	n := len(plan.deg)
+	members := make([][]int, n) // cluster center -> its nodes, ascending
+	for v, cl := range plan.clusterOf {
+		if cl >= 0 {
 			members[cl] = append(members[cl], v)
 		}
 	}
-	plan.clusterIx = map[int]int{}
-	plan.bucketOf = nil
-	plan.sPerC = nil
-	plan.listers = nil
-	plan.nodeCls = make([][]int, n)
-	var allTriples [][][3]int
-	plan.blocks = 0
-	centers := make([]int, 0, len(members))
-	for cl := range members {
-		centers = append(centers, cl)
-	}
-	sort.Ints(centers)
-	for _, cl := range centers {
-		mem := members[cl]
+	plan.triples, plan.listers, plan.blocks = nil, nil, 0
+	plan.in = make([][]membership, n)
+	var uni []int
+	for _, mem := range members {
 		// Universe: members plus boundary; m̃ = edges incident to the cluster.
-		uni := map[int]bool{}
+		uni = append(uni[:0], mem...)
 		mTilde := 0
 		for _, v := range mem {
-			uni[v] = true
-		}
-		for _, v := range mem {
-			for u := range plan.adj[v] {
-				uni[u] = true
-				mTilde++
-			}
+			uni = plan.appendRow(uni, v)
+			mTilde += plan.deg[v]
 		}
 		// Edges inside counted twice, boundary once; close enough for s.
 		mTilde = (mTilde + 1) / 2
 		if mTilde == 0 {
 			continue
 		}
-		ord := len(plan.sPerC)
-		plan.clusterIx[cl] = ord
+		slices.Sort(uni)
+		uni = slices.Compact(uni)
+		cl := len(plan.listers)
 		// Listing set: dominant degree class among members (Lemma B.5
-		// bucketing — at least a 1/log n fraction of the bandwidth).
-		classDeg := map[int]int{}
+		// bucketing — at least a 1/log n fraction of the bandwidth),
+		// the lowest class on a tie.
+		var classDeg [64]int
 		for _, v := range mem {
-			classDeg[degClass(plan.activeDeg(v))] += plan.activeDeg(v)
+			classDeg[congest.DegreeClass(plan.deg[v])] += plan.deg[v]
 		}
-		bestClass, bestW := 0, -1
+		best := 0
 		for cls, w := range classDeg {
-			if w > bestW || (w == bestW && cls < bestClass) {
-				bestClass, bestW = cls, w
+			if w > classDeg[best] {
+				best = cls
 			}
 		}
 		var listers []int
 		for _, v := range mem {
-			if degClass(plan.activeDeg(v)) == bestClass {
+			if congest.DegreeClass(plan.deg[v]) == best {
 				listers = append(listers, v)
 			}
 		}
-		sort.Ints(listers)
-		s := int(math.Ceil(math.Sqrt(float64(2*mTilde) / float64(max64(1, mu)))))
-		if s < 1 {
-			s = 1
-		}
+		s := int(math.Ceil(math.Sqrt(float64(2*mTilde) / float64(max(1, mu)))))
 		// Lower-bound s by |U|^(1/3), the A-set regime of Appendix B
 		// (m̃/n^(2/3) ≤ μ): without it the bucket count degenerates and
 		// the chunks concentrate on one listing node, losing both the
 		// parallelism and the 1/√μ round scaling.
-		if floor := int(math.Ceil(math.Cbrt(float64(len(uni))))); s < floor {
-			s = floor
-		}
-		buckets := make(map[int]int, len(uni))
-		uniSorted := make([]int, 0, len(uni))
-		for v := range uni {
-			uniSorted = append(uniSorted, v)
-		}
-		sort.Ints(uniSorted)
-		for _, v := range uniSorted {
-			buckets[v] = rng.Intn(s)
-			plan.nodeCls[v] = append(plan.nodeCls[v], ord)
+		s = max(s, 1, int(math.Ceil(math.Cbrt(float64(len(uni))))))
+		for _, v := range uni {
+			plan.in[v] = append(plan.in[v], membership{cl, rng.Intn(s)})
 		}
 		// All bucket triples (multisets), assigned round-robin.
 		var triples [][3]int
@@ -289,48 +278,32 @@ func buildListingPlan(plan *muPlan, mu int64, rng interface{ Intn(int) int }) {
 				}
 			}
 		}
-		blocks := (len(triples) + len(listers) - 1) / len(listers)
-		if blocks > plan.blocks {
-			plan.blocks = blocks
-		}
-		plan.sPerC = append(plan.sPerC, s)
-		plan.bucketOf = append(plan.bucketOf, buckets)
+		plan.blocks = max(plan.blocks, (len(triples)+len(listers)-1)/len(listers))
 		plan.listers = append(plan.listers, listers)
-		allTriples = append(allTriples, triples)
+		plan.triples = append(plan.triples, triples)
 	}
-	plan.triples = allTriples
 }
 
-// packetsFor computes the edges node id must ship in the given block:
-// for every cluster whose universe contains it, every owned active edge
-// whose endpoints' buckets both lie in a triple assigned this block.
-func packetsFor(plan *muPlan, id, blk int) []congest.Packet {
-	var out []congest.Packet
-	for _, ord := range plan.nodeCls[id] {
-		buckets := plan.bucketOf[ord]
-		listers := plan.listers[ord]
-		triples := plan.triples[ord]
+// packetsFor appends to out the edges node id must ship in the given
+// block: for every cluster whose universe holds it, every owned active
+// edge whose endpoints' buckets both lie in a triple assigned this
+// block.
+func packetsFor(plan *muPlan, id, blk int, out []congest.Packet) []congest.Packet {
+	for _, m := range plan.in[id] {
+		listers, triples := plan.listers[m.cl], plan.triples[m.cl]
 		lo := blk * len(listers)
-		hi := lo + len(listers)
-		if hi > len(triples) {
-			hi = len(triples)
-		}
-		for ti := lo; ti < hi; ti++ {
-			tri := triples[ti]
-			lister := listers[ti-lo]
-			bu, okU := buckets[id]
-			if !okU || !inTriple(tri, bu) {
+		for ti := lo; ti < min(lo+len(listers), len(triples)); ti++ {
+			if !inTriple(triples[ti], m.bucket) {
 				continue
 			}
-			for w := range plan.adj[id] {
-				if w < id {
+			for port, on := range plan.ports(id) {
+				w := plan.g.NeighborAt(id, port)
+				if !on || w < id {
 					continue // owner = smaller endpoint
 				}
-				bw, okW := buckets[w]
-				if !okW || !inTriple(tri, bw) {
-					continue
+				if bw, ok := plan.bucket(w, m.cl); ok && inTriple(triples[ti], bw) {
+					out = append(out, congest.Packet{Dst: listers[ti-lo], A: int64(id), B: int64(w)})
 				}
-				out = append(out, congest.Packet{Dst: lister, A: int64(id), B: int64(w)})
 			}
 		}
 	}
@@ -338,22 +311,6 @@ func packetsFor(plan *muPlan, id, blk int) []congest.Packet {
 }
 
 func inTriple(t [3]int, b int) bool { return t[0] == b || t[1] == b || t[2] == b }
-
-func degClass(d int) int {
-	c := 0
-	for d > 1 {
-		d >>= 1
-		c++
-	}
-	return c
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // RunMuCongestTriangles executes the listing and returns the deduped
 // triangles plus run statistics.

@@ -1,7 +1,10 @@
 package clique
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mucongest/internal/graph"
@@ -100,5 +103,51 @@ func TestMuCongestDeterministicAcrossRuns(t *testing.T) {
 	if !SameSet(a, b) || resA.Rounds != resB.Rounds {
 		t.Fatalf("non-deterministic: %d/%d triangles, %d/%d rounds",
 			len(a), len(b), resA.Rounds, resB.Rounds)
+	}
+}
+
+// TestMuCongestTrianglesPinned pins the Theorem 1.2 listing's schedule
+// on G(48, 1/2) at seeds 1–3, μ ∈ {Δ, 4Δ} and α ∈ {1, 2}: rounds,
+// messages and a digest of every node's peak words. A change to the
+// listing plan or the batch lister that moves a bucket draw, a packet,
+// a charge or a round moves one of these. The triangles must equal
+// ListAll's.
+func TestMuCongestTrianglesPinned(t *testing.T) {
+	for _, pin := range []struct {
+		seed            int64
+		muPerDelta      int64
+		alpha           int
+		rounds          int
+		messages        int64
+		peakWordsDigest uint64
+	}{
+		{1, 1, 1, 2356, 1288, 0x44badc8eae37023c},
+		{1, 1, 2, 8728, 1288, 0x5eab0f0927113ef3},
+		{1, 4, 1, 2392, 1288, 0xa11c6e00aea00613},
+		{1, 4, 2, 8872, 1288, 0xf53caca87eaf22cd},
+		{2, 1, 1, 900, 1158, 0x8748341bd65bde25},
+		{2, 1, 2, 3276, 1158, 0xe721278335b6f45c},
+		{2, 4, 1, 1006, 1158, 0x9ef0934e1fc78cd},
+		{2, 4, 2, 3706, 1158, 0x736150e8dce75aba},
+		{3, 1, 1, 972, 1108, 0xbee2cdd548f36c2b},
+		{3, 1, 2, 3564, 1108, 0x9269b3eb79f03908},
+		{3, 4, 1, 862, 1108, 0xa85442befe13b66e},
+		{3, 4, 2, 3130, 1108, 0xfbecf543c17586d1},
+	} {
+		g := graph.Gnp(48, 0.5, rand.New(rand.NewSource(pin.seed)))
+		mu := pin.muPerDelta * int64(g.MaxDegree())
+		got, res, err := RunMuCongestTriangles(MuTriangleConfig{G: g, Mu: mu, Alpha: pin.alpha}, sim.WithSeed(pin.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		fmt.Fprint(h, res.PeakWords)
+		if res.Rounds != pin.rounds || res.Messages != pin.messages || h.Sum64() != pin.peakWordsDigest {
+			t.Errorf("seed %d μ=%d α=%d: rounds %d, messages %d, peak-words digest %#x; want %d, %d, %#x",
+				pin.seed, mu, pin.alpha, res.Rounds, res.Messages, h.Sum64(), pin.rounds, pin.messages, pin.peakWordsDigest)
+		}
+		if want := ListAll(g, 3); !slices.EqualFunc(got, want, slices.Equal) {
+			t.Errorf("seed %d μ=%d α=%d: listed %d triangles, want ListAll's %d", pin.seed, mu, pin.alpha, len(got), len(want))
+		}
 	}
 }
