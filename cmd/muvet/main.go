@@ -39,7 +39,8 @@ import (
 // when analyzer behavior changes so cached clean verdicts are retired.
 // 2.0.0: CFG/dataflow core, step-contract analyzers (stepblock,
 // stepalias, ctxretain), inboxalias and hotalloc rebased onto the CFG.
-const version = "muvet-2.0.0"
+// 2.0.1: hotalloc reports a slice conversion only for a string operand.
+const version = "muvet-2.0.1"
 
 func main() {
 	args := os.Args[1:]

@@ -2,6 +2,7 @@ package clique
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -398,9 +399,12 @@ func TestCongestedCliqueRoundsDecreaseWithMu(t *testing.T) {
 // scales are too small to show.
 //
 // The schedule runs one NewOracleRouter Route per cover block, and the
-// plan's block count is cover.Size of its largest multiset universe
-// with sets of at most b = max(k, ⌊√μ⌋) nodes (k groups of ⌊b/k⌋).
-// Route costs 2 rounds (the agreement tick and the first round of its
+// plan's block count, derived here from (n, k, μ) alone, is cover.Size
+// of its largest multiset universe with sets of at most
+// b = max(k, ⌊√μ⌋) nodes (k groups of ⌊b/k⌋). The nodes fall into
+// gc = ⌈n/s⌉ groups of at most s = ⌈n/⌊n^(1/k)⌋⌉ consecutive ids, all
+// but the last full, so the largest universe joins k full groups, or
+// all n nodes when gc ≤ k: min(n, k·s) nodes. Route costs 2 rounds (the agreement tick and the first round of its
 // sleep), plus ⌈L/(n−1)⌉+1 charged rounds when the block's load L (the
 // larger of the most packets one node sends and the most one node
 // receives) is positive. So every block costs between 2 and
@@ -415,13 +419,14 @@ func TestCongestedCliqueRoundsPerBlock(t *testing.T) {
 		k, n := c.k, c.n
 		maxMu := int64(math.Pow(float64(n), 2-2/float64(k)))
 		for mu := int64(n); mu <= maxMu; mu *= 2 {
-			plan := newCCPlan(n, k, mu)
 			b := max(k, int(math.Sqrt(float64(mu))))
-			blocks := 0
-			for _, uni := range plan.universes {
-				blocks = max(blocks, cover.Size(len(uni), b, k))
+			root := max(1, int(math.Pow(float64(n), 1/float64(k))))
+			size := (n + root - 1) / root
+			gc := (n + size - 1) / size
+			blocks := cover.Size(min(n, k*size), b, k)
+			if got := newCCPlan(n, k, mu).blocks; got != blocks {
+				t.Fatalf("k=%d n=%d μ=%d: the plan has %d blocks, want %d", k, n, mu, got, blocks)
 			}
-			gc := len(plan.groups)
 			T, Tv := multichoose(gc, k), multichoose(gc, k-1)
 			loadBound := max(Tv*(b-1), (T+n-1)/n*b*(b-1)/2)
 			hi := 3 + (loadBound+n-2)/(n-1)
@@ -476,6 +481,86 @@ func TestCongestedCliqueSingleNode(t *testing.T) {
 	// L more: here 1.
 	if res.Rounds != 3 {
 		t.Errorf("rounds = %d, want 3", res.Rounds)
+	}
+}
+
+// TestCongestedCliquePinned pins the Theorem 2.10 listing's schedule on
+// G(n, 1/2) for k ∈ {3, 4}, node groups of equal and unequal sizes,
+// seeds 1–3 and μ ∈ {n, 2n, 4n}: rounds, a digest of every node's peak
+// words, and a digest of every block's per-node sent and received
+// packet counts, which the router's charge function hashes. E1/E2
+// records count no messages, because the router exchanges centrally,
+// so a plan change that moves a packet to another node or block shows
+// here first. The cliques must equal ListAll's. At k = 4 and these n,
+// μ = 2n would repeat μ = n's schedule (both give inner groups of
+// ⌊⌊√μ⌋/4⌋ = 1 node), so k = 4 runs μ ∈ {n, 4n}.
+func TestCongestedCliquePinned(t *testing.T) {
+	for _, pin := range []struct {
+		k, n            int
+		seed            int64
+		muPerN          int64
+		rounds          int
+		peakWordsDigest uint64
+		loadsDigest     uint64
+	}{
+		{3, 23, 1, 1, 8268, 0x275549c6545ba38c, 0x9ce41ac82854e6d3},
+		{3, 23, 1, 2, 1426, 0x14773aa694ae3248, 0xce5b3add389ea1c9},
+		{3, 23, 1, 4, 476, 0x7ceab1d1c0408d03, 0xa12c713ee1107c1},
+		{3, 23, 2, 1, 8464, 0x8bf10e6b07464336, 0x9bc6934fa67f7657},
+		{3, 23, 2, 2, 1444, 0x95eca1f7922528b, 0x7aa613c6d9e43f2e},
+		{3, 23, 2, 4, 483, 0x6f91660a4d10d217, 0x6db168fc7b2358cd},
+		{3, 23, 3, 1, 8366, 0xdd0deca47722619a, 0x7fd0b71b833f6843},
+		{3, 23, 3, 2, 1432, 0x290031a9a60edaa8, 0x70c61ab37708a374},
+		{3, 23, 3, 4, 484, 0x1d06f949716e8e1c, 0xee3f75cf9d16c750},
+		{3, 32, 1, 1, 22368, 0xb563eecdc1d783f0, 0xc7dbb07ee6fe15fa},
+		{3, 32, 1, 2, 3252, 0x6715dc72d51818a7, 0x65f12dfa50f2608b},
+		{3, 32, 1, 4, 1142, 0x3f42660377fb728, 0x7bb7c6cca0615fde},
+		{3, 32, 2, 1, 22530, 0xce064acf505e2a69, 0x7f356359151459ba},
+		{3, 32, 2, 2, 3248, 0x815dd5c2b5a407d5, 0x9468b175276d9cc0},
+		{3, 32, 2, 4, 1141, 0x34be5ccd6722ddec, 0x78167c78a4f962d9},
+		{3, 32, 3, 1, 22370, 0xbcdbf05fa9b4d56b, 0xff98db81b4801b4b},
+		{3, 32, 3, 2, 3252, 0xda076aef9cfd6aee, 0xad8e71fc88c23412},
+		{3, 32, 3, 4, 1144, 0x28232af378b8ac9a, 0x2ffffc68bdfdec55},
+		{4, 17, 1, 1, 18346, 0x235c6a8601277944, 0x61bf07cd6f833613},
+		{4, 17, 1, 4, 1985, 0xb4aa1615d9a186fa, 0x4d3a4721112bca13},
+		{4, 17, 2, 1, 18640, 0x80bb7a4f240c1557, 0xcf1af13911987d31},
+		{4, 17, 2, 4, 1999, 0xcf97db0bfd148a03, 0xe4f894501797e34c},
+		{4, 17, 3, 1, 18156, 0x7f90996c1c00fc5e, 0xf2af873f7acb975f},
+		{4, 17, 3, 4, 1946, 0x712eca6b2ca3deb3, 0x99f1c405992aedef},
+		{4, 20, 1, 1, 33842, 0x6bedae561746f174, 0x91823afea52a8f07},
+		{4, 20, 1, 4, 2854, 0x53a4f7abe745c0da, 0xb8d54d0b6d38825e},
+		{4, 20, 2, 1, 34188, 0x476063f73165fb4e, 0xdab7a163ed969189},
+		{4, 20, 2, 4, 2870, 0xf253be2b0b8f0984, 0x54e78ba7ba2f5ade},
+		{4, 20, 3, 1, 33898, 0x82d06eb44d2b4742, 0x46047b4a278d4fcd},
+		{4, 20, 3, 4, 2846, 0xea82d577ece513e9, 0xf1fb4630ad44f5cb},
+	} {
+		n := pin.n
+		g := graph.Gnp(n, 0.5, rand.New(rand.NewSource(pin.seed)))
+		mu := pin.muPerN * int64(n)
+		// NewOracleRouter's Lemma 2.9 charge, hashing the loads first.
+		loads := fnv.New64a()
+		router := congest.NewRouter(n, func(sent, recv []int) int {
+			fmt.Fprint(loads, sent, recv)
+			load := max(slices.Max(sent), slices.Max(recv))
+			if load == 0 {
+				return 0
+			}
+			return (load+n-2)/max(1, n-1) + 1
+		}, nil)
+		prog := CongestedCliqueKCliques(g, pin.k, mu, router)
+		res, err := sim.New(sim.NewComplete(n), sim.WithSeed(pin.seed)).Run(func(c *sim.Ctx) { prog(c) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		peaks := fnv.New64a()
+		fmt.Fprint(peaks, res.PeakWords)
+		if res.Rounds != pin.rounds || peaks.Sum64() != pin.peakWordsDigest || loads.Sum64() != pin.loadsDigest {
+			t.Errorf("k=%d n=%d seed %d μ=%d: rounds %d, peak-words digest %#x, loads digest %#x; want %d, %#x, %#x",
+				pin.k, n, pin.seed, mu, res.Rounds, peaks.Sum64(), loads.Sum64(), pin.rounds, pin.peakWordsDigest, pin.loadsDigest)
+		}
+		if got, want := CollectTriangles(res), ListAll(g, pin.k); !slices.EqualFunc(got, want, slices.Equal) {
+			t.Errorf("k=%d n=%d seed %d μ=%d: listed %d cliques, want ListAll's %d", pin.k, n, pin.seed, mu, len(got), len(want))
+		}
 	}
 }
 

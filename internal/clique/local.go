@@ -84,8 +84,11 @@ func listLowDegree(c sim.Node, nbrs []int, bound, phases int, adjacent func(w in
 	}
 }
 
-// CollectTriangles extracts emitted Clique values from a sim result and
-// dedups them.
+// CollectTriangles extracts the emitted Clique values from a sim result
+// and returns each distinct one once, in lexicographic order. Every
+// lister emits its cliques sorted ascending, so they are not copied: the
+// result shares its cliques with res.Outputs. Dedup the values instead
+// when they may be unsorted.
 func CollectTriangles(res *sim.Result) []Clique {
 	var out []Clique
 	for _, outs := range res.Outputs {
@@ -95,5 +98,6 @@ func CollectTriangles(res *sim.Result) []Clique {
 			}
 		}
 	}
-	return Dedup(out)
+	slices.SortFunc(out, slices.Compare)
+	return slices.CompactFunc(out, slices.Equal)
 }

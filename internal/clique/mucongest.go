@@ -1,7 +1,6 @@
 package clique
 
 import (
-	"cmp"
 	"math"
 	"slices"
 
@@ -21,16 +20,19 @@ type MuTriangleConfig struct {
 }
 
 // muPlan is the shared oracle state of the listing driver: the active
-// edge set, the per-iteration clustering and the bucket/triple
-// assignments. The active edges are a mask over g's ports: the edge on
-// port p of node v is active iff active[off[v]+p], where off is the
-// prefix sum of g's degrees, so every row the plan hands out is a
-// sorted CSR row with its inactive ports skipped. deg counts each
-// node's active ports; a removed node is one with none. Node 0 mutates
-// the plan between engine barriers; the one other write is every
-// node's own clusterOf slot. Every quantity is computable in the model
-// — centralizing it is a bookkeeping convenience, while all listing
-// traffic is routed (and charged) by expander.NewRouter's router.
+// edge set, the per-iteration clustering and the listing schedule. The
+// active edges are a mask over g's ports: the edge on port p of node v
+// is active iff active[off[v]+p], where off is the prefix sum of g's
+// degrees, so every row the plan hands out is a sorted CSR row with its
+// inactive ports skipped. deg counts each node's active ports; a
+// removed node is one with none. sched holds one universe per cluster
+// with edges, numbered in ascending order of the clusters' centers: its
+// groups are the buckets and its listers the dominant degree class, so
+// its sets are the bucket triples. Node 0 mutates the plan between
+// engine barriers; the one other write is every node's own clusterOf
+// slot. Every quantity is computable in the model — centralizing it is
+// a bookkeeping convenience, while all listing traffic is routed (and
+// charged) by expander.NewRouter's router.
 type muPlan struct {
 	g      *graph.Graph
 	off    []int  // off[v] is v's first slot in active; len n+1
@@ -38,18 +40,9 @@ type muPlan struct {
 	deg    []int  // active ports per node
 	edges  int    // active edges
 
-	clusterOf []int // per node; -1 inactive
-	// Per-cluster listing plan, rebuilt every iteration. Clusters are
-	// numbered in ascending order of their centers.
-	triples [][][3]int     // cluster -> its bucket triples
-	listers [][]int        // cluster -> its listing nodes, ascending
-	in      [][]membership // node -> the cluster universes holding it, ascending
-	blocks  int
+	clusterOf []int     // per node; -1 inactive
+	sched     *schedule // rebuilt every iteration
 }
-
-// membership is one cluster universe that holds a node: the cluster's
-// number and the node's bucket in it.
-type membership struct{ cl, bucket int }
 
 func newMuPlan(g *graph.Graph) *muPlan {
 	n := g.N()
@@ -106,16 +99,6 @@ func (p *muPlan) removeNode(v int) {
 	}
 }
 
-// bucket returns v's bucket in cluster cl, or false when cl's universe
-// does not hold v.
-func (p *muPlan) bucket(v, cl int) (int, bool) {
-	i, ok := slices.BinarySearchFunc(p.in[v], cl, func(m membership, cl int) int { return cmp.Compare(m.cl, cl) })
-	if !ok {
-		return 0, false
-	}
-	return p.in[v][i].bucket, true
-}
-
 // MuCongestTriangles implements Theorem 1.2's architecture: iterate
 // {list-and-remove low-degree nodes (Theorem B.1); cluster the rest
 // (MPX low-diameter decomposition, the §A.3.1 primitive); within each
@@ -148,8 +131,8 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *congest.Router) func(sim.N
 		defer c.Release(int64(g.Degree(id)))
 
 		// The buffers are reused: Route is done with out when it
-		// returns, listBatch with edges, and the Theorem B.1 protocol and
-		// the MPX race with row.
+		// returns, listBatch with edges, and the Theorem B.1 protocol, the
+		// MPX race and the phase C packets with row.
 		var row []int
 		var out []congest.Packet
 		var edges [][2]int
@@ -192,8 +175,9 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *congest.Router) func(sim.N
 			}
 			c.Tick()
 			// Phase C: chunked triple delivery and listing.
-			for blk := 0; blk < plan.blocks; blk++ {
-				out = packetsFor(plan, id, blk, out[:0])
+			row = plan.appendRow(row[:0], id)
+			for blk := 0; blk < plan.sched.blocks; blk++ {
+				out = plan.sched.appendPackets(out[:0], blk, id, row)
 				edges = listBatch(c, router.Route(c, out), 3, edges)
 			}
 			// Barrier: node 0 removes intra-cluster edges.
@@ -212,8 +196,9 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *congest.Router) func(sim.N
 	}
 }
 
-// buildListingPlan (node 0, between barriers) derives buckets, degree-
-// class listing sets and triple assignments per cluster.
+// buildListingPlan (node 0, between barriers) adds each cluster with
+// edges to a new schedule: its buckets, drawn over its universe in
+// ascending node order, and its degree-class listers.
 func buildListingPlan(plan *muPlan, mu int64, rng interface{ Intn(int) int }) {
 	n := len(plan.deg)
 	members := make([][]int, n) // cluster center -> its nodes, ascending
@@ -222,8 +207,7 @@ func buildListingPlan(plan *muPlan, mu int64, rng interface{ Intn(int) int }) {
 			members[cl] = append(members[cl], v)
 		}
 	}
-	plan.triples, plan.listers, plan.blocks = nil, nil, 0
-	plan.in = make([][]membership, n)
+	plan.sched = newSchedule(n)
 	var uni []int
 	for _, mem := range members {
 		// Universe: members plus boundary; m̃ = edges incident to the cluster.
@@ -240,7 +224,6 @@ func buildListingPlan(plan *muPlan, mu int64, rng interface{ Intn(int) int }) {
 		}
 		slices.Sort(uni)
 		uni = slices.Compact(uni)
-		cl := len(plan.listers)
 		// Listing set: dominant degree class among members (Lemma B.5
 		// bucketing — at least a 1/log n fraction of the bandwidth),
 		// the lowest class on a tie.
@@ -266,51 +249,15 @@ func buildListingPlan(plan *muPlan, mu int64, rng interface{ Intn(int) int }) {
 		// the chunks concentrate on one listing node, losing both the
 		// parallelism and the 1/√μ round scaling.
 		s = max(s, 1, int(math.Ceil(math.Cbrt(float64(len(uni))))))
+		buckets := make([][]int, s)
 		for _, v := range uni {
-			plan.in[v] = append(plan.in[v], membership{cl, rng.Intn(s)})
+			b := rng.Intn(s)
+			buckets[b] = append(buckets[b], v)
 		}
-		// All bucket triples (multisets), assigned round-robin.
-		var triples [][3]int
-		for a := 0; a < s; a++ {
-			for b := a; b < s; b++ {
-				for cc := b; cc < s; cc++ {
-					triples = append(triples, [3]int{a, b, cc})
-				}
-			}
-		}
-		plan.blocks = max(plan.blocks, (len(triples)+len(listers)-1)/len(listers))
-		plan.listers = append(plan.listers, listers)
-		plan.triples = append(plan.triples, triples)
+		// Its sets are the bucket triples, dealt round-robin to listers.
+		plan.sched.add(listers, buckets, 3)
 	}
 }
-
-// packetsFor appends to out the edges node id must ship in the given
-// block: for every cluster whose universe holds it, every owned active
-// edge whose endpoints' buckets both lie in a triple assigned this
-// block.
-func packetsFor(plan *muPlan, id, blk int, out []congest.Packet) []congest.Packet {
-	for _, m := range plan.in[id] {
-		listers, triples := plan.listers[m.cl], plan.triples[m.cl]
-		lo := blk * len(listers)
-		for ti := lo; ti < min(lo+len(listers), len(triples)); ti++ {
-			if !inTriple(triples[ti], m.bucket) {
-				continue
-			}
-			for port, on := range plan.ports(id) {
-				w := plan.g.NeighborAt(id, port)
-				if !on || w < id {
-					continue // owner = smaller endpoint
-				}
-				if bw, ok := plan.bucket(w, m.cl); ok && inTriple(triples[ti], bw) {
-					out = append(out, congest.Packet{Dst: listers[ti-lo], A: int64(id), B: int64(w)})
-				}
-			}
-		}
-	}
-	return out
-}
-
-func inTriple(t [3]int, b int) bool { return t[0] == b || t[1] == b || t[2] == b }
 
 // RunMuCongestTriangles executes the listing and returns the deduped
 // triangles plus run statistics.

@@ -17,7 +17,8 @@ import (
 //   - make / new calls;
 //   - append onto a freshly made slice or slice literal (uncapped
 //     growth every call);
-//   - string concatenation and string<->[]byte conversions;
+//   - string concatenation and string<->[]byte conversions (a
+//     conversion between slice types copies nothing and passes);
 //   - function literals capturing outer variables (potential closure
 //     allocation);
 //   - explicit conversions to an interface type (boxing).
@@ -250,11 +251,15 @@ func checkHotCall(pass *analysis.Pass, fn *ast.FuncDecl, call *ast.CallExpr, rep
 			return
 		}
 	}
-	// Explicit conversions: []byte(s) and interface boxing T(x).
+	// Explicit conversions: []byte(s) copies its string, and T(x) to an
+	// interface boxes x. A conversion between slice types shares the
+	// operand's backing array, so only a string operand is reported.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		switch tv.Type.Underlying().(type) {
 		case *types.Slice:
-			report(call.Pos(), "slice conversion allocates in hot path %s", fn.Name.Name)
+			if len(call.Args) == 1 && isStringType(info, call.Args[0]) {
+				report(call.Pos(), "slice conversion allocates in hot path %s", fn.Name.Name)
+			}
 		case *types.Interface:
 			report(call.Pos(), "interface conversion boxes its operand in hot path %s", fn.Name.Name)
 		}

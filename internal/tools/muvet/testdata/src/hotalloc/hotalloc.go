@@ -54,6 +54,20 @@ func (r *ring) stringify(b []byte) string {
 }
 
 //muvet:hotpath
+func (r *ring) bytes(s string) []byte {
+	return []byte(s) // want `slice conversion allocates in hot path bytes`
+}
+
+// words is a named slice type: converting to it from []int shares the
+// backing array, so it allocates nothing.
+type words []int
+
+//muvet:hotpath
+func (r *ring) view() words {
+	return words(r.buf)
+}
+
+//muvet:hotpath
 func (r *ring) closure(v int) func() int {
 	return func() int { return v } // want `capturing closure in hot path closure`
 }
