@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"mucongest/internal/graph"
 	"mucongest/internal/topo"
@@ -37,7 +39,7 @@ func main() {
 	fmt.Printf("sketch rounds:           %d\n", res.SketchRounds)
 	fmt.Printf("exact-refinement rounds: %d\n", res.RefineRounds)
 	fmt.Printf("heavy colors (≥ ε·T):    %v\n", res.HeavyColors)
-	for col, cnt := range res.ExactCounts {
-		fmt.Printf("  color %d: %d monochromatic triangles\n", col, cnt)
+	for _, col := range slices.Sorted(maps.Keys(res.ExactCounts)) {
+		fmt.Printf("  color %d: %d monochromatic triangles\n", col, res.ExactCounts[col])
 	}
 }

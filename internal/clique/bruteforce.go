@@ -131,20 +131,3 @@ func listForward(fwd [][2]int, k int) []Clique {
 	}
 	return out
 }
-
-// Dedup returns the set union of cliques, each sorted ascending, in
-// lexicographic order.
-func Dedup(cls []Clique) []Clique {
-	out := make([]Clique, len(cls))
-	for i, c := range cls {
-		out[i] = slices.Clone(c)
-		slices.Sort(out[i])
-	}
-	slices.SortFunc(out, slices.Compare)
-	return slices.CompactFunc(out, slices.Equal)
-}
-
-// SameSet reports whether two clique collections are equal as sets.
-func SameSet(a, b []Clique) bool {
-	return slices.EqualFunc(Dedup(a), Dedup(b), slices.Equal)
-}

@@ -650,3 +650,41 @@ func TestLowDegreeListingReducedView(t *testing.T) {
 		t.Fatalf("%d of %d nodes list; the bound separates nothing", listers, g.N())
 	}
 }
+
+// LocalListing implements Theorem B.1: every node v with
+// deg(v) ≤ degBound learns all triangles it belongs to, in
+// O(max active degree) rounds, using only its incident edges. All other
+// nodes cooperate by answering adjacency queries. Each triangle is
+// emitted as a Clique value by every active node in it (callers dedup).
+//
+// Memory: each node stores its adjacency list (deg words, an input) and
+// O(1) extra words.
+//
+// Returns a node program to be run under sim; phases is 2·phaseCount
+// rounds where phaseCount must upper-bound every active node's degree.
+func LocalListing(g *graph.Graph, degBound, phaseCount int) func(sim.Node) {
+	return func(c sim.Node) {
+		id, nbrs := c.ID(), c.Neighbors()
+		c.Charge(int64(len(nbrs))) // the node's input adjacency
+		defer c.Release(int64(len(nbrs)))
+		listLowDegree(c, nbrs, degBound, phaseCount,
+			func(w int) bool { return g.HasEdge(id, w) })
+	}
+}
+
+// Dedup returns the set union of cliques, each sorted ascending, in
+// lexicographic order.
+func Dedup(cls []Clique) []Clique {
+	out := make([]Clique, len(cls))
+	for i, c := range cls {
+		out[i] = slices.Clone(c)
+		slices.Sort(out[i])
+	}
+	slices.SortFunc(out, slices.Compare)
+	return slices.CompactFunc(out, slices.Equal)
+}
+
+// SameSet reports whether two clique collections are equal as sets.
+func SameSet(a, b []Clique) bool {
+	return slices.EqualFunc(Dedup(a), Dedup(b), slices.Equal)
+}

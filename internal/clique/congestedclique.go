@@ -53,19 +53,10 @@ func newCCPlan(n, k int, mu int64) *schedule {
 func CongestedCliqueKCliques(g *graph.Graph, k int, mu int64, router *congest.Router) func(sim.Node) {
 	plan := newCCPlan(g.N(), k, mu)
 	return func(c sim.Node) {
-		id := c.ID()
-		nbr := g.Neighbors(id)
+		nbr := g.Neighbors(c.ID())
 		c.Charge(int64(len(nbr))) // input adjacency
 		defer c.Release(int64(len(nbr)))
-
-		// Both buffers are reused across blocks: Route is done with out
-		// when it returns, and the batch is listed before the next block.
-		var out []congest.Packet
-		var edges [][2]int
-		for blk := 0; blk < plan.blocks; blk++ {
-			out = plan.appendPackets(out[:0], blk, id, nbr)
-			edges = listBatch(c, router.Route(c, out), k, edges)
-		}
+		plan.run(c, router, nbr, k)
 	}
 }
 

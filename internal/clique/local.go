@@ -3,7 +3,6 @@ package clique
 import (
 	"slices"
 
-	"mucongest/internal/graph"
 	"mucongest/internal/sim"
 )
 
@@ -12,27 +11,6 @@ const (
 	kindQuery int32 = 100 + iota
 	kindAnswer
 )
-
-// LocalListing implements Theorem B.1: every node v with
-// deg(v) ≤ degBound learns all triangles it belongs to, in
-// O(max active degree) rounds, using only its incident edges. All other
-// nodes cooperate by answering adjacency queries. Each triangle is
-// emitted as a Clique value by every active node in it (callers dedup).
-//
-// Memory: each node stores its adjacency list (deg words, an input) and
-// O(1) extra words.
-//
-// Returns a node program to be run under sim; phases is 2·phaseCount
-// rounds where phaseCount must upper-bound every active node's degree.
-func LocalListing(g *graph.Graph, degBound, phaseCount int) func(sim.Node) {
-	return func(c sim.Node) {
-		id, nbrs := c.ID(), c.Neighbors()
-		c.Charge(int64(len(nbrs))) // the node's input adjacency
-		defer c.Release(int64(len(nbrs)))
-		listLowDegree(c, nbrs, degBound, phaseCount,
-			func(w int) bool { return g.HasEdge(id, w) })
-	}
-}
 
 // listLowDegree is the query protocol of Theorem B.1 over the graph
 // whose rows the callers pass: nbrs is this node's sorted row and
@@ -86,9 +64,8 @@ func listLowDegree(c sim.Node, nbrs []int, bound, phases int, adjacent func(w in
 
 // CollectTriangles extracts the emitted Clique values from a sim result
 // and returns each distinct one once, in lexicographic order. Every
-// lister emits its cliques sorted ascending, so they are not copied: the
-// result shares its cliques with res.Outputs. Dedup the values instead
-// when they may be unsorted.
+// lister emits its cliques sorted ascending, so no clique is copied or
+// re-sorted here: the result shares its cliques with res.Outputs.
 func CollectTriangles(res *sim.Result) []Clique {
 	var out []Clique
 	for _, outs := range res.Outputs {

@@ -130,12 +130,9 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *congest.Router) func(sim.N
 		c.Charge(int64(g.Degree(id)))
 		defer c.Release(int64(g.Degree(id)))
 
-		// The buffers are reused: Route is done with out when it
-		// returns, listBatch with edges, and the Theorem B.1 protocol, the
-		// MPX race and the phase C packets with row.
+		// row is reused: the Theorem B.1 protocol, the MPX race and
+		// phase C are each done with it when they return.
 		var row []int
-		var out []congest.Packet
-		var edges [][2]int
 		for iter := 0; iter < maxIter; iter++ {
 			if plan.edges == 0 {
 				return
@@ -176,10 +173,7 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *congest.Router) func(sim.N
 			c.Tick()
 			// Phase C: chunked triple delivery and listing.
 			row = plan.appendRow(row[:0], id)
-			for blk := 0; blk < plan.sched.blocks; blk++ {
-				out = plan.sched.appendPackets(out[:0], blk, id, row)
-				edges = listBatch(c, router.Route(c, out), 3, edges)
-			}
+			plan.sched.run(c, router, row, 3)
 			// Barrier: node 0 removes intra-cluster edges.
 			c.Tick()
 			if id == 0 {

@@ -88,22 +88,29 @@ func (s *schedule) appendPackets(out []congest.Packet, blk, id int, row []int) [
 	return out
 }
 
-// listBatch is a lister's turn after a routed block, in E1/E2 and E3
-// alike: it holds the received edge batch (2 words per edge, ≤ O(μ))
-// while it lists the batch's k-cliques and emits them. edges is the
-// caller's buffer, reused across blocks and returned.
-func listBatch(c sim.Node, recv []congest.Packet, k int, edges [][2]int) [][2]int {
-	if len(recv) == 0 {
-		return edges
+// run is node c's part in every block, in E1/E2 and E3 alike: it
+// routes its packets of the block, then holds the received edge batch
+// (2 words per edge, ≤ O(μ)) while it lists the batch's k-cliques and
+// emits them. row is the node's sorted neighbors. Both buffers are
+// reused across blocks: Route is done with out when it returns, and the
+// batch is listed before the node's next Route.
+func (s *schedule) run(c sim.Node, router *congest.Router, row []int, k int) {
+	var out []congest.Packet
+	var edges [][2]int
+	for blk := range s.blocks {
+		out = s.appendPackets(out[:0], blk, c.ID(), row)
+		in := router.Route(c, out)
+		if len(in) == 0 {
+			continue
+		}
+		c.Charge(int64(2 * len(in)))
+		edges = edges[:0]
+		for _, p := range in {
+			edges = append(edges, [2]int{int(p.A), int(p.B)})
+		}
+		for _, cl := range ListInEdgeSet(edges, k) {
+			c.Emit(cl)
+		}
+		c.Release(int64(2 * len(in)))
 	}
-	c.Charge(int64(2 * len(recv)))
-	edges = edges[:0]
-	for _, p := range recv {
-		edges = append(edges, [2]int{int(p.A), int(p.B)})
-	}
-	for _, cl := range ListInEdgeSet(edges, k) {
-		c.Emit(cl)
-	}
-	c.Release(int64(2 * len(recv)))
-	return edges
 }

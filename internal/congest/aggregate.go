@@ -13,12 +13,6 @@ func OpMax(a, b int64) int64 {
 	}
 	return b
 }
-func OpMin(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // Convergecast implements Lemma B.4: every node starts with x = len(vals)
 // values; after maxDepth + x rounds each node knows, for every index i,
@@ -102,9 +96,4 @@ func SumAll(c sim.Node, t *Tree, maxDepth int, val int64) int64 {
 // MaxAll returns the network-wide maximum of val at every node.
 func MaxAll(c sim.Node, t *Tree, maxDepth int, val int64) int64 {
 	return AggregateAll(c, t, maxDepth, val, OpMax)
-}
-
-// MinAll returns the network-wide minimum of val at every node.
-func MinAll(c sim.Node, t *Tree, maxDepth int, val int64) int64 {
-	return AggregateAll(c, t, maxDepth, val, OpMin)
 }

@@ -342,3 +342,16 @@ func TestRelabelUniformDegreePermutation(t *testing.T) {
 		}
 	}
 }
+
+// OpMin is the minimum combiner.
+func OpMin(a, b int64) int64 {
+	if a < b {
+		return a
+	}
+	return b
+}
+
+// MinAll returns the network-wide minimum of val at every node.
+func MinAll(c sim.Node, t *Tree, maxDepth int, val int64) int64 {
+	return AggregateAll(c, t, maxDepth, val, OpMin)
+}

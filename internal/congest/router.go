@@ -1,8 +1,6 @@
 package congest
 
 import (
-	"cmp"
-	"slices"
 	"sync/atomic"
 
 	"mucongest/internal/sim"
@@ -38,9 +36,9 @@ type Router struct {
 	// The node whose count completes the instance resets arrived and
 	// schedules before its tick: the atomic orders every deposit before
 	// its reads, and the round barrier orders the schedule before every
-	// node reads byDst[v] and charge. The next schedule waits for every
-	// node's next deposit, which each makes only after its reads, so no
-	// lock is needed.
+	// node reads charge and its bucket byDst[v]. Node v reads its bucket
+	// until its next deposit, and the next schedule waits for every
+	// node's next deposit, so no lock is needed.
 	arrived  atomic.Int64
 	deposits [][]Packet
 	charge   int
@@ -48,13 +46,7 @@ type Router struct {
 	// Scratch of schedule, reused by every instance: the per-node
 	// loads and, per destination, its packets in delivery order.
 	sent, recv []int
-	byDst      [][]tagged
-}
-
-// tagged is a packet with its source, the first key of delivery order.
-type tagged struct {
-	src int
-	p   Packet
+	byDst      [][]Packet
 }
 
 // NewRouter returns a router for n nodes. rounds is the lemma's round
@@ -70,15 +62,18 @@ func NewRouter(n int, rounds func(sent, recv []int) int, hold func(v int) int64)
 		deposits: make([][]Packet, n),
 		sent:     make([]int, n),
 		recv:     make([]int, n),
-		byDst:    make([][]tagged, n),
+		byDst:    make([][]Packet, n),
 	}
 }
 
 // Route delivers every node's out packets and returns the packets
-// addressed to this node, sorted by (source, A, B). It takes 2 + charge
+// addressed to this node in inbox order: by ascending source, each
+// source's packets in the order it deposited them. It takes 2 + charge
 // rounds: the agreement tick, then one sleep of 1 + charge rounds during
 // which the node holds the router's words. out is free again when Route
-// returns.
+// returns. The returned batch is the router's: like an inbox, it is
+// valid until this node's next Route call, and its capacity ends at its
+// length, so an append copies it.
 //
 //muvet:hotpath
 func (r *Router) Route(c sim.Node, out []Packet) []Packet {
@@ -93,20 +88,12 @@ func (r *Router) Route(c sim.Node, out []Packet) []Packet {
 	c.Charge(words)
 	c.Idle(1 + r.charge)
 	c.Release(words)
-	buf := r.byDst[id]
-	if len(buf) == 0 {
-		return nil
-	}
-	//muvet:allow hotalloc(the returned batch is the caller's: one slice per receiving node)
-	in := make([]Packet, len(buf))
-	for i, tg := range buf {
-		in[i] = tg.p
-	}
-	return in
+	in := r.byDst[id]
+	return in[:len(in):len(in)]
 }
 
-// schedule groups the deposited packets by destination in deterministic
-// (source, payload) order and computes the round charge from the
+// schedule groups the deposited packets by destination, walking the
+// sources in ascending id, and computes the round charge from the
 // realized loads.
 //
 //muvet:hotpath
@@ -119,17 +106,9 @@ func (r *Router) schedule() {
 		r.sent[src] = len(d)
 		for _, p := range d {
 			r.recv[p.Dst]++
-			r.byDst[p.Dst] = append(r.byDst[p.Dst], tagged{src, p})
+			r.byDst[p.Dst] = append(r.byDst[p.Dst], p)
 		}
 		r.deposits[src] = nil
 	}
-	for _, buf := range r.byDst {
-		slices.SortFunc(buf, byDelivery)
-	}
 	r.charge = r.rounds(r.sent, r.recv)
-}
-
-// byDelivery orders one destination's packets by (source, A, B).
-func byDelivery(a, b tagged) int {
-	return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.p.A, b.p.A), cmp.Compare(a.p.B, b.p.B))
 }

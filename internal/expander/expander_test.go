@@ -301,3 +301,63 @@ func components(rows [][]int, active func(int) bool) []int {
 	}
 	return comp
 }
+
+// MPXProgram runs MPXRace on the subgraph induced by active nodes. Each
+// node emits its cluster center id (int), -1 if inactive. Claims go to
+// every neighbor; an inactive one sleeps and ignores them. Memory: O(1)
+// words per node, as the paper observes for MPX.
+func MPXProgram(active func(v int) bool, beta float64, horizon int) func(sim.Node) {
+	return func(c sim.Node) {
+		act := active(c.ID())
+		if act {
+			c.Charge(4)
+			defer c.Release(4)
+		}
+		c.Emit(MPXRace(c, c.Neighbors(), act, beta, horizon))
+	}
+}
+
+// RunMPX executes the decomposition and returns the cluster center of
+// every node (-1 for inactive nodes).
+func RunMPX(topo sim.Topology, active func(v int) bool, beta float64, seed int64) ([]int, *sim.Result, error) {
+	n := topo.N()
+	horizon := int(8*math.Log(float64(n)+2)/beta) + 4
+	e := sim.New(topo, sim.WithSeed(seed))
+	prog := MPXProgram(active, beta, horizon)
+	res, err := e.Run(func(c *sim.Ctx) { prog(c) })
+	if err != nil {
+		return nil, res, err
+	}
+	out := make([]int, n)
+	for v := 0; v < n; v++ {
+		out[v] = res.Outputs[v][0].(int)
+	}
+	return out, res, nil
+}
+
+// Conductance returns Φ(S) for a node set S of g: cut(S, V∖S) divided
+// by min(vol(S), vol(V∖S)).
+func Conductance(g *graph.Graph, inS func(v int) bool) float64 {
+	cut, volS, volT := 0, 0, 0
+	for v := 0; v < g.N(); v++ {
+		d := g.Degree(v)
+		if inS(v) {
+			volS += d
+		} else {
+			volT += d
+		}
+		for _, u := range g.Neighbors(v) {
+			if v < u && inS(v) != inS(u) {
+				cut++
+			}
+		}
+	}
+	m := volS
+	if volT < m {
+		m = volT
+	}
+	if m == 0 {
+		return 0
+	}
+	return float64(cut) / float64(m)
+}

@@ -10,8 +10,6 @@
 package expander
 
 import (
-	"math"
-
 	"mucongest/internal/congest"
 	"mucongest/internal/sim"
 )
@@ -58,37 +56,4 @@ func MPXRace(c sim.Node, nbrs []int, active bool, beta float64, horizon int) int
 		cluster = c.ID()
 	}
 	return cluster
-}
-
-// MPXProgram runs MPXRace on the subgraph induced by active nodes. Each
-// node emits its cluster center id (int), -1 if inactive. Claims go to
-// every neighbor; an inactive one sleeps and ignores them. Memory: O(1)
-// words per node, as the paper observes for MPX.
-func MPXProgram(active func(v int) bool, beta float64, horizon int) func(sim.Node) {
-	return func(c sim.Node) {
-		act := active(c.ID())
-		if act {
-			c.Charge(4)
-			defer c.Release(4)
-		}
-		c.Emit(MPXRace(c, c.Neighbors(), act, beta, horizon))
-	}
-}
-
-// RunMPX executes the decomposition and returns the cluster center of
-// every node (-1 for inactive nodes).
-func RunMPX(topo sim.Topology, active func(v int) bool, beta float64, seed int64) ([]int, *sim.Result, error) {
-	n := topo.N()
-	horizon := int(8*math.Log(float64(n)+2)/beta) + 4
-	e := sim.New(topo, sim.WithSeed(seed))
-	prog := MPXProgram(active, beta, horizon)
-	res, err := e.Run(func(c *sim.Ctx) { prog(c) })
-	if err != nil {
-		return nil, res, err
-	}
-	out := make([]int, n)
-	for v := 0; v < n; v++ {
-		out[v] = res.Outputs[v][0].(int)
-	}
-	return out, res, nil
 }

@@ -62,30 +62,3 @@ func MixingTime(g *graph.Graph, maxT int) int {
 	}
 	return worst
 }
-
-// Conductance returns Φ(S) for a node set S of g: cut(S, V∖S) divided
-// by min(vol(S), vol(V∖S)).
-func Conductance(g *graph.Graph, inS func(v int) bool) float64 {
-	cut, volS, volT := 0, 0, 0
-	for v := 0; v < g.N(); v++ {
-		d := g.Degree(v)
-		if inS(v) {
-			volS += d
-		} else {
-			volT += d
-		}
-		for _, u := range g.Neighbors(v) {
-			if v < u && inS(v) != inS(u) {
-				cut++
-			}
-		}
-	}
-	m := volS
-	if volT < m {
-		m = volT
-	}
-	if m == 0 {
-		return 0
-	}
-	return float64(cut) / float64(m)
-}

@@ -14,12 +14,6 @@ func KCliqueListingRounds(n float64, k int, mu, ell float64) float64 {
 	return math.Pow(n, float64(k-1)) / (math.Pow(mu, float64(k)/2-1) * ell)
 }
 
-// TriangleListingRounds specializes Theorem 1.1 to k=3 with ℓ=n:
-// Ω(n/√μ).
-func TriangleListingRounds(n, mu float64) float64 {
-	return KCliqueListingRounds(n, 3, mu, n)
-}
-
 // KCliqueMax is Lemma 2.1: a graph with m edges contains at most
 // O(m^(k/2)) k-cliques. The tight constant is (2m)^(k/2)/k!·... ; the
 // classical Kruskal–Katona style bound m^(k/2)/ (k/2)!·c suffices for

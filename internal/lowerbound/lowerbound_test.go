@@ -85,3 +85,9 @@ func TestStreamingBounds(t *testing.T) {
 		t.Fatal("composable bound")
 	}
 }
+
+// TriangleListingRounds specializes Theorem 1.1 to k=3 with ℓ=n:
+// Ω(n/√μ).
+func TriangleListingRounds(n, mu float64) float64 {
+	return KCliqueListingRounds(n, 3, mu, n)
+}

@@ -7,7 +7,11 @@
 // per-round transmission schedule.
 package matching
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"slices"
+)
 
 // PerfectMatching finds a perfect matching in a bipartite graph on
 // [0,n)×[0,n) given by the support adjacency adj (adj[i] lists the
@@ -48,28 +52,22 @@ func PerfectMatching(n int, adj [][]int) ([]int, error) {
 	return matchL, nil
 }
 
-// Permutation is one term of a Birkhoff decomposition: the permutation
-// P (as dest-per-source mapping) repeated Count times.
-type Permutation struct {
-	Perm  []int // Perm[j] = row i such that P[i][j] = 1
-	Count int64
-}
-
 // Birkhoff decomposes a non-negative integer matrix B whose rows and
 // columns all sum to the same value s into at most Δ²−2Δ+2 permutation
 // matrices with positive integer multiplicities summing to s
-// (Birkhoff's theorem [9] applied to B/s). Each round of the resulting
-// schedule moves exactly one unit along each row and column — the
-// congestion-free property Theorem 1.5 needs.
-func Birkhoff(B [][]int64) ([]Permutation, error) {
+// (Birkhoff's theorem [9] applied to B/s). It validates B, then returns
+// the terms one at a time as (perm, count), perm[j] being the row i with
+// P[i][j] = 1, so the caller holds one term and the iterator its O(Δ²)
+// working copy of B, never the whole decomposition. Each round of the
+// resulting schedule moves exactly one unit along each row and column —
+// the congestion-free property Theorem 1.5 needs.
+func Birkhoff(B [][]int64) (iter.Seq2[[]int, int64], error) {
 	n := len(B)
-	if n == 0 {
-		return nil, nil
-	}
-	// Validate equal row/column sums.
 	var s int64
-	for j := range B[0] {
-		s += B[0][j]
+	if n > 0 {
+		for j := range B[0] {
+			s += B[0][j]
+		}
 	}
 	colSum := make([]int64, n)
 	for i := range B {
@@ -93,53 +91,38 @@ func Birkhoff(B [][]int64) ([]Permutation, error) {
 			return nil, fmt.Errorf("matching: column %d sums %d, want %d", j, cs, s)
 		}
 	}
-	// Work on a copy.
-	W := make([][]int64, n)
-	for i := range B {
-		W[i] = append([]int64(nil), B[i]...)
-	}
-	var out []Permutation
-	remaining := s
-	for remaining > 0 {
-		// Support graph: left = columns (sources), right = rows (dests).
+	return func(yield func([]int, int64) bool) {
+		W := make([][]int64, n)
+		for i := range B {
+			W[i] = slices.Clone(B[i])
+		}
 		adj := make([][]int, n)
-		for j := 0; j < n; j++ {
-			for i := 0; i < n; i++ {
-				if W[i][j] > 0 {
-					adj[j] = append(adj[j], i)
+		for remaining := s; remaining > 0; {
+			// Support graph: left = columns (sources), right = rows (dests).
+			for j := range n {
+				adj[j] = adj[j][:0]
+				for i := range n {
+					if W[i][j] > 0 {
+						adj[j] = append(adj[j], i)
+					}
 				}
 			}
-		}
-		m, err := PerfectMatching(n, adj)
-		if err != nil {
-			return nil, fmt.Errorf("matching: Birkhoff stalled with %d remaining: %w", remaining, err)
-		}
-		gamma := remaining
-		for j := 0; j < n; j++ {
-			if W[m[j]][j] < gamma {
-				gamma = W[m[j]][j]
+			m, err := PerfectMatching(n, adj)
+			if err != nil {
+				// Birkhoff's theorem rules this out for a validated B.
+				panic(fmt.Sprintf("matching: Birkhoff stalled with %d remaining: %v", remaining, err))
+			}
+			gamma := remaining
+			for j, i := range m {
+				gamma = min(gamma, W[i][j])
+			}
+			for j, i := range m {
+				W[i][j] -= gamma
+			}
+			remaining -= gamma
+			if !yield(m, gamma) {
+				return
 			}
 		}
-		for j := 0; j < n; j++ {
-			W[m[j]][j] -= gamma
-		}
-		out = append(out, Permutation{Perm: m, Count: gamma})
-		remaining -= gamma
-	}
-	return out, nil
-}
-
-// Reconstruct rebuilds the matrix Σ Count·P from a decomposition (for
-// verification).
-func Reconstruct(n int, perms []Permutation) [][]int64 {
-	B := make([][]int64, n)
-	for i := range B {
-		B[i] = make([]int64, n)
-	}
-	for _, p := range perms {
-		for j, i := range p.Perm {
-			B[i][j] += p.Count
-		}
-	}
-	return B
+	}, nil
 }

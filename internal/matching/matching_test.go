@@ -37,6 +37,40 @@ func TestPerfectMatchingImpossible(t *testing.T) {
 	}
 }
 
+// Permutation is one term of a Birkhoff decomposition: the permutation
+// Perm (Perm[j] = row i such that P[i][j] = 1) repeated Count times.
+type Permutation struct {
+	Perm  []int
+	Count int64
+}
+
+// decompose collects Birkhoff's terms.
+func decompose(B [][]int64) ([]Permutation, error) {
+	terms, err := Birkhoff(B)
+	if err != nil {
+		return nil, err
+	}
+	var out []Permutation
+	for perm, count := range terms {
+		out = append(out, Permutation{perm, count})
+	}
+	return out, nil
+}
+
+// Reconstruct rebuilds the matrix Σ Count·P from a decomposition.
+func Reconstruct(n int, perms []Permutation) [][]int64 {
+	B := make([][]int64, n)
+	for i := range B {
+		B[i] = make([]int64, n)
+	}
+	for _, p := range perms {
+		for j, i := range p.Perm {
+			B[i][j] += p.Count
+		}
+	}
+	return B
+}
+
 // randomDoublyBalanced builds a random n×n non-negative matrix with all
 // row and column sums equal to s, by summing s random permutation
 // matrices.
@@ -65,7 +99,7 @@ func TestBirkhoffReconstructs(t *testing.T) {
 		s int64
 	}{{3, 5}, {5, 12}, {8, 30}, {4, 1}} {
 		B := randomDoublyBalanced(tc.n, tc.s, rng)
-		perms, err := Birkhoff(B)
+		perms, err := decompose(B)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +139,7 @@ func TestBirkhoffProperty(t *testing.T) {
 		s := int64(sRaw%20) + 1
 		rng := rand.New(rand.NewSource(seed))
 		B := randomDoublyBalanced(n, s, rng)
-		perms, err := Birkhoff(B)
+		perms, err := decompose(B)
 		if err != nil {
 			return false
 		}
@@ -139,7 +173,7 @@ func TestBirkhoffProperty(t *testing.T) {
 
 func TestBirkhoffIdentity(t *testing.T) {
 	B := [][]int64{{7, 0}, {0, 7}}
-	perms, err := Birkhoff(B)
+	perms, err := decompose(B)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,15 +67,6 @@ func (r *Result) MaxPeakWords() int64 {
 	return m
 }
 
-// TotalOutputs returns the number of emitted values across all nodes.
-func (r *Result) TotalOutputs() int {
-	t := 0
-	for _, o := range r.Outputs {
-		t += len(o)
-	}
-	return t
-}
-
 // OverMuRounds returns the total number of (node, round) pairs that
 // exceeded μ, i.e. the sum of OverRounds over all violations.
 func (r *Result) OverMuRounds() int {

@@ -162,16 +162,6 @@ func ParseFaults(spec string) (FaultPlan, error) {
 	return p, nil
 }
 
-// MustParseFaults is ParseFaults that panics on error, for tests and
-// compile-time-known specs.
-func MustParseFaults(spec string) FaultPlan {
-	p, err := ParseFaults(spec)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // parseFaultArgs applies the clause's key=value arguments through the
 // per-parameter setters, enforcing the shared malformed/duplicate/
 // unknown-parameter error shapes of the topo-spec idiom.

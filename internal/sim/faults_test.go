@@ -367,3 +367,14 @@ func TestFaultStreamSeedDomainSeparation(t *testing.T) {
 		}
 	}
 }
+
+// MustParseFaults is ParseFaults that panics on error, for the specs
+// tests spell out. Being in an internal test file, it is also
+// sim.MustParseFaults to the package's external tests.
+func MustParseFaults(spec string) FaultPlan {
+	p, err := ParseFaults(spec)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}

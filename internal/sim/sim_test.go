@@ -621,3 +621,12 @@ func TestPortAddressing(t *testing.T) {
 		t.Fatal("port-addressed message lost")
 	}
 }
+
+// TotalOutputs returns the number of emitted values across all nodes.
+func (r *Result) TotalOutputs() int {
+	t := 0
+	for _, o := range r.Outputs {
+		t += len(o)
+	}
+	return t
+}

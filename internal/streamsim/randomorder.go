@@ -147,53 +147,24 @@ func runShuffleSink(c sim.Node, tr *congest.Tree, delta int) {
 	}
 	c.Tick()
 	// Phase 4: incremental Birkhoff + block-scheduled rerouting.
-	W := make([][]int64, d)
-	for i := range B {
-		W[i] = append([]int64(nil), B[i]...)
+	perms, err := matching.Birkhoff(B)
+	if err != nil {
+		panic("streamsim: Birkhoff schedule: " + err.Error())
 	}
-	remaining := K
-	hold := make([]sim.Msg, 0, d)
-	for remaining > 0 {
-		adj := make([][]int, d)
-		for j := 0; j < d; j++ {
-			for i := 0; i < d; i++ {
-				if W[i][j] > 0 {
-					adj[j] = append(adj[j], i)
-				}
-			}
-		}
-		m, err := matching.PerfectMatching(d, adj)
-		if err != nil {
-			panic("streamsim: Birkhoff schedule stalled: " + err.Error())
-		}
-		gamma := remaining
-		for j := 0; j < d; j++ {
-			if W[m[j]][j] < gamma {
-				gamma = W[m[j]][j]
-			}
-		}
-		for j := 0; j < d; j++ {
-			W[m[j]][j] -= gamma
-		}
-		remaining -= gamma
+	for m, gamma := range perms {
 		// Directive round: tell each neighbor its pile and count.
 		for j, ch := range children {
 			c.SendID(ch, sim.Msg{Kind: kindDirective, A: int64(m[j]), B: gamma})
 		}
 		c.Tick()
 		for t := int64(0); t < gamma; t++ {
-			// Up round: neighbors send; sink holds.
-			in := c.Tick()
-			hold = hold[:0]
-			destOf := make(map[int]int, d)
-			for j, ch := range children {
-				destOf[ch] = m[j]
-			}
-			for _, mm := range in {
+			// Up round: neighbors send; the sink forwards each edge to
+			// the neighbor whose pile its sender's column maps to.
+			for _, mm := range c.Tick() {
 				if mm.Msg.Kind == kindShuffleEdge {
 					out := mm.Msg
 					out.Kind = kindCache
-					c.SendID(children[destOf[mm.From]], out)
+					c.SendID(children[m[colOf[mm.From]]], out)
 				}
 			}
 			// Down round: forwarded above; barrier.

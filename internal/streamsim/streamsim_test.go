@@ -287,3 +287,69 @@ func TestMaxDegreeNode(t *testing.T) {
 		t.Fatal("star hub")
 	}
 }
+
+// PassesNeeded returns the number of passes MultipassSelect needs for a
+// label span with B buckets: ⌈log_B(span)⌉.
+func PassesNeeded(span int64, b int) int {
+	p := int(math.Ceil(math.Log(float64(span)) / math.Log(float64(b))))
+	if p < 1 {
+		p = 1
+	}
+	return p
+}
+
+// GreedyMatching is a one-pass semi-streaming maximal matching: an edge
+// joins the matching when both endpoints are free. M = O(n).
+type GreedyMatching struct {
+	n       int
+	matched []bool
+	pairs   []int64
+}
+
+// NewGreedyMatching builds a matcher over n nodes.
+func NewGreedyMatching(n int) *GreedyMatching {
+	return &GreedyMatching{n: n, matched: make([]bool, n)}
+}
+
+// Passes returns 1.
+func (gm *GreedyMatching) Passes() int { return 1 }
+
+// StartPass resets state.
+func (gm *GreedyMatching) StartPass(int) {
+	for i := range gm.matched {
+		gm.matched[i] = false
+	}
+	gm.pairs = gm.pairs[:0]
+}
+
+// EndPass is a no-op for the single-pass matcher.
+func (gm *GreedyMatching) EndPass() {}
+
+// Edge greedily matches.
+func (gm *GreedyMatching) Edge(u, w int, _ int64) {
+	if u < 0 || w < 0 || gm.matched[u] || gm.matched[w] {
+		return
+	}
+	gm.matched[u] = true
+	gm.matched[w] = true
+	gm.pairs = append(gm.pairs, int64(u), int64(w))
+}
+
+// Result returns [size, u1, w1, u2, w2, ...].
+func (gm *GreedyMatching) Result() []int64 {
+	out := make([]int64, 0, 1+len(gm.pairs))
+	out = append(out, int64(len(gm.pairs)/2))
+	return append(out, gm.pairs...)
+}
+
+// MemoryWords returns O(n).
+func (gm *GreedyMatching) MemoryWords() int64 { return int64(gm.n) + 8 }
+
+// EdgeOwner returns the node responsible for streaming edge e (its
+// smaller endpoint), so each edge enters the stream exactly once.
+func EdgeOwner(e graph.Edge) int {
+	if e.U < e.V {
+		return e.U
+	}
+	return e.V
+}
