@@ -31,12 +31,17 @@ muvet: $(MUVET)
 
 # Static contract enforcement: gofmt, stock vet, the muvet suite (over
 # the default and simdebug build tags), and staticcheck when installed.
+# ./... stops at the nested cmd/mubench module, which wraps node
+# programs in its own Step and Program, so vet runs there as well.
 lint: $(MUVET)
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	go vet ./...
 	go vet -vettool=$(MUVET) ./...
 	go vet -vettool=$(MUVET) -tags simdebug ./...
+	cd cmd/mubench && go vet ./...
+	cd cmd/mubench && go vet -vettool=$(abspath $(MUVET)) ./...
+	cd cmd/mubench && go vet -vettool=$(abspath $(MUVET)) -tags simdebug ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping"; fi
 

@@ -40,7 +40,10 @@ import (
 // 2.0.0: CFG/dataflow core, step-contract analyzers (stepblock,
 // stepalias, ctxretain), inboxalias and hotalloc rebased onto the CFG.
 // 2.0.1: hotalloc reports a slice conversion only for a string operand.
-const version = "muvet-2.0.1"
+// 2.0.2: inboxalias, stepalias and ctxretain share one alias rule and
+// one set of escape sinks; a capturing closure is reported where it
+// reaches a sink; a range loop's head no longer carries its body.
+const version = "muvet-2.0.2"
 
 func main() {
 	args := os.Args[1:]

@@ -455,9 +455,10 @@ func E11E12(tp topo.Spec, seed int64) *Table {
 // one level-synchronous wave, and a parent merges a child's summary only
 // if all M words arrived — a single lost word discards that child's
 // whole subtree contribution. Coverage (fraction of the global stream
-// the root summary absorbed) and the kind's accuracy metric then
-// degrade gracefully and measurably with p, while peak memory tracks
-// how many complete child buffers survived. Every record carries the
+// the root summary absorbed) and the kind's accuracy metric then fall
+// with p as (1-p)^M per tree edge, steeply for all but the smallest
+// summaries, while peak memory tracks how many complete child buffers
+// survived. Every record carries the
 // fault-plan spec in its params, so downstream consumers can split
 // fault-free from faulty provenance.
 func E13(tp topo.Spec, seed int64) *Table {
@@ -557,7 +558,7 @@ func E13(tp topo.Spec, seed int64) *Table {
 	t := &Table{
 		ID:     "E13",
 		Title:  fmt.Sprintf("sketch resilience under message loss, %s n=%d depth=%d", tp, n, maxDepth),
-		Claim:  "complete-subtree merge: coverage and accuracy degrade gracefully in the loss rate p",
+		Claim:  "complete-subtree merge: a child survives with probability (1-p)^M, so coverage collapses within a few percent of loss, fastest for large summaries",
 		Header: []string{"kind", "loss", "rounds", "coverage", "err", "peakWords", "faultDrops"},
 	}
 	for _, k := range kinds {

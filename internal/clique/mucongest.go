@@ -14,10 +14,15 @@ import (
 type MuTriangleConfig struct {
 	G     *graph.Graph
 	Mu    int64
-	Alpha int     // Lemma A.2 round–space tradeoff parameter (≥1)
-	Beta  float64 // MPX decomposition parameter (default 0.4)
-	X     float64 // low-degree threshold multiplier x·n^(1/3) (default 2)
+	Alpha int // Lemma A.2 round–space tradeoff parameter (≥1)
 }
+
+// The listing's fixed parameters: the MPX decomposition's β and the
+// multiplier x of the low-degree threshold x·n^(1/3).
+const (
+	mpxBeta    = 0.4
+	lowDegreeX = 2
+)
 
 // muPlan is the shared oracle state of the listing driver: the active
 // edge set, the per-iteration clustering and the listing schedule. The
@@ -111,18 +116,12 @@ func (p *muPlan) removeNode(v int) {
 func MuCongestTriangles(cfg MuTriangleConfig, router *congest.Router) func(sim.Node) {
 	g := cfg.G
 	n := g.N()
-	if cfg.Beta <= 0 {
-		cfg.Beta = 0.4
-	}
-	if cfg.X <= 0 {
-		cfg.X = 2
-	}
 	if cfg.Alpha < 1 {
 		cfg.Alpha = 1
 	}
 	plan := newMuPlan(g)
-	tau := max(2, int(math.Ceil(cfg.X*math.Pow(float64(n), 1.0/3))))
-	mpxHorizon := int(8*math.Log(float64(n)+2)/cfg.Beta) + 4
+	tau := max(2, int(math.Ceil(lowDegreeX*math.Pow(float64(n), 1.0/3))))
+	mpxHorizon := int(8*math.Log(float64(n)+2)/mpxBeta) + 4
 	maxIter := 4*int(math.Log2(float64(g.M()+2))) + 8
 
 	return func(c sim.Node) {
@@ -165,7 +164,7 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *congest.Router) func(sim.N
 			// Phase B: MPX clustering of the remaining graph. Each node
 			// writes only its own slot; node 0 reads them after the tick.
 			row = plan.appendRow(row[:0], id)
-			plan.clusterOf[id] = expander.MPXRace(c, row, len(row) > 0, cfg.Beta, mpxHorizon)
+			plan.clusterOf[id] = expander.MPXRace(c, row, len(row) > 0, mpxBeta, mpxHorizon)
 			c.Tick()
 			if id == 0 {
 				buildListingPlan(plan, cfg.Mu, c.Rand())

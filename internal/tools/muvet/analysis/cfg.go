@@ -249,7 +249,8 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		head := b.newBlock()
 		edge(b.cur, head)
 		// The range statement itself carries the per-iteration key and
-		// value assignment; transfers treat it as such.
+		// value assignment; transfers treat it as such, and Inspect
+		// walks only its key, value and operand.
 		head.Nodes = append(head.Nodes, s)
 		after := b.newBlock()
 		edge(head, after)
@@ -420,8 +421,20 @@ func (b *cfgBuilder) branchTarget(s *ast.BranchStmt, isBreak bool) *Block {
 // Inspect walks the subtree rooted at each of the given nodes like
 // ast.Inspect, but does not descend into nested function literals:
 // their bodies are separate frames with their own CFGs. The
-// *ast.FuncLit node itself is still visited.
+// *ast.FuncLit node itself is still visited. A range statement as the
+// root is the loop head a block holds: only its key, value and operand
+// are walked, since the body's statements are nodes of other blocks.
 func Inspect(root ast.Node, f func(ast.Node) bool) {
+	if rs, ok := root.(*ast.RangeStmt); ok {
+		if f(rs) {
+			for _, e := range []ast.Expr{rs.Key, rs.Value, rs.X} {
+				if e != nil {
+					Inspect(e, f)
+				}
+			}
+		}
+		return
+	}
 	ast.Inspect(root, func(n ast.Node) bool {
 		if n == nil {
 			return true

@@ -8,13 +8,15 @@ package analysis
 // value here, and in which state?" Facts map variables (types.Object)
 // to a small bitmask; the forward solver joins facts with set union, so
 // the analysis is a classic may-analysis: a variable is reported when
-// ANY path gives it a violating state. The per-statement semantics —
-// what generates a tracked value, what invalidates one — stay in each
-// analyzer's transfer function.
+// ANY path gives it a violating state. This layer knows no value: the
+// three lifetime analyzers share one alias rule (which expressions
+// carry a tracked value) and one set of escape sinks in the muvet
+// package's escape.go, which passes the rule to ApplyAssign as eval.
+// Only inboxalias adds a transfer of its own, the Tick/Idle
+// invalidation behind its stale-read check.
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -113,10 +115,7 @@ func ApplyAssign(info *types.Info, f Facts, n ast.Node, eval func(Facts, ast.Exp
 		if !ok || id.Name == "_" {
 			return
 		}
-		obj := info.Defs[id]
-		if obj == nil {
-			obj = info.Uses[id]
-		}
+		obj := ObjOf(info, id)
 		if obj == nil {
 			return
 		}
@@ -173,10 +172,4 @@ func ObjOf(info *types.Info, id *ast.Ident) types.Object {
 		return o
 	}
 	return info.Defs[id]
-}
-
-// PosBefore reports pos < end with both valid — a tiny helper for the
-// textual tie-breaks analyzers use when wording diagnostics.
-func PosBefore(pos, end token.Pos) bool {
-	return pos.IsValid() && end.IsValid() && pos < end
 }

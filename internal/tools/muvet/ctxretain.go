@@ -1,189 +1,36 @@
 package muvet
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-
-	"mucongest/internal/tools/muvet/analysis"
-)
+import "mucongest/internal/tools/muvet/analysis"
 
 // CtxRetain enforces the Program.Node contract comment in
 // internal/sim/step.go: "Node is called once per node during engine
 // setup and may be called concurrently for distinct nodes; it must not
 // retain c beyond the node's own execution." The returned StepProgram
-// and func(*Ctx) ARE the node's execution, so handing c to them —
-// s(c), &stepper{c: c} in a return statement — is the contract working
-// as intended. What must not happen is c leaking somewhere with a
-// longer lifetime:
+// and func(*Ctx) ARE the node's execution, so handing c to them (s(c),
+// &stepper{c: c} or a closure over c in a return statement) is the
+// contract working as intended; a return is not a sink here. What must
+// not happen is c leaking somewhere with a longer lifetime. The check
+// is the shared lifetime rule of escape.go seeded with c: a value
+// carrying it (a copy, its address, a composite literal embedding it, a
+// closure reading it) must not be stored in a field (the Program value
+// is shared by every node and outlives them all), a container or
+// through a pointer, assigned to a package variable or an outer
+// function's local, sent, retained via append, or handed to a go
+// statement.
 //
-//   - a store into a struct field (the Program value is shared by every
-//     node and outlives them all) or a container;
-//   - an assignment to a package variable or an outer function's local;
-//   - a channel send, or retention via append;
-//   - capture by a goroutine spawned inside Node.
-//
-// Aliases of c (locals, composite literals embedding it) are tracked as
-// reaching facts over the method's control-flow graph. Suppress a
-// deliberate retention with //muvet:allow ctxretain(reason).
+// Suppress a deliberate retention with //muvet:allow ctxretain(reason).
 var CtxRetain = &analysis.Analyzer{
 	Name: "ctxretain",
 	Doc:  "Program.Node must not retain the node context beyond the node's execution",
 	Run:  runCtxRetain,
 }
 
-// ctxTracked marks a variable that may hold (or embed) the node ctx.
-const ctxTracked analysis.FlowState = 1
-
 func runCtxRetain(pass *analysis.Pass) error {
-	allow := buildAllowlist(pass)
-	reported := map[token.Pos]bool{}
-	report := func(pos token.Pos, format string, args ...any) {
-		if reported[pos] || allow.allowed(pass.Fset, pos, "ctxretain") {
-			return
-		}
-		reported[pos] = true
-		pass.Reportf(pos, format, args...)
+	ck := &escapeCheck{
+		pass: pass, report: reporter(pass),
+		noun: "node context",
+		why:  "Node must not retain c beyond the node's own execution",
 	}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if _, ok := isNodeMethod(pass.TypesInfo, fn); !ok {
-				continue
-			}
-			cObj := paramObj(pass.TypesInfo, fn, 0)
-			if cObj == nil {
-				continue // unnamed context: nothing to retain
-			}
-			checkCtxRetainFunc(pass, fn, cObj, report)
-		}
-	}
+	ck.checkMethods(isNodeMethod, 0)
 	return nil
-}
-
-// ctxRetainFrame carries one Node method's analysis state.
-type ctxRetainFrame struct {
-	pass *analysis.Pass
-	body *ast.BlockStmt
-}
-
-func checkCtxRetainFunc(pass *analysis.Pass, fn *ast.FuncDecl, cObj types.Object, report func(token.Pos, string, ...any)) {
-	fr := &ctxRetainFrame{pass: pass, body: fn.Body}
-	cfg := analysis.BuildCFG(fn.Body)
-	seed := analysis.Facts{cObj: ctxTracked}
-	in := cfg.ForwardSeeded(seed, func(b *analysis.Block, f analysis.Facts) analysis.Facts {
-		for _, n := range b.Nodes {
-			analysis.ApplyAssign(pass.TypesInfo, f, n, fr.evalCtx)
-		}
-		return f
-	})
-
-	everTracked := map[types.Object]bool{cObj: true}
-	for _, b := range cfg.Blocks {
-		for obj, st := range in[b] {
-			if st&ctxTracked != 0 {
-				everTracked[obj] = true
-			}
-		}
-	}
-	for _, b := range cfg.Blocks {
-		f := in[b].Clone()
-		for _, n := range b.Nodes {
-			fr.checkEscapes(f, n, everTracked, report)
-			analysis.ApplyAssign(pass.TypesInfo, f, n, fr.evalCtx)
-		}
-	}
-}
-
-// evalCtx computes whether an expression may carry the node context: a
-// tracked variable, an address-of of one, or a composite literal with a
-// tracked element (a step-program struct embedding c).
-func (fr *ctxRetainFrame) evalCtx(f analysis.Facts, e ast.Expr) analysis.FlowState {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if obj := objOf(fr.pass.TypesInfo, e); obj != nil {
-			return f[obj]
-		}
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			return fr.evalCtx(f, e.X)
-		}
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			v := el
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				v = kv.Value
-			}
-			if fr.evalCtx(f, v) != 0 {
-				return ctxTracked
-			}
-		}
-	}
-	return 0
-}
-
-// checkEscapes diagnoses the node context leaving Node's own scope
-// through one block node.
-func (fr *ctxRetainFrame) checkEscapes(f analysis.Facts, n ast.Node, everTracked map[types.Object]bool, report func(token.Pos, string, ...any)) {
-	info := fr.pass.TypesInfo
-	isCtx := func(e ast.Expr) bool { return fr.evalCtx(f, e) != 0 }
-	declaredOutside := func(obj types.Object) bool {
-		return obj != nil && (obj.Pos() < fr.body.Pos() || obj.Pos() > fr.body.End())
-	}
-	analysis.Inspect(n, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range m.Lhs {
-				if i >= len(m.Rhs) || !isCtx(m.Rhs[i]) {
-					continue
-				}
-				switch l := lhs.(type) {
-				case *ast.SelectorExpr:
-					report(m.Pos(), "node context stored in field %s: Node must not retain c beyond the node's own execution", l.Sel.Name)
-				case *ast.IndexExpr:
-					report(m.Pos(), "node context stored into a container: Node must not retain c beyond the node's own execution")
-				case *ast.Ident:
-					if lobj := objOf(info, l); declaredOutside(lobj) {
-						report(m.Pos(), "node context assigned to %s, declared outside Node: it must not be retained beyond the node's own execution", l.Name)
-					}
-				}
-			}
-		case *ast.SendStmt:
-			if isCtx(m.Value) {
-				report(m.Pos(), "node context sent on a channel: Node must not retain c beyond the node's own execution")
-			}
-		case *ast.CallExpr:
-			if id, ok := m.Fun.(*ast.Ident); ok && id.Name == "append" && m.Ellipsis == token.NoPos {
-				for _, arg := range m.Args[1:] {
-					if isCtx(arg) {
-						report(arg.Pos(), "node context retained via append: Node must not retain c beyond the node's own execution")
-					}
-				}
-			}
-		case *ast.GoStmt:
-			spawnsCtx := false
-			for _, arg := range m.Call.Args {
-				if isCtx(arg) {
-					spawnsCtx = true
-				}
-			}
-			if lit, ok := ast.Unparen(m.Call.Fun).(*ast.FuncLit); ok && !spawnsCtx {
-				spawnsCtx = contains(lit.Body, func(nn ast.Node) bool {
-					id, ok := nn.(*ast.Ident)
-					if !ok {
-						return false
-					}
-					obj := objOf(info, id)
-					return obj != nil && everTracked[obj]
-				})
-			}
-			if spawnsCtx {
-				report(m.Pos(), "node context captured by a goroutine spawned in Node: it may outlive the node's own execution")
-			}
-		}
-		return true
-	})
 }

@@ -46,12 +46,7 @@ var HotAlloc = &analysis.Analyzer{
 }
 
 func runHotAlloc(pass *analysis.Pass) error {
-	allow := buildAllowlist(pass)
-	report := func(pos token.Pos, format string, args ...any) {
-		if !allow.allowed(pass.Fset, pos, "hotalloc") {
-			pass.Reportf(pos, format, args...)
-		}
-	}
+	report := reporter(pass)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -315,7 +310,7 @@ func captures(info *types.Info, lit *ast.FuncLit) bool {
 		if !ok {
 			return false
 		}
-		obj := objOf(info, id)
+		obj := analysis.ObjOf(info, id)
 		v, isVar := obj.(*types.Var)
 		if !isVar || v.IsField() {
 			return false

@@ -17,7 +17,12 @@
 // on a shared per-function control-flow graph with a reaching-values
 // lattice (internal/tools/muvet/analysis), so branch, loop back-edge
 // and panic-path reasoning are dataflow facts rather than source-order
-// heuristics.
+// heuristics. inboxalias, stepalias and ctxretain are one lifetime
+// check (escape.go) with different seeds: one alias rule decides which
+// expressions carry the tracked value, one set of sinks decides where
+// it must not go, and a capturing closure is judged like the value it
+// captures. Every analyzer reports through one helper (reporter), which
+// applies //muvet:allow and keeps one finding per position.
 //
 // # Annotation grammar
 //
@@ -86,15 +91,16 @@ func isTestFile(fset *token.FileSet, pos token.Pos) bool {
 // name followed by a parenthesized non-empty reason.
 var allowRx = regexp.MustCompile(`([a-z]+)\(([^()]+)\)`)
 
-// allowlist indexes the //muvet:allow annotations of one pass:
-// file line → set of analyzer names allowed on that line.
-type allowlist map[string]map[int]map[string]bool
-
-// buildAllowlist scans every comment of the pass once. An annotation on
-// line L suppresses findings on L and on L+1, so both the end-of-line
-// and the line-above placement work.
-func buildAllowlist(pass *analysis.Pass) allowlist {
-	al := allowlist{}
+// reporter returns the report function every analyzer uses. A finding
+// is dropped when a //muvet:allow comment names the analyzer on its
+// line or the line above (so both the end-of-line and the line-above
+// placement work), and only the first finding at a position is kept.
+func reporter(pass *analysis.Pass) func(pos token.Pos, format string, args ...any) {
+	type line struct {
+		file string
+		n    int
+	}
+	allowed := map[line]bool{}
 	for _, f := range pass.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -103,29 +109,24 @@ func buildAllowlist(pass *analysis.Pass) allowlist {
 					continue
 				}
 				p := pass.Fset.Position(c.Pos())
-				lines := al[p.Filename]
-				if lines == nil {
-					lines = map[int]map[string]bool{}
-					al[p.Filename] = lines
-				}
 				for _, m := range allowRx.FindAllStringSubmatch(text, -1) {
-					for _, line := range []int{p.Line, p.Line + 1} {
-						if lines[line] == nil {
-							lines[line] = map[string]bool{}
-						}
-						lines[line][m[1]] = true
+					if m[1] == pass.Analyzer.Name {
+						allowed[line{p.Filename, p.Line}] = true
+						allowed[line{p.Filename, p.Line + 1}] = true
 					}
 				}
 			}
 		}
 	}
-	return al
-}
-
-// allowed reports whether analyzer name is suppressed at pos.
-func (al allowlist) allowed(fset *token.FileSet, pos token.Pos, name string) bool {
-	p := fset.Position(pos)
-	return al[p.Filename][p.Line][name]
+	seen := map[token.Pos]bool{}
+	return func(pos token.Pos, format string, args ...any) {
+		p := pass.Fset.Position(pos)
+		if seen[pos] || allowed[line{p.Filename, p.Line}] {
+			return
+		}
+		seen[pos] = true
+		pass.Reportf(pos, format, args...)
+	}
 }
 
 // hasHotpathDirective reports whether a function declaration carries
@@ -188,15 +189,6 @@ func calleeName(call *ast.CallExpr) string {
 		return fun.Sel.Name
 	}
 	return ""
-}
-
-// objOf returns the object an identifier resolves to (definition or
-// use), or nil.
-func objOf(info *types.Info, id *ast.Ident) types.Object {
-	if o := info.Uses[id]; o != nil {
-		return o
-	}
-	return info.Defs[id]
 }
 
 // isSerializedField reports whether the struct field obj is part of a

@@ -74,12 +74,7 @@ func runNoDeterm(pass *analysis.Pass) error {
 	if !inScope(pass.ImportPath, nodetermScope...) {
 		return nil
 	}
-	allow := buildAllowlist(pass)
-	report := func(pos token.Pos, format string, args ...any) {
-		if !allow.allowed(pass.Fset, pos, "nodeterm") {
-			pass.Reportf(pos, format, args...)
-		}
-	}
+	report := reporter(pass)
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f.Pos()) {
 			continue
@@ -142,7 +137,7 @@ func checkTimeTaint(pass *analysis.Pass, fn *ast.FuncDecl, report func(token.Pos
 				continue
 			}
 			if id, ok := asg.Lhs[i].(*ast.Ident); ok {
-				if obj := objOf(info, id); obj != nil {
+				if obj := analysis.ObjOf(info, id); obj != nil {
 					tainted[obj] = true
 				}
 			}
@@ -157,7 +152,7 @@ func checkTimeTaint(pass *analysis.Pass, fn *ast.FuncDecl, report func(token.Pos
 				return true
 			}
 			if id, ok := n.(*ast.Ident); ok {
-				if obj := objOf(info, id); obj != nil && tainted[obj] {
+				if obj := analysis.ObjOf(info, id); obj != nil && tainted[obj] {
 					src = id.Name + " (from time.Now/time.Since)"
 					return true
 				}
@@ -329,7 +324,7 @@ func orderSensitiveSink(info *types.Info, rng *ast.RangeStmt) (token.Pos, string
 	var why string
 	var stack []ast.Node
 	declaredOutside := func(id *ast.Ident) bool {
-		obj := objOf(info, id)
+		obj := analysis.ObjOf(info, id)
 		return obj != nil && (obj.Pos() < rng.Pos() || obj.Pos() > rng.End())
 	}
 	found := false
@@ -399,7 +394,7 @@ func orderSensitiveAssign(info *types.Info, asg *ast.AssignStmt, stack []ast.Nod
 			if appendRHS {
 				return asg.Pos(), "an append", true
 			}
-			if guardedByComparison(info, stack, objOf(info, id)) {
+			if guardedByComparison(info, stack, analysis.ObjOf(info, id)) {
 				continue // min/max selection: order-insensitive
 			}
 			return asg.Pos(), "an overwrite of " + id.Name + " (first/last writer wins)", true
@@ -428,7 +423,7 @@ func guardedByComparison(info *types.Info, stack []ast.Node, obj types.Object) b
 		case token.LSS, token.LEQ, token.GTR, token.GEQ:
 			if contains(bin, func(n ast.Node) bool {
 				i, ok := n.(*ast.Ident)
-				return ok && objOf(info, i) == obj
+				return ok && analysis.ObjOf(info, i) == obj
 			}) {
 				return true
 			}

@@ -39,12 +39,7 @@ func runRecordPurity(pass *analysis.Pass) error {
 	if !inScope(pass.ImportPath, recordPurityScope) {
 		return nil
 	}
-	allow := buildAllowlist(pass)
-	report := func(pos token.Pos, format string, args ...any) {
-		if !allow.allowed(pass.Fset, pos, "recordpurity") {
-			pass.Reportf(pos, format, args...)
-		}
-	}
+	report := reporter(pass)
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f.Pos()) {
 			continue
@@ -90,7 +85,7 @@ func mapRangeAssigned(info *types.Info, fn *ast.FuncDecl) map[types.Object]bool 
 			}
 			for _, lhs := range asg.Lhs {
 				if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-					if obj := objOf(info, id); obj != nil {
+					if obj := analysis.ObjOf(info, id); obj != nil {
 						tainted[obj] = true
 					}
 				}
@@ -165,7 +160,7 @@ func checkRecordValue(pass *analysis.Pass, field string, v ast.Expr,
 	}
 	if contains(v, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
-		return ok && mapTainted[objOf(info, id)]
+		return ok && mapTainted[analysis.ObjOf(info, id)]
 	}) {
 		report(v.Pos(), "Record.%s set from a value built under map iteration: encode with sorted keys instead", field)
 	}
@@ -207,7 +202,7 @@ func containsWallClock(info *types.Info, e ast.Expr) (string, bool) {
 		if !ok {
 			return false
 		}
-		obj := objOf(info, id)
+		obj := analysis.ObjOf(info, id)
 		if obj == nil || obj.Type() == nil {
 			return false
 		}

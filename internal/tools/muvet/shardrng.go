@@ -37,7 +37,7 @@ func runShardRNG(pass *analysis.Pass) error {
 	if !inScope(pass.ImportPath, shardRNGScope...) {
 		return nil
 	}
-	allow := buildAllowlist(pass)
+	report := reporter(pass)
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f.Pos()) {
 			continue
@@ -53,9 +53,7 @@ func runShardRNG(pass *analysis.Pass) error {
 			if len(call.Args) == 1 && isBlessedSeed(call.Args[0]) {
 				return true
 			}
-			if !allow.allowed(pass.Fset, call.Pos(), "shardrng") {
-				pass.Reportf(call.Pos(), "ad-hoc rand.NewSource seed in the engine: derive it via sim.ShardStreamSeed(seed, shard) or the node rule seed*%s+int64(id) so refsim and the golden digests stay in sync", nodeRNGFactor)
-			}
+			report(call.Pos(), "ad-hoc rand.NewSource seed in the engine: derive it via sim.ShardStreamSeed(seed, shard) or the node rule seed*%s+int64(id) so refsim and the golden digests stay in sync", nodeRNGFactor)
 			return true
 		})
 	}

@@ -1,35 +1,25 @@
 package muvet
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-
-	"mucongest/internal/tools/muvet/analysis"
-)
+import "mucongest/internal/tools/muvet/analysis"
 
 // StepAlias enforces the inbox aliasing contract on the step execution
 // form: the `in []Incoming` parameter of a Step method aliases an
 // engine-owned buffer that is reused for the node's next delivery
-// (simdebug poisons it at the next Step), so neither the slice nor a
-// sub-slice or element pointer may escape the Step invocation. Flagged:
-//
-//   - storing in (or an alias: a local copy, a sub-slice in[a:b], a
-//     pointer &in[i]) into a struct field — including the receiver,
-//     which outlives the call — a container, or a variable declared
-//     outside the method;
-//   - sending it on a channel;
-//   - retaining it via append(dst, in) — append(dst, in...) copies the
-//     elements and is fine, as is copying an element value in[i];
-//   - capturing it in a function literal that may outlive the call
-//     (immediately invoked literals are fine).
+// (simdebug poisons it at the next Step), so no value carrying it may
+// outlive the Step invocation. The check is the shared lifetime rule of
+// escape.go seeded with in: a copy, a sub-slice in[a:b], a pointer
+// &in[i], or a composite or function literal holding one must not be
+// stored in a field (the receiver outlives the call), a container or
+// through a pointer, assigned to a variable declared outside the
+// method, sent, appended as a slice value, or handed to a go statement.
+// append(dst, in...) and an element copy in[i] copy the messages and
+// are fine, as is a literal that reads in and is invoked on the spot or
+// passed to a call: its body is checked with in seeded, like Step's.
 //
 // Passing in to a helper is not an escape at the call site; the helper
 // is a Step-path function with contracts of its own.
 //
-// Aliases are tracked as reaching facts over the method's control-flow
-// graph, so escapes through renames and branches are caught. Suppress a
-// deliberate retention (poisoning fixtures) with
+// Suppress a deliberate retention (poisoning fixtures) with
 // //muvet:allow stepalias(reason).
 var StepAlias = &analysis.Analyzer{
 	Name: "stepalias",
@@ -37,180 +27,12 @@ var StepAlias = &analysis.Analyzer{
 	Run:  runStepAlias,
 }
 
-// stepTracked marks a variable that may alias the Step inbox buffer.
-const stepTracked analysis.FlowState = 1
-
 func runStepAlias(pass *analysis.Pass) error {
-	allow := buildAllowlist(pass)
-	reported := map[token.Pos]bool{}
-	report := func(pos token.Pos, format string, args ...any) {
-		if reported[pos] || allow.allowed(pass.Fset, pos, "stepalias") {
-			return
-		}
-		reported[pos] = true
-		pass.Reportf(pos, format, args...)
+	ck := &escapeCheck{
+		pass: pass, report: reporter(pass),
+		noun: "Step inbox",
+		why:  "in aliases an engine buffer reused at the node's next Step (copy the messages instead)",
 	}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if _, ok := isStepMethod(pass.TypesInfo, fn); !ok {
-				continue
-			}
-			inObj := paramObj(pass.TypesInfo, fn, 1)
-			if inObj == nil {
-				continue // unnamed or blank inbox: nothing can escape
-			}
-			checkStepAliasFunc(pass, fn, inObj, report)
-		}
-	}
+	ck.checkMethods(isStepMethod, 1)
 	return nil
-}
-
-// stepAliasFrame carries one Step method's analysis state.
-type stepAliasFrame struct {
-	pass  *analysis.Pass
-	body  *ast.BlockStmt
-	inObj types.Object
-}
-
-func checkStepAliasFunc(pass *analysis.Pass, fn *ast.FuncDecl, inObj types.Object, report func(token.Pos, string, ...any)) {
-	fr := &stepAliasFrame{pass: pass, body: fn.Body, inObj: inObj}
-	cfg := analysis.BuildCFG(fn.Body)
-	seed := analysis.Facts{inObj: stepTracked}
-	in := cfg.ForwardSeeded(seed, func(b *analysis.Block, f analysis.Facts) analysis.Facts {
-		for _, n := range b.Nodes {
-			analysis.ApplyAssign(pass.TypesInfo, f, n, fr.evalAlias)
-		}
-		return f
-	})
-
-	// Escape checks: replay each block from its fixpoint entry facts,
-	// testing every node under the facts holding at its execution point.
-	everTracked := map[types.Object]bool{inObj: true}
-	for _, b := range cfg.Blocks {
-		for obj, st := range in[b] {
-			if st&stepTracked != 0 {
-				everTracked[obj] = true
-			}
-		}
-	}
-	for _, b := range cfg.Blocks {
-		f := in[b].Clone()
-		for _, n := range b.Nodes {
-			fr.checkEscapes(f, n, report)
-			analysis.ApplyAssign(pass.TypesInfo, f, n, fr.evalAlias)
-		}
-	}
-
-	// Closure captures: a reference to a tracked variable inside a
-	// nested literal outlives the call unless the literal is invoked on
-	// the spot.
-	info := pass.TypesInfo
-	iife := map[*ast.FuncLit]bool{}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-				// An immediately invoked literal runs within the Step
-				// call; captures inside it are fine.
-				iife[lit] = true
-			}
-		}
-		return true
-	})
-	var litRanges [][2]token.Pos
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok && !iife[lit] {
-			litRanges = append(litRanges, [2]token.Pos{lit.Pos(), lit.End()})
-			return false
-		}
-		return true
-	})
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		inLit := false
-		for _, r := range litRanges {
-			if r[0] <= id.Pos() && id.Pos() < r[1] {
-				inLit = true
-				break
-			}
-		}
-		if !inLit {
-			return true
-		}
-		if obj := objOf(info, id); obj != nil && everTracked[obj] {
-			report(id.Pos(), "Step inbox %s captured by a function literal that may outlive the Step call (copy the messages instead)", id.Name)
-		}
-		return true
-	})
-}
-
-// evalAlias computes whether an expression may alias the inbox buffer:
-// the tracked variables themselves, sub-slices, and pointers to
-// elements. Indexing (in[i]) yields an element COPY — Msg is a value
-// struct — and is untracked.
-func (fr *stepAliasFrame) evalAlias(f analysis.Facts, e ast.Expr) analysis.FlowState {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if obj := objOf(fr.pass.TypesInfo, e); obj != nil {
-			return f[obj]
-		}
-	case *ast.SliceExpr:
-		return fr.evalAlias(f, e.X)
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			if idx, ok := ast.Unparen(e.X).(*ast.IndexExpr); ok {
-				return fr.evalAlias(f, idx.X)
-			}
-		}
-	}
-	return 0
-}
-
-// checkEscapes diagnoses inbox aliases leaving the Step invocation
-// through one block node.
-func (fr *stepAliasFrame) checkEscapes(f analysis.Facts, n ast.Node, report func(token.Pos, string, ...any)) {
-	info := fr.pass.TypesInfo
-	isAlias := func(e ast.Expr) bool { return fr.evalAlias(f, e) != 0 }
-	declaredOutside := func(obj types.Object) bool {
-		return obj != nil && (obj.Pos() < fr.body.Pos() || obj.Pos() > fr.body.End())
-	}
-	analysis.Inspect(n, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range m.Lhs {
-				if i >= len(m.Rhs) || !isAlias(m.Rhs[i]) {
-					continue
-				}
-				switch l := lhs.(type) {
-				case *ast.SelectorExpr:
-					report(m.Pos(), "Step inbox stored in field %s: in aliases an engine buffer reused at the node's next Step (copy the messages instead)", l.Sel.Name)
-				case *ast.IndexExpr:
-					report(m.Pos(), "Step inbox stored into a container: in aliases an engine buffer reused at the node's next Step (copy the messages instead)")
-				case *ast.Ident:
-					if lobj := objOf(info, l); declaredOutside(lobj) {
-						report(m.Pos(), "Step inbox assigned to %s, declared outside the method: the buffer is reused at the node's next Step (copy the messages instead)", l.Name)
-					}
-				}
-			}
-		case *ast.SendStmt:
-			if isAlias(m.Value) {
-				report(m.Pos(), "Step inbox sent on a channel: in aliases an engine buffer reused at the node's next Step (copy the messages instead)")
-			}
-		case *ast.CallExpr:
-			if id, ok := m.Fun.(*ast.Ident); ok && id.Name == "append" && m.Ellipsis == token.NoPos {
-				for _, arg := range m.Args[1:] {
-					if isAlias(arg) {
-						report(arg.Pos(), "Step inbox stored via append: appending the slice value retains the engine buffer (use append(dst, in...) to copy the messages)")
-					}
-				}
-			}
-		}
-		return true
-	})
 }

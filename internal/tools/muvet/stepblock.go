@@ -39,15 +39,7 @@ var StepBlock = &analysis.Analyzer{
 }
 
 func runStepBlock(pass *analysis.Pass) error {
-	allow := buildAllowlist(pass)
-	reported := map[token.Pos]bool{}
-	report := func(pos token.Pos, format string, args ...any) {
-		if reported[pos] || allow.allowed(pass.Fset, pos, "stepblock") {
-			return
-		}
-		reported[pos] = true
-		pass.Reportf(pos, format, args...)
-	}
+	report := reporter(pass)
 	decls := funcDeclOf(pass)
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {

@@ -42,14 +42,14 @@ func (p *chanProg) Node(c *stepstub.Ctx) (stepstub.StepProgram, func(*stepstub.C
 type appendProg struct{ all []*stepstub.Ctx }
 
 func (p *appendProg) Node(c *stepstub.Ctx) (stepstub.StepProgram, func(*stepstub.Ctx)) {
-	p.all = append(p.all, c) // want `node context retained via append`
+	p.all = append(p.all, c) // want `node context stored via append`
 	return nil, func(*stepstub.Ctx) {}
 }
 
 type goProg struct{}
 
 func (goProg) Node(c *stepstub.Ctx) (stepstub.StepProgram, func(*stepstub.Ctx)) {
-	go func() { // want `node context captured by a goroutine spawned in Node`
+	go func() { // want `node context passed to a goroutine`
 		c.Idle()
 	}()
 	return nil, func(*stepstub.Ctx) {}
@@ -70,6 +70,31 @@ type aliasProg struct{ last *stepstub.Ctx }
 func (p *aliasProg) Node(c *stepstub.Ctx) (stepstub.StepProgram, func(*stepstub.Ctx)) {
 	mine := c
 	p.last = mine // want `node context stored in field last`
+	return nil, func(*stepstub.Ctx) {}
+}
+
+// hookProg stores a closure over c on the shared receiver: the closure
+// carries the context like the context itself.
+type hookProg struct{ f func() }
+
+func (p *hookProg) Node(c *stepstub.Ctx) (stepstub.StepProgram, func(*stepstub.Ctx)) {
+	p.f = func() { c.Idle() } // want `node context stored in field f`
+	return nil, func(*stepstub.Ctx) {}
+}
+
+type containerProg struct{ byNode map[int]*stepstub.Ctx }
+
+func (p *containerProg) Node(c *stepstub.Ctx) (stepstub.StepProgram, func(*stepstub.Ctx)) {
+	p.byNode[len(p.byNode)] = c // want `node context stored into a container`
+	return nil, func(*stepstub.Ctx) {}
+}
+
+// iifeProg stores c from inside a literal invoked on the spot: the
+// literal's own body is checked, seeded with the c it captures.
+type iifeProg struct{ last *stepstub.Ctx }
+
+func (p *iifeProg) Node(c *stepstub.Ctx) (stepstub.StepProgram, func(*stepstub.Ctx)) {
+	func() { p.last = c }() // want `node context stored in field last`
 	return nil, func(*stepstub.Ctx) {}
 }
 

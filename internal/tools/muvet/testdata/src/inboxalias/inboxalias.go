@@ -48,7 +48,7 @@ func copyViaAppendOK(c *Ctx, log []Msg) []Msg {
 
 func captureInClosure(c *Ctx) func() int {
 	in := c.Tick()
-	return func() int { return len(in) } // want `inbox variable in captured by a nested function literal`
+	return func() int { return len(in) } // want `inbox slice returned from the function`
 }
 
 func useAfterTick(c *Ctx) int64 {
@@ -89,6 +89,14 @@ func deliberateStashAllowed(c *Ctx) {
 	global = in
 }
 
+// allowNamesAnotherAnalyzer is not suppressed: an annotation silences
+// only the analyzers it names.
+func allowNamesAnotherAnalyzer(c *Ctx) {
+	in := c.Tick()
+	//muvet:allow stepalias(names another analyzer, so inboxalias still reports)
+	global = in // want `inbox slice assigned to global`
+}
+
 // bindInLoopStale goes stale over the loop back edge: the binding
 // happens inside the loop, so the old linear pass (which required the
 // binding to precede the loop) missed it. The CFG dataflow sees the
@@ -126,4 +134,92 @@ func escapeThroughCopy(c *Ctx, h *holder) {
 	in := c.Tick()
 	alias := in
 	h.in = alias // want `inbox slice stored in field in`
+}
+
+// The shapes below are the escapes stepalias and ctxretain check too:
+// one alias rule and one set of sinks serve all three analyzers.
+
+func escapeSubslice(c *Ctx, h *holder) {
+	in := c.Tick()
+	h.in = in[1:] // want `inbox slice stored in field in`
+}
+
+func escapeElementPointer(c *Ctx, p **Msg) {
+	in := c.Tick()
+	*p = &in[0] // want `inbox slice stored through a pointer`
+}
+
+func escapeInLiteral(c *Ctx, hs []holder) []holder {
+	in := c.Tick()
+	hs = append(hs, holder{in: in}) // want `inbox slice stored via append`
+	return hs
+}
+
+func escapeToContainer(c *Ctx, byRound map[int][]Msg) {
+	in := c.Tick()
+	byRound[0] = in // want `inbox slice stored into a container`
+}
+
+func escapeToGoroutine(c *Ctx) {
+	in := c.Tick()
+	go func() { _ = len(in) }() // want `inbox slice passed to a goroutine`
+}
+
+// iifeOK reads the inbox in a literal invoked on the spot, within the
+// round: the closure reaches no sink, so it is fine.
+func iifeOK(c *Ctx) int {
+	in := c.Tick()
+	return func() int { return len(in) }()
+}
+
+// rangeOverStale ranges over a retired inbox: the loop head reads its
+// operand.
+func rangeOverStale(c *Ctx) int64 {
+	in := c.Tick()
+	c.Tick()
+	var sum int64
+	for _, m := range in { // want `use of inbox in after a later Tick`
+		sum += m.A
+	}
+	return sum
+}
+
+// rebindPerRangeOK binds a fresh inbox on every iteration of a range
+// loop, like rebindEachRoundOK does under a three-clause for.
+func rebindPerRangeOK(c *Ctx, xs []int) int {
+	n := 0
+	for range xs {
+		in := c.Tick()
+		n += len(in)
+		c.Tick()
+	}
+	return n
+}
+
+func staleAcrossRange(c *Ctx, xs []int) int {
+	in := c.Tick()
+	n := 0
+	for range xs {
+		n += len(in) // want `use of inbox in inside a loop that Ticks without rebinding it`
+		c.Tick()
+	}
+	return n
+}
+
+// staleThroughAlias reads a sub-slice and a closure after the Tick that
+// retired the buffer they carry: the alias rule feeds the stale-read
+// check too.
+func staleThroughAlias(c *Ctx) int {
+	in := c.Tick()
+	tail := in[1:]
+	count := func() int { return len(in) }
+	c.Tick()
+	return len(tail) + count() // want `use of inbox tail after a later Tick` `use of inbox count after a later Tick`
+}
+
+// storeInsideLiteral stores from inside a deferred literal: the literal
+// is checked as a body of its own, seeded with the inbox it captures.
+func storeInsideLiteral(c *Ctx, h *holder) {
+	in := c.Tick()
+	defer func() { h.in = in }() // want `inbox slice stored in field in`
 }

@@ -72,7 +72,7 @@ func (s *aliasStep) Step(c *stepstub.Ctx, in []stepstub.Incoming) bool {
 type captureStep struct{ probe func() int }
 
 func (s *captureStep) Step(c *stepstub.Ctx, in []stepstub.Incoming) bool {
-	s.probe = func() int { return len(in) } // want `Step inbox in captured by a function literal`
+	s.probe = func() int { return len(in) } // want `Step inbox stored in field probe`
 	return true
 }
 
@@ -115,4 +115,49 @@ func (s *stashStep) Step(c *stepstub.Ctx, in []stepstub.Incoming) bool {
 	//muvet:allow stepalias(poisoning fixture retains the inbox on purpose)
 	s.held = in
 	return true
+}
+
+// literalStep stores a struct literal that embeds the inbox: the
+// literal carries it.
+type inHolder struct{ in []stepstub.Incoming }
+
+type literalStep struct{ box inHolder }
+
+func (s *literalStep) Step(c *stepstub.Ctx, in []stepstub.Incoming) bool {
+	s.box = inHolder{in: in} // want `Step inbox stored in field box`
+	return true
+}
+
+type containerStep struct{ byRound map[int][]stepstub.Incoming }
+
+func (s *containerStep) Step(c *stepstub.Ctx, in []stepstub.Incoming) bool {
+	s.byRound[len(s.byRound)] = in // want `Step inbox stored into a container`
+	return true
+}
+
+// goStep hands the inbox to a goroutine through an immediately invoked
+// literal: a go statement outlives the call, unlike iifeStep's call.
+type goStep struct{}
+
+func (goStep) Step(c *stepstub.Ctx, in []stepstub.Incoming) bool {
+	go func() { _ = len(in) }() // want `Step inbox passed to a goroutine`
+	return true
+}
+
+// deferStep stores from inside a deferred literal, which runs within
+// the Step call but still leaves in on the receiver.
+type deferStep struct{ held []stepstub.Incoming }
+
+func (s *deferStep) Step(c *stepstub.Ctx, in []stepstub.Incoming) bool {
+	defer func() { s.held = in }() // want `Step inbox stored in field held`
+	return true
+}
+
+// swapStep stores in and clears it in one assignment: the sinks see the
+// facts from before the assignment takes effect.
+type swapStep struct{ held []stepstub.Incoming }
+
+func (s *swapStep) Step(c *stepstub.Ctx, in []stepstub.Incoming) bool {
+	s.held, in = in, nil // want `Step inbox stored in field held`
+	return len(in) == 0
 }

@@ -16,7 +16,17 @@ func (s *transStep) Step(c *stepstub.Ctx, in []stepstub.Incoming) bool {
 	return true
 }
 
-// fanOut is a plain function reachable only from transStep.Step.
+// fanOutStep reaches fanOut too: the send is still one finding,
+// worded with the first Step that reaches it.
+type fanOutStep struct{ ch chan int }
+
+func (s *fanOutStep) Step(c *stepstub.Ctx, in []stepstub.Incoming) bool {
+	fanOut(s.ch)
+	return true
+}
+
+// fanOut is a plain function reachable from transStep.Step and
+// fanOutStep.Step.
 func fanOut(ch chan int) {
 	ch <- 7 // want `channel send in fanOut \(reachable from \(transStep\)\.Step\)`
 }
