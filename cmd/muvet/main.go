@@ -18,6 +18,7 @@
 package main
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -35,22 +36,17 @@ import (
 	"mucongest/internal/tools/muvet/analysis"
 )
 
-// version participates in the go command's action cache key: bump it
-// when analyzer behavior changes so cached clean verdicts are retired.
-// 2.0.0: CFG/dataflow core, step-contract analyzers (stepblock,
-// stepalias, ctxretain), inboxalias and hotalloc rebased onto the CFG.
-// 2.0.1: hotalloc reports a slice conversion only for a string operand.
-// 2.0.2: inboxalias, stepalias and ctxretain share one alias rule and
-// one set of escape sinks; a capturing closure is reported where it
-// reaches a sink; a range loop's head no longer carries its body.
-const version = "muvet-2.0.2"
-
 func main() {
 	args := os.Args[1:]
 	switch {
 	case len(args) == 1 && strings.HasPrefix(args[0], "-V"):
 		// go vet's version probe; the output is part of its cache key.
-		fmt.Printf("muvet version %s\n", version)
+		line, err := versionLine()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "muvet: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Println(line)
 	case len(args) == 1 && args[0] == "-flags":
 		// go vet's flag inventory probe. muvet takes no vet-level flags.
 		fmt.Println("[]")
@@ -82,6 +78,23 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// versionLine answers go vet's -V=full probe in the shape the go
+// command parses for a devel tool, "muvet version devel buildID=<id>",
+// with the sha256 of this executable as the id (x/tools' analysisflags
+// does the same). vet keys its action cache on the id, so rebuilding
+// the analyzers retires every cached verdict of the old binary.
+func versionLine() (string, error) {
+	self, err := os.Executable()
+	if err != nil {
+		return "", err
+	}
+	data, err := os.ReadFile(self)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("muvet version devel buildID=%x", sha256.Sum256(data)), nil
 }
 
 // vetConfig is the JSON the go command writes for each package when

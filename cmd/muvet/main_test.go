@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -9,9 +11,7 @@ import (
 
 // TestRegistry pins the analyzer registry the vet driver runs: exactly
 // these eight analyzers, in this order, each with a unique name and a
-// doc line. Adding or removing an analyzer must update this list (and
-// bump the driver version so vet's action cache retires stale clean
-// verdicts).
+// doc line. Adding or removing an analyzer must update this list.
 func TestRegistry(t *testing.T) {
 	want := []string{
 		"nodeterm",
@@ -45,12 +45,21 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// TestVersionBumped guards the action-cache contract: the driver
-// version string must identify this tool and carry the major version
-// of the current suite (v2 added the CFG core and the step-contract
-// analyzers).
-func TestVersionBumped(t *testing.T) {
-	if !strings.HasPrefix(version, "muvet-2.") {
-		t.Fatalf("version = %q, want a muvet-2.x version for the eight-analyzer suite", version)
+// TestVersionLine pins the -V=full answer to the shape the go command
+// parses for a devel vet tool: "version devel" followed by a buildID
+// field, here the sha256 of the executable, so every rebuilt binary
+// keys vet's action cache afresh.
+func TestVersionLine(t *testing.T) {
+	line, err := versionLine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := strings.Fields(line)
+	if len(f) != 4 || f[0] != "muvet" || f[1] != "version" || f[2] != "devel" {
+		t.Fatalf("versionLine() = %q, want \"muvet version devel buildID=<sha256>\"", line)
+	}
+	id, ok := strings.CutPrefix(f[3], "buildID=")
+	if _, err := hex.DecodeString(id); !ok || err != nil || len(id) != 2*sha256.Size {
+		t.Fatalf("versionLine() build id field %q, want buildID= and %d hex digits", f[3], 2*sha256.Size)
 	}
 }

@@ -572,7 +572,7 @@ func E13(tp topo.Spec, seed int64) *Table {
 			sum, res := runE13Tree(g, k.kind, items, depth, parent, children, maxDepth, plan, seed)
 			coverage := 0.0
 			if m > 0 {
-				coverage = float64(summaryCount(sum)) / float64(m)
+				coverage = float64(sum.Count()) / float64(m)
 			}
 			errVal := k.err(sum)
 			t.AddRow(k.name, loss, res.Rounds, coverage, errVal, res.MaxPeakWords(), res.FaultDrops)
@@ -604,19 +604,4 @@ func runE13Tree(g *graph.Graph, kind stream.Kind, items [][]int64,
 		panic(fmt.Sprintf("bench: E13: %v", err))
 	}
 	return sums[0], res
-}
-
-// summaryCount reads the absorbed-element count every E13 kind exposes.
-func summaryCount(sum stream.Summary) int64 {
-	switch s := sum.(type) {
-	case *sketch.MG:
-		return s.Count()
-	case *sketch.GK:
-		return s.Count()
-	case *sketch.CountMin:
-		return s.Count()
-	case *sketch.AMS:
-		return s.Count()
-	}
-	panic(fmt.Sprintf("bench: E13: summary %T has no count", sum))
 }

@@ -94,28 +94,28 @@ func paperCases() []paperCase {
 		}},
 		{"E4/E5 naive", []string{"E4", "E5"}, cyc, 1, "", func() func(sim.Node) {
 			mk := func() streamsim.Client { return streamsim.NewMultipassSelect(1, 0, 7, 2, 2) }
-			return streamsim.PPassProgram(cyc, labelsOf(cyc), streamsim.MaxDegreeNode(cyc), cyc.N(), mk, false)
+			return streamsim.PPassProgram(cyc, labelsOf(cyc), mk, false)
 		}},
 		{"E4/E5 cached", []string{"E4", "E5"}, cyc, 1, "", func() func(sim.Node) {
 			mk := func() streamsim.Client { return streamsim.NewMultipassSelect(1, 0, 7, 2, 2) }
-			return streamsim.PPassProgram(cyc, labelsOf(cyc), streamsim.MaxDegreeNode(cyc), cyc.N(), mk, true)
+			return streamsim.PPassProgram(cyc, labelsOf(cyc), mk, true)
 		}},
 		{"E6", []string{"E6"}, hub, 1, "", func() func(sim.Node) {
 			mk := func() streamsim.Client { return streamsim.NewRecorder(2) }
-			return streamsim.RandomOrderProgram(hub, labelsOf(hub), streamsim.MaxDegreeNode(hub), hub.N(), mk)
+			return streamsim.RandomOrderProgram(hub, labelsOf(hub), mk)
 		}},
 		{"E7", []string{"E7"}, tree, 1, "", func() func(sim.Node) {
 			kind := sketch.NewGKKind(0.2, mergesim.TotalItems(treeItems))
-			return mergesim.OneWayProgram(treeItems, kind, 0, tree.N())
+			return mergesim.OneWayProgram(treeItems, kind)
 		}},
 		{"E8", []string{"E8"}, tree, 1, "", func() func(sim.Node) {
-			return mergesim.FullyProgram(treeItems, mg, 0, tree.N(), tree.MaxDegree(), int64(4*mg.M()))
+			return mergesim.FullyProgram(treeItems, mg, tree.MaxDegree(), int64(4*mg.M()))
 		}},
 		{"E9", []string{"E9"}, tree, 1, "", func() func(sim.Node) {
-			return mergesim.ComposableProgram(treeItems, sketch.NewCRPrecisKind(31, 2), 0, tree.N())
+			return mergesim.ComposableProgram(treeItems, sketch.NewCRPrecisKind(31, 2))
 		}},
 		{"E10 refine", []string{"E10"}, tree, 1, "", func() func(sim.Node) {
-			return mergesim.ExactCountProgram(treeItems, []int64{1, 2, 3}, 0, tree.N())
+			return mergesim.ExactCountProgram(treeItems, []int64{1, 2, 3})
 		}},
 		{"E11/E12 alpha=2", []string{"E11", "E12"}, tri, 1, "", func() func(sim.Node) {
 			cfg := clique.MuTriangleConfig{G: tri, Mu: int64(tri.N()), Alpha: 2}

@@ -41,10 +41,8 @@ func pairIterations(deltaMax int, group int64) int {
 // recurses on information centroids (log|I| levels); we recurse on BFS
 // levels — identical on the low-diameter workloads benched (documented
 // deviation). mu ≤ 0 means g = 1.
-func FullyProgram(items [][]int64, kind stream.Kind, root, maxDepth int,
-	deltaMax int, mu int64) func(sim.Node) {
-
-	M := kind.M()
+func FullyProgram(items [][]int64, kind stream.Kind, deltaMax int, mu int64) func(sim.Node) {
+	M, maxDepth := kind.M(), len(items)
 	group := int64(1)
 	if mu > 0 {
 		group = mu / int64(2*M)
@@ -185,8 +183,8 @@ func FullyProgram(items [][]int64, kind stream.Kind, root, maxDepth int,
 // word simultaneously and the parent folds them with ComposeWord using
 // only M memory (Definition 3.3) — collapsing each level to M+O(1)
 // rounds.
-func ComposableProgram(items [][]int64, kind stream.Kind, root, maxDepth int) func(sim.Node) {
-	M := kind.M()
+func ComposableProgram(items [][]int64, kind stream.Kind) func(sim.Node) {
+	M, maxDepth := kind.M(), len(items)
 	return func(c sim.Node) {
 		tr := congest.BuildBFSTree(c, root, maxDepth)
 		depth := int(congest.MaxAll(c, tr, maxDepth, int64(tr.Depth)))

@@ -3,9 +3,11 @@ package mergesim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mucongest/internal/graph"
+	"mucongest/internal/sim"
 	"mucongest/internal/sketch"
 	"mucongest/internal/stream"
 )
@@ -73,6 +75,22 @@ func TestOneWayExactSummaryCorrect(t *testing.T) {
 		if res.Rounds <= 0 {
 			t.Fatal("no rounds")
 		}
+	}
+}
+
+// TestOneWayOutsideTreeFails runs Theorem 1.6 on a disconnected graph:
+// the nodes the root's tree never reaches fail with Gather's named
+// error instead of acting as second roots until the round cap.
+func TestOneWayOutsideTreeFails(t *testing.T) {
+	g, err := graph.FromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := [][]int64{{1, 2}, {3}, {4, 5}, {6}, {7, 8}}
+	prog := OneWayProgram(items, sketch.NewExactKind(8))
+	_, err = sim.New(g, sim.WithMaxRounds(10000)).Run(func(c *sim.Ctx) { prog(c) })
+	if err == nil || !strings.Contains(err.Error(), "congest: Gather: node 3 is not in the tree rooted at 0") {
+		t.Fatalf("one-way outside the tree: err = %v, want node 3's named error", err)
 	}
 }
 

@@ -30,11 +30,12 @@ import (
 	"mucongest/internal/stream"
 )
 
+// root is the node every program of this package roots its BFS tree
+// at, and whose output a Run function reads.
+const root = 0
+
 const (
-	kindItem int32 = congest.KindUser + 32 + iota
-	kindItemDone
-	kindItemCredit
-	kindSumWord
+	kindSumWord int32 = congest.KindUser + 32 + iota
 	kindSumDone
 	kindWeight
 	kindCluster
@@ -44,8 +45,9 @@ const (
 
 // OneWayProgram returns the Theorem 1.6 node program. items[v] is node
 // v's input multiset I_v; kind supplies the one-way mergeable summary.
-// The root (node `root`) emits the final summary's serialized words.
-func OneWayProgram(items [][]int64, kind stream.Kind, root, maxDepth int) func(sim.Node) {
+// The root (node 0) emits the final summary's serialized words.
+func OneWayProgram(items [][]int64, kind stream.Kind) func(sim.Node) {
+	maxDepth := len(items)
 	return func(c sim.Node) {
 		tr := congest.BuildBFSTree(c, root, maxDepth)
 		mine := items[c.ID()]
@@ -101,93 +103,29 @@ func OneWayProgram(items [][]int64, kind stream.Kind, root, maxDepth int) func(s
 			}
 		}
 
-		// Stream items to leaders (A2 at each leader).
+		// Stream items to leaders (A2 at each leader). A leader inserts
+		// its own items first; the others send theirs up.
 		var summary stream.Summary
+		var absorb func(sim.Msg)
+		var up []sim.Msg
 		if isLeader {
 			summary = kind.New()
 			c.Charge(M)
 			defer c.Release(M)
+			stream.InsertAll(summary, mine)
+			absorb = func(m sim.Msg) { summary.Insert(m.A) }
+		} else {
+			up = make([]sim.Msg, len(mine))
+			for i, x := range mine {
+				up[i].A = x
+			}
 		}
-		gatherItems(c, tr, maxDepth, isLeader, mine, summary)
+		congest.Gather(c, tr, maxDepth, up, absorb, false)
 
 		// Converge leader summaries to the root; fold one-way (A1).
-		mainWords := gatherSummaries(c, tr, maxDepth, isLeader, summary, kind, root)
+		mainWords := gatherSummaries(c, tr, maxDepth, isLeader, summary, kind)
 		if c.ID() == root {
 			c.Emit(mainWords)
-		}
-	}
-}
-
-// gatherItems pipelines every node's items to its cluster leader with
-// credit flow control; leaders Insert arriving items. Termination:
-// DONE converges to the root, which floods a FINISH countdown.
-func gatherItems(c sim.Node, tr *congest.Tree, maxDepth int,
-	isLeader bool, mine []int64, summary stream.Summary) {
-
-	queue := append([]int64(nil), mine...)
-	if isLeader {
-		for _, x := range mine {
-			summary.Insert(x)
-		}
-		queue = nil
-	}
-	c.Charge(int64(len(queue) + 2*len(tr.Children) + 8))
-	defer c.Release(int64(len(queue) + 2*len(tr.Children) + 8))
-	childDone := make(map[int]bool, len(tr.Children))
-	outstanding := make(map[int]int, len(tr.Children))
-	credits := 0
-	doneSent := false
-	queueCap := 2*len(tr.Children) + 4
-	isRoot := tr.Parent < 0
-
-	for {
-		if !isRoot {
-			switch {
-			case len(queue) > 0 && credits > 0:
-				x := queue[0]
-				queue = queue[1:]
-				credits--
-				c.SendID(tr.Parent, sim.Msg{Kind: kindItem, A: x})
-			case len(queue) == 0 && !doneSent && len(childDone) == len(tr.Children):
-				doneSent = true
-				c.SendID(tr.Parent, sim.Msg{Kind: kindItemDone})
-			}
-		}
-		space := queueCap - len(queue)
-		if isLeader {
-			space = len(tr.Children)
-		}
-		for _, ch := range tr.Children {
-			if space <= 0 {
-				break
-			}
-			if !childDone[ch] && outstanding[ch] < 2 {
-				outstanding[ch]++
-				space--
-				c.SendID(ch, sim.Msg{Kind: kindItemCredit})
-			}
-		}
-		if isRoot && len(childDone) == len(tr.Children) && len(queue) == 0 {
-			congest.FinishCountdown(c, tr, maxDepth+1)
-			return
-		}
-		for _, m := range c.Tick() {
-			switch m.Msg.Kind {
-			case kindItem:
-				outstanding[m.From]--
-				if isLeader {
-					summary.Insert(m.Msg.A)
-				} else {
-					queue = append(queue, m.Msg.A)
-				}
-			case kindItemDone:
-				childDone[m.From] = true
-			case kindItemCredit:
-				credits++
-			case congest.KindFinish:
-				congest.FinishCountdown(c, tr, int(m.Msg.A))
-				return
-			}
 		}
 	}
 }
@@ -197,7 +135,7 @@ func gatherItems(c sim.Node, tr *congest.Tree, maxDepth int,
 // arriving summaries and folds each completed one into the main summary
 // via the one-way merge. Returns the main summary's words at the root.
 func gatherSummaries(c sim.Node, tr *congest.Tree, maxDepth int,
-	isLeader bool, summary stream.Summary, kind stream.Kind, root int) []int64 {
+	isLeader bool, summary stream.Summary, kind stream.Kind) []int64 {
 
 	type word struct{ leader, idx, val int64 }
 	var queue []word

@@ -12,18 +12,18 @@ import (
 // RunOneWay executes Theorem 1.6 on g with per-node item multisets and
 // returns the root's merged summary plus run statistics.
 func RunOneWay(g *graph.Graph, items [][]int64, kind stream.Kind, opts ...sim.Option) (stream.Summary, *sim.Result, error) {
-	return runMerge(g, kind, OneWayProgram(items, kind, 0, g.N()), opts...)
+	return runMerge(g, kind, OneWayProgram(items, kind), opts...)
 }
 
 // RunFully executes Theorem 1.7 with memory bound mu (≤0 for pure
 // pairwise merging).
 func RunFully(g *graph.Graph, items [][]int64, kind stream.Kind, mu int64, opts ...sim.Option) (stream.Summary, *sim.Result, error) {
-	return runMerge(g, kind, FullyProgram(items, kind, 0, g.N(), g.MaxDegree(), mu), opts...)
+	return runMerge(g, kind, FullyProgram(items, kind, g.MaxDegree(), mu), opts...)
 }
 
 // RunComposable executes Theorem 1.8.
 func RunComposable(g *graph.Graph, items [][]int64, kind stream.Kind, opts ...sim.Option) (stream.Summary, *sim.Result, error) {
-	return runMerge(g, kind, ComposableProgram(items, kind, 0, g.N()), opts...)
+	return runMerge(g, kind, ComposableProgram(items, kind), opts...)
 }
 
 func runMerge(g *graph.Graph, kind stream.Kind, program func(sim.Node), opts ...sim.Option) (stream.Summary, *sim.Result, error) {
@@ -32,12 +32,12 @@ func runMerge(g *graph.Graph, kind stream.Kind, program func(sim.Node), opts ...
 	if err != nil {
 		return nil, res, err
 	}
-	if len(res.Outputs[0]) == 0 {
+	if len(res.Outputs[root]) == 0 {
 		return nil, res, fmt.Errorf("mergesim: root emitted nothing")
 	}
-	words, ok := res.Outputs[0][0].([]int64)
+	words, ok := res.Outputs[root][0].([]int64)
 	if !ok {
-		return nil, res, fmt.Errorf("mergesim: unexpected root output %T", res.Outputs[0][0])
+		return nil, res, fmt.Errorf("mergesim: unexpected root output %T", res.Outputs[root][0])
 	}
 	return kind.FromWords(words), res, nil
 }
@@ -47,7 +47,8 @@ func runMerge(g *graph.Graph, kind stream.Kind, program func(sim.Node), opts ...
 // candidate's exact frequency by propagating per-label counts up a BFS
 // tree — O(ε⁻¹ + D) rounds and O(Δ + ε⁻¹) memory. Every node emits the
 // exact counts (root-authoritative; broadcast included).
-func ExactCountProgram(items [][]int64, candidates []int64, root, maxDepth int) func(sim.Node) {
+func ExactCountProgram(items [][]int64, candidates []int64) func(sim.Node) {
+	maxDepth := len(items)
 	return func(c sim.Node) {
 		tr := congest.BuildBFSTree(c, root, maxDepth)
 		local := make([]int64, len(candidates))
@@ -72,12 +73,12 @@ func ExactCountProgram(items [][]int64, candidates []int64, root, maxDepth int) 
 // frequencies of the candidate labels.
 func RunExactCounts(g *graph.Graph, items [][]int64, candidates []int64, opts ...sim.Option) ([]int64, *sim.Result, error) {
 	e := sim.New(g, opts...)
-	prog := ExactCountProgram(items, candidates, 0, g.N())
+	prog := ExactCountProgram(items, candidates)
 	res, err := e.Run(func(c *sim.Ctx) { prog(c) })
 	if err != nil {
 		return nil, res, err
 	}
-	return res.Outputs[0][0].([]int64), res, nil
+	return res.Outputs[root][0].([]int64), res, nil
 }
 
 // TotalItems returns |I| = Σ t_v.

@@ -11,10 +11,9 @@ import (
 // second frequency moment F2 = Σ f(x)². It keeps r·c sign counters
 // (median of r means of c squares). Linear, hence composable.
 type AMS struct {
-	r, c int
-	a, b []int64
-	n    int64
-	ctr  []int64
+	counters // r groups of c
+	r, c     int
+	a, b     []int64
 }
 
 // AMSKind configures AMS sketches with r×c counters and shared hash
@@ -42,25 +41,14 @@ func NewAMSKind(r, c int, seed int64) *AMSKind {
 
 // New returns an empty sketch.
 func (k *AMSKind) New() stream.Summary {
-	return &AMS{r: k.R, c: k.C, a: k.a, b: k.b, ctr: make([]int64, k.R*k.C)}
+	return &AMS{counters: counters{ctr: make([]int64, k.R*k.C)}, r: k.R, c: k.C, a: k.a, b: k.b}
 }
 
 // M returns the serialized size.
 func (k *AMSKind) M() int { return 1 + k.R*k.C }
 
 // FromWords reconstructs a sketch.
-func (k *AMSKind) FromWords(words []int64) stream.Summary {
-	s := k.New().(*AMS)
-	s.n = words[0]
-	copy(s.ctr, words[1:])
-	return s
-}
-
-// SizeWords returns the fixed serialized size.
-func (s *AMS) SizeWords() int { return 1 + s.r*s.c }
-
-// Count returns the processed stream length.
-func (s *AMS) Count() int64 { return s.n }
+func (k *AMSKind) FromWords(words []int64) stream.Summary { return fromWords(k.New(), words) }
 
 func (s *AMS) sign(j int, x int64) int64 {
 	if hash61(s.a[j], s.b[j], x)&1 == 0 {
@@ -90,30 +78,6 @@ func (s *AMS) EstimateF2() int64 {
 	}
 	sort.Slice(means, func(i, j int) bool { return means[i] < means[j] })
 	return means[s.r/2]
-}
-
-// Words serializes: [n, counters...].
-func (s *AMS) Words() []int64 {
-	w := make([]int64, s.SizeWords())
-	w[0] = s.n
-	copy(w[1:], s.ctr)
-	return w
-}
-
-// MergeFrom adds another sketch word-wise.
-func (s *AMS) MergeFrom(words []int64) {
-	for i, w := range words {
-		s.ComposeWord(i, w)
-	}
-}
-
-// ComposeWord folds one serialized word (linearity).
-func (s *AMS) ComposeWord(i int, w int64) {
-	if i == 0 {
-		s.n += w
-		return
-	}
-	s.ctr[i-1] += w
 }
 
 var _ stream.Composable = (*AMS)(nil)

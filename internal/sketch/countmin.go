@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"mucongest/internal/stream"
@@ -15,10 +16,9 @@ const cmPrime = int64(2305843009213693951) // 2^61 - 1, Mersenne
 // is linear, hence composable; it serves as a randomized counterpart to
 // CR-Precis in the Theorem 1.8 experiments.
 type CountMin struct {
-	d, w int
-	a, b []int64
-	n    int64
-	rows []int64
+	counters // d rows of w, flattened
+	d, w     int
+	a, b     []int64
 }
 
 // CountMinKind configures Count-Min sketches of d rows × w counters
@@ -46,41 +46,25 @@ func NewCountMinKind(d, w int, seed int64) *CountMinKind {
 
 // New returns an empty sketch.
 func (k *CountMinKind) New() stream.Summary {
-	return &CountMin{d: k.D, w: k.W, a: k.a, b: k.b, rows: make([]int64, k.D*k.W)}
+	return &CountMin{counters: counters{ctr: make([]int64, k.D*k.W)}, d: k.D, w: k.W, a: k.a, b: k.b}
 }
 
 // M returns the serialized size: one count word plus d·w counters.
 func (k *CountMinKind) M() int { return 1 + k.D*k.W }
 
 // FromWords reconstructs a sketch.
-func (k *CountMinKind) FromWords(words []int64) stream.Summary {
-	s := k.New().(*CountMin)
-	s.n = words[0]
-	copy(s.rows, words[1:])
-	return s
-}
+func (k *CountMinKind) FromWords(words []int64) stream.Summary { return fromWords(k.New(), words) }
 
+// hash61 returns (a·x + b) mod p for p = 2^61−1, over the full 128-bit
+// product.
 func hash61(a, b, x int64) int64 {
-	// ((a*x + b) mod p) via big-ish arithmetic through math/bits-free
-	// float-safe route: use 128-bit style split multiplication.
-	hi, lo := mul64(uint64(a), uint64(x))
+	hi, lo := bits.Mul64(uint64(a), uint64(x))
 	r := mod61(hi, lo)
 	r += uint64(b)
 	if r >= uint64(cmPrime) {
 		r -= uint64(cmPrime)
 	}
 	return int64(r)
-}
-
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
 }
 
 func mod61(hi, lo uint64) uint64 {
@@ -92,18 +76,12 @@ func mod61(hi, lo uint64) uint64 {
 	return r
 }
 
-// SizeWords returns the fixed serialized size.
-func (s *CountMin) SizeWords() int { return 1 + s.d*s.w }
-
-// Count returns the processed stream length.
-func (s *CountMin) Count() int64 { return s.n }
-
 // Insert processes one element.
 func (s *CountMin) Insert(x int64) {
 	s.n++
 	for j := 0; j < s.d; j++ {
 		idx := int(hash61(s.a[j], s.b[j], x) % int64(s.w))
-		s.rows[j*s.w+idx]++
+		s.ctr[j*s.w+idx]++
 	}
 }
 
@@ -112,35 +90,11 @@ func (s *CountMin) Estimate(x int64) int64 {
 	est := int64(math.MaxInt64)
 	for j := 0; j < s.d; j++ {
 		idx := int(hash61(s.a[j], s.b[j], x) % int64(s.w))
-		if c := s.rows[j*s.w+idx]; c < est {
+		if c := s.ctr[j*s.w+idx]; c < est {
 			est = c
 		}
 	}
 	return est
-}
-
-// Words serializes: [n, counters...].
-func (s *CountMin) Words() []int64 {
-	w := make([]int64, s.SizeWords())
-	w[0] = s.n
-	copy(w[1:], s.rows)
-	return w
-}
-
-// MergeFrom adds another sketch word-wise.
-func (s *CountMin) MergeFrom(words []int64) {
-	for i, w := range words {
-		s.ComposeWord(i, w)
-	}
-}
-
-// ComposeWord folds one serialized word (linearity).
-func (s *CountMin) ComposeWord(i int, w int64) {
-	if i == 0 {
-		s.n += w
-		return
-	}
-	s.rows[i-1] += w
 }
 
 var _ stream.Composable = (*CountMin)(nil)

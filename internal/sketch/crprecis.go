@@ -20,11 +20,9 @@ import (
 // the paper's Theorem 1.8 application (deterministic entropy
 // estimation).
 type CRPrecis struct {
-	primes []int64
-	offs   []int
-	total  int
-	n      int64
-	rows   []int64 // flattened counters
+	counters // the t rows, flattened
+	primes   []int64
+	offs     []int
 }
 
 // CRPrecisKind configures CR-Precis sketches: t rows of consecutive
@@ -53,25 +51,14 @@ func NewCRPrecisKind(base, t int) *CRPrecisKind {
 
 // New returns an empty sketch.
 func (k *CRPrecisKind) New() stream.Summary {
-	return &CRPrecis{primes: k.primes, offs: k.offs, total: k.total, rows: make([]int64, k.total)}
+	return &CRPrecis{counters: counters{ctr: make([]int64, k.total)}, primes: k.primes, offs: k.offs}
 }
 
 // M returns the serialized size: one count word plus all counters.
 func (k *CRPrecisKind) M() int { return 1 + k.total }
 
 // FromWords reconstructs a sketch.
-func (k *CRPrecisKind) FromWords(words []int64) stream.Summary {
-	s := k.New().(*CRPrecis)
-	s.n = words[0]
-	copy(s.rows, words[1:])
-	return s
-}
-
-// SizeWords returns the fixed serialized size.
-func (s *CRPrecis) SizeWords() int { return 1 + s.total }
-
-// Count returns the processed stream length.
-func (s *CRPrecis) Count() int64 { return s.n }
+func (k *CRPrecisKind) FromWords(words []int64) stream.Summary { return fromWords(k.New(), words) }
 
 // Insert processes one element.
 func (s *CRPrecis) Insert(x int64) {
@@ -81,7 +68,7 @@ func (s *CRPrecis) Insert(x int64) {
 		if idx < 0 {
 			idx += q
 		}
-		s.rows[s.offs[j]+int(idx)]++
+		s.ctr[s.offs[j]+int(idx)]++
 	}
 }
 
@@ -93,7 +80,7 @@ func (s *CRPrecis) Estimate(x int64) int64 {
 		if idx < 0 {
 			idx += q
 		}
-		if c := s.rows[s.offs[j]+int(idx)]; c < est {
+		if c := s.ctr[s.offs[j]+int(idx)]; c < est {
 			est = c
 		}
 	}
@@ -134,31 +121,6 @@ func (s *CRPrecis) EstimateEntropy(universe []int64) float64 {
 		h -= p * math.Log2(p)
 	}
 	return h
-}
-
-// Words serializes: [n, counters...].
-func (s *CRPrecis) Words() []int64 {
-	w := make([]int64, s.SizeWords())
-	w[0] = s.n
-	copy(w[1:], s.rows)
-	return w
-}
-
-// MergeFrom adds another sketch word-wise (linearity).
-func (s *CRPrecis) MergeFrom(words []int64) {
-	for i, w := range words {
-		s.ComposeWord(i, w)
-	}
-}
-
-// ComposeWord folds one serialized word into the sketch (Definition
-// 3.3's streaming merge): counters and the count header are additive.
-func (s *CRPrecis) ComposeWord(i int, w int64) {
-	if i == 0 {
-		s.n += w
-		return
-	}
-	s.rows[i-1] += w
 }
 
 var _ stream.Composable = (*CRPrecis)(nil)

@@ -16,6 +16,8 @@ type Summary interface {
 	Words() []int64
 	// SizeWords returns the fixed serialized size M of the summary.
 	SizeWords() int
+	// Count returns the number of elements the summary has absorbed.
+	Count() int64
 }
 
 // OneWayMergeable is Definition 3.1: A1 can absorb an A2-produced

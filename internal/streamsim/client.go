@@ -6,7 +6,10 @@
 // congestion-free rerouting (μ = M+n+Δ²).
 package streamsim
 
-import "mucongest/internal/graph"
+import (
+	"mucongest/internal/graph"
+	"mucongest/internal/sim"
+)
 
 // Client is a p-pass edge-streaming algorithm run at the simulator
 // node. The simulator calls StartPass before each pass and Edge for
@@ -131,15 +134,16 @@ func (s *MultipassSelect) Result() []int64 {
 // MemoryWords returns O(B).
 func (s *MultipassSelect) MemoryWords() int64 { return int64(s.B) + 8 }
 
-// OwnedEdges returns the edges of g owned by node v, with labels
-// attached from the optional color map.
-func OwnedEdges(g *graph.Graph, v int, labels map[[2]int]int64) []graph.Edge {
-	var out []graph.Edge
+// OwnedEdges returns the edges of g owned by node v (those to a larger
+// neighbor u) as message payloads: A = v, B = u, C = the label from the
+// optional color map.
+func OwnedEdges(g *graph.Graph, v int, labels map[[2]int]int64) []sim.Msg {
+	var out []sim.Msg
 	for _, u := range g.Neighbors(v) {
 		if u > v {
-			e := graph.Edge{U: v, V: u}
+			e := sim.Msg{A: int64(v), B: int64(u)}
 			if labels != nil {
-				e.Label = labels[[2]int{v, u}]
+				e.C = labels[[2]int{v, u}]
 			}
 			out = append(out, e)
 		}

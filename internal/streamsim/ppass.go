@@ -20,7 +20,8 @@ func MaxDegreeNode(g *graph.Graph) int {
 	return best
 }
 
-// PPassProgram builds the single-node p-pass edge-streaming simulation.
+// PPassProgram builds the single-node p-pass edge-streaming simulation
+// at the max-degree node (the sink).
 // With cached=false it is the naive baseline: every pass re-collects all
 // edges at the sink (Θ(collection)·p rounds, the Theorem 1.4 regime).
 // With cached=true it is Theorem 1.3: the first pass caches edges at
@@ -28,10 +29,11 @@ func MaxDegreeNode(g *graph.Graph) int {
 // replay from the caches in O(n) rounds each, for O(n·(Δ+p)) total.
 //
 // mkClient is invoked only at the sink; passes must equal the client's
-// Passes(). labels may be nil. maxDepth bounds the sink's eccentricity.
-func PPassProgram(g *graph.Graph, labels map[[2]int]int64, sink int,
-	maxDepth int, mkClient func() Client, cached bool) func(sim.Node) {
+// Passes(). labels may be nil.
+func PPassProgram(g *graph.Graph, labels map[[2]int]int64,
+	mkClient func() Client, cached bool) func(sim.Node) {
 
+	sink, maxDepth := MaxDegreeNode(g), g.N()
 	return func(c sim.Node) {
 		tr := congest.BuildBFSTree(c, sink, maxDepth)
 		mine := OwnedEdges(g, c.ID(), labels)
@@ -39,17 +41,17 @@ func PPassProgram(g *graph.Graph, labels map[[2]int]int64, sink int,
 
 		var client Client
 		passes := 0
-		onEdge := func(graph.Edge) {}
+		var absorb func(sim.Msg)
 		if isSink {
 			client = mkClient()
 			passes = client.Passes()
 			c.Charge(client.MemoryWords())
 			defer c.Release(client.MemoryWords())
-			onEdge = func(e graph.Edge) { client.Edge(e.U, e.V, e.Label) }
+			absorb = func(e sim.Msg) { client.Edge(int(e.A), int(e.B), e.C) }
 			client.StartPass(0)
 		}
 
-		cacheList := gatherToSink(c, tr, maxDepth, mine, onEdge, cached)
+		cacheList := congest.Gather(c, tr, maxDepth, mine, absorb, cached)
 		if len(cacheList) > 0 {
 			c.Charge(int64(len(cacheList)))
 			defer c.Release(int64(len(cacheList)))
@@ -67,13 +69,13 @@ func PPassProgram(g *graph.Graph, labels map[[2]int]int64, sink int,
 				client.StartPass(pass)
 			}
 			if cached {
-				replayFromCache(c, tr, maxDepth, cacheList, func(_ int, e graph.Edge) {
-					if e.U >= 0 {
-						onEdge(e)
+				replayFromCache(c, tr, maxDepth, cacheList, func(e sim.Msg) {
+					if e.A >= 0 {
+						absorb(e)
 					}
 				})
 			} else {
-				gatherToSink(c, tr, maxDepth, mine, onEdge, false)
+				congest.Gather(c, tr, maxDepth, mine, absorb, false)
 			}
 			if isSink {
 				client.EndPass()
@@ -91,9 +93,8 @@ func RunPPass(g *graph.Graph, labels map[[2]int]int64, mkClient func() Client,
 	cached bool, opts ...sim.Option) ([]int64, *sim.Result, error) {
 
 	sink := MaxDegreeNode(g)
-	maxDepth := g.N()
 	e := sim.New(g, opts...)
-	prog := PPassProgram(g, labels, sink, maxDepth, mkClient, cached)
+	prog := PPassProgram(g, labels, mkClient, cached)
 	res, err := e.Run(func(c *sim.Ctx) { prog(c) })
 	if err != nil {
 		return nil, res, err

@@ -28,9 +28,10 @@ import (
 //  5. Each neighbor locally shuffles its received pile (the paper's
 //     final intra-batch shuffle), yielding the slot-ordered array A′.
 //  6. p replay passes stream A′ to the sink in slot order.
-func RandomOrderProgram(g *graph.Graph, labels map[[2]int]int64, sink int,
-	maxDepth int, mkClient func() Client) func(sim.Node) {
+func RandomOrderProgram(g *graph.Graph, labels map[[2]int]int64,
+	mkClient func() Client) func(sim.Node) {
 
+	sink, maxDepth := MaxDegreeNode(g), g.N()
 	delta := g.Degree(sink)
 	return func(c sim.Node) {
 		tr := congest.BuildBFSTree(c, sink, maxDepth)
@@ -39,9 +40,9 @@ func RandomOrderProgram(g *graph.Graph, labels map[[2]int]int64, sink int,
 		amNeighbor := tr.Parent == sink
 
 		// Phase 1: cache at neighbors. The sink does not consume yet.
-		cacheList := gatherToSink(c, tr, maxDepth, mine, nil, true)
+		cacheList := congest.Gather(c, tr, maxDepth, mine, nil, true)
 
-		var newCache []graph.Edge
+		var newCache []sim.Msg
 		switch {
 		case isSink:
 			newCache = nil
@@ -65,9 +66,9 @@ func RandomOrderProgram(g *graph.Graph, labels map[[2]int]int64, sink int,
 			if isSink {
 				client.StartPass(pass)
 			}
-			replayFromCache(c, tr, maxDepth, newCache, func(_ int, e graph.Edge) {
-				if e.U >= 0 {
-					client.Edge(e.U, e.V, e.Label)
+			replayFromCache(c, tr, maxDepth, newCache, func(e sim.Msg) {
+				if e.A >= 0 {
+					client.Edge(int(e.A), int(e.B), e.C)
 				}
 			})
 			if isSink {
@@ -180,7 +181,7 @@ func runShuffleSink(c sim.Node, tr *congest.Tree, delta int) {
 
 // runShuffleNeighbor is the neighbor side of phases 2–5; returns the
 // reshuffled slot-ordered cache.
-func runShuffleNeighbor(c sim.Node, tr *congest.Tree, cacheList []graph.Edge) []graph.Edge {
+func runShuffleNeighbor(c sim.Node, tr *congest.Tree, cacheList []sim.Msg) []sim.Msg {
 	// Report cache size.
 	c.SendID(tr.Parent, sim.Msg{Kind: kindDone, A: int64(len(cacheList))})
 	in := c.Tick()
@@ -199,9 +200,9 @@ func runShuffleNeighbor(c sim.Node, tr *congest.Tree, cacheList []graph.Edge) []
 		}
 	}
 	// Pad with dummies to K and receive the column of B.
-	pad := append([]graph.Edge(nil), cacheList...)
+	pad := append([]sim.Msg(nil), cacheList...)
 	for int64(len(pad)) < K {
-		pad = append(pad, graph.Edge{U: -1, V: -1})
+		pad = append(pad, sim.Msg{A: -1, B: -1})
 	}
 	c.Charge(2 * K)
 	defer c.Release(2 * K)
@@ -222,14 +223,14 @@ func runShuffleNeighbor(c sim.Node, tr *congest.Tree, cacheList []graph.Edge) []
 	}
 	// Phase 3: random partition into destination piles.
 	c.Rand().Shuffle(len(pad), func(i, j int) { pad[i], pad[j] = pad[j], pad[i] })
-	piles := make([][]graph.Edge, len(col))
+	piles := make([][]sim.Msg, len(col))
 	idx := 0
 	for i, cnt := range col {
 		piles[i] = pad[idx : idx+int(cnt)]
 		idx += int(cnt)
 	}
 	// Phase 4: follow directives until the -2 sentinel.
-	var newCache []graph.Edge
+	var newCache []sim.Msg
 	pilePos := make([]int, len(col))
 	for {
 		// Wait for a directive.
@@ -243,7 +244,7 @@ func runShuffleNeighbor(c sim.Node, tr *congest.Tree, cacheList []graph.Edge) []
 				case m.Msg.Kind == kindDirective && m.Msg.A >= 0:
 					pile, gamma = m.Msg.A, m.Msg.B
 				case m.Msg.Kind == kindCache:
-					newCache = append(newCache, graph.Edge{U: int(m.Msg.A), V: int(m.Msg.B), Label: m.Msg.C})
+					newCache = append(newCache, m.Msg)
 				}
 			}
 		}
@@ -254,17 +255,18 @@ func runShuffleNeighbor(c sim.Node, tr *congest.Tree, cacheList []graph.Edge) []
 			p := int(pile)
 			e := piles[p][pilePos[p]]
 			pilePos[p]++
-			c.SendID(tr.Parent, sim.Msg{Kind: kindShuffleEdge, A: int64(e.U), B: int64(e.V), C: e.Label})
+			e.Kind = kindShuffleEdge
+			c.SendID(tr.Parent, e)
 			in = c.Tick() // up round
 			for _, m := range in {
 				if m.Msg.Kind == kindCache {
-					newCache = append(newCache, graph.Edge{U: int(m.Msg.A), V: int(m.Msg.B), Label: m.Msg.C})
+					newCache = append(newCache, m.Msg)
 				}
 			}
 			in = c.Tick() // down round: forwarded edges arrive
 			for _, m := range in {
 				if m.Msg.Kind == kindCache {
-					newCache = append(newCache, graph.Edge{U: int(m.Msg.A), V: int(m.Msg.B), Label: m.Msg.C})
+					newCache = append(newCache, m.Msg)
 				}
 			}
 		}
@@ -283,7 +285,7 @@ func RunRandomOrder(g *graph.Graph, labels map[[2]int]int64, mkClient func() Cli
 
 	sink := MaxDegreeNode(g)
 	e := sim.New(g, opts...)
-	prog := RandomOrderProgram(g, labels, sink, g.N(), mkClient)
+	prog := RandomOrderProgram(g, labels, mkClient)
 	res, err := e.Run(func(c *sim.Ctx) { prog(c) })
 	if err != nil {
 		return nil, res, err

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"mucongest/internal/graph"
@@ -278,6 +279,22 @@ func TestEdgeOwnerAndOwnedEdges(t *testing.T) {
 	own2 := OwnedEdges(g, 2, nil)
 	if len(own2) != 0 {
 		t.Fatalf("node 2 owns %d edges", len(own2))
+	}
+}
+
+// TestPPassOutsideTreeFails runs the p-pass program on a disconnected
+// graph: the nodes the sink's tree never reaches fail with Gather's
+// named error instead of sending to node -1.
+func TestPPassOutsideTreeFails(t *testing.T) {
+	g, err := graph.FromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func() Client { return NewMultipassSelect(1, 0, 7, 2, 2) }
+	prog := PPassProgram(g, nil, mk, false)
+	_, err = sim.New(g, sim.WithMaxRounds(10000)).Run(func(c *sim.Ctx) { prog(c) })
+	if err == nil || !strings.Contains(err.Error(), "congest: Gather: node 3 is not in the tree rooted at 1") {
+		t.Fatalf("p-pass outside the tree: err = %v, want node 3's named error", err)
 	}
 }
 

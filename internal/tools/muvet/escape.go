@@ -52,19 +52,19 @@ func (ck *escapeCheck) checkMethods(match func(*types.Info, *ast.FuncDecl) (stri
 			}
 			if _, ok := match(info, fn); ok {
 				if obj := paramObj(info, fn, param); obj != nil {
-					ck.check(fn.Body, analysis.Facts{obj: tracked})
+					ck.check(fn.Type, fn.Body, analysis.Facts{obj: tracked})
 				}
 			}
 		}
 	}
 }
 
-// check runs the fixpoint over one function body, seeded with the
+// check runs the fixpoint over one function's body, seeded with the
 // parameters that carry the value, then replays every block from its
 // entry facts, testing each node against the sinks before its own
-// effect applies. A function literal met on the way is a body of its
-// own, seeded with the carried variables it reads.
-func (ck *escapeCheck) check(body *ast.BlockStmt, seed analysis.Facts) {
+// effect applies. A function literal met on the way is a function of
+// its own, seeded with the carried variables it reads.
+func (ck *escapeCheck) check(typ *ast.FuncType, body *ast.BlockStmt, seed analysis.Facts) {
 	cfg := analysis.BuildCFG(body)
 	in := cfg.ForwardSeeded(seed, func(b *analysis.Block, f analysis.Facts) analysis.Facts {
 		for _, n := range b.Nodes {
@@ -75,7 +75,7 @@ func (ck *escapeCheck) check(body *ast.BlockStmt, seed analysis.Facts) {
 	for _, b := range cfg.Blocks {
 		f := in[b].Clone()
 		for _, n := range b.Nodes {
-			ck.sinks(f, n, body)
+			ck.sinks(f, n, typ, body)
 			ck.transfer(f, n, true)
 		}
 	}
@@ -90,9 +90,10 @@ func (ck *escapeCheck) transfer(f analysis.Facts, n ast.Node, report bool) {
 
 // eval is the alias rule: the fact an expression carries under f. A
 // variable carries its own; a sub-slice, an element or variable
-// address, a composite literal and a function literal carry those of
-// what they hold or read. An element copy in[i] or a call result
-// carries nothing unless source says so.
+// address, a field selection or method value, a composite literal and
+// a function literal carry those of what they hold, read or bind. An
+// element copy in[i] or a call result carries nothing unless source
+// says so.
 func (ck *escapeCheck) eval(f analysis.Facts, e ast.Expr) analysis.FlowState {
 	e = ast.Unparen(e)
 	if ck.source != nil {
@@ -105,6 +106,8 @@ func (ck *escapeCheck) eval(f analysis.Facts, e ast.Expr) analysis.FlowState {
 		return f[analysis.ObjOf(ck.pass.TypesInfo, e)]
 	case *ast.SliceExpr:
 		return ck.eval(f, e.X)
+	case *ast.SelectorExpr:
+		return ck.eval(f, e.X) // h.in reads h; c.Idle binds c
 	case *ast.UnaryExpr:
 		if e.Op != token.AND {
 			return 0
@@ -148,11 +151,11 @@ func (ck *escapeCheck) reads(f analysis.Facts, lit *ast.FuncLit) analysis.Facts 
 }
 
 // sinks reports the carried values node n hands to something that
-// outlives body: a store into a field, a container or through a
-// pointer, an assignment to a variable declared outside body, a channel
+// outlives the function: a store into a field, a container or through
+// a pointer, an assignment to a variable declared outside it, a channel
 // send, append's element list, a go statement, and a return when
 // returns is set.
-func (ck *escapeCheck) sinks(f analysis.Facts, n ast.Node, body *ast.BlockStmt) {
+func (ck *escapeCheck) sinks(f analysis.Facts, n ast.Node, typ *ast.FuncType, body *ast.BlockStmt) {
 	carried := func(e ast.Expr) bool { return ck.eval(f, e) != 0 }
 	analysis.Inspect(n, func(m ast.Node) bool {
 		switch m := m.(type) {
@@ -162,7 +165,7 @@ func (ck *escapeCheck) sinks(f analysis.Facts, n ast.Node, body *ast.BlockStmt) 
 			}
 			for i, lhs := range m.Lhs {
 				if carried(m.Rhs[i]) {
-					ck.store(m.Pos(), lhs, body)
+					ck.store(m.Pos(), lhs, typ, body)
 				}
 			}
 		case *ast.SendStmt:
@@ -187,19 +190,26 @@ func (ck *escapeCheck) sinks(f analysis.Facts, n ast.Node, body *ast.BlockStmt) 
 				}
 			}
 		case *ast.FuncLit:
-			ck.check(m.Body, ck.reads(f, m))
+			ck.check(m.Type, m.Body, ck.reads(f, m))
 		}
 		return true
 	})
 }
 
-// store reports a carried value assigned to lhs when lhs outlives body.
-func (ck *escapeCheck) store(pos token.Pos, lhs ast.Expr, body *ast.BlockStmt) {
+// store reports a carried value assigned to lhs when lhs outlives the
+// function. A variable declared in its signature or body does not,
+// except a named result when returns is set; a package variable or one
+// a literal captures does.
+func (ck *escapeCheck) store(pos token.Pos, lhs ast.Expr, typ *ast.FuncType, body *ast.BlockStmt) {
 	switch l := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
 		obj := analysis.ObjOf(ck.pass.TypesInfo, l)
-		if obj != nil && (obj.Pos() < body.Pos() || obj.Pos() > body.End()) {
+		switch {
+		case obj == nil:
+		case obj.Pos() < typ.Pos() || obj.Pos() > body.End():
 			ck.escape(pos, "assigned to "+l.Name+", declared outside this function")
+		case ck.returns && typ.Results != nil && obj.Pos() >= typ.Results.Pos() && obj.Pos() < typ.Results.End():
+			ck.escape(pos, "assigned to result "+l.Name)
 		}
 	case *ast.SelectorExpr:
 		ck.escape(pos, "stored in field "+l.Sel.Name)

@@ -119,11 +119,11 @@ func runInboxAlias(pass *analysis.Pass) error {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					ia.check(n.Body, nil)
+					ia.check(n.Type, n.Body, nil)
 				}
 				return false
 			case *ast.FuncLit:
-				ia.check(n.Body, nil)
+				ia.check(n.Type, n.Body, nil)
 				return false
 			}
 			return true

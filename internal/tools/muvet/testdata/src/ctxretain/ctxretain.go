@@ -131,3 +131,12 @@ func (registryProg) Node(c *stepstub.Ctx) (stepstub.StepProgram, func(*stepstub.
 	leaked = c
 	return nil, func(*stepstub.Ctx) {}
 }
+
+// methodValueProg stores a method value on the shared receiver: c.Idle
+// binds c, so it carries the context like a closure over c.
+type methodValueProg struct{ f func() }
+
+func (p *methodValueProg) Node(c *stepstub.Ctx) (stepstub.StepProgram, func(*stepstub.Ctx)) {
+	p.f = c.Idle // want `node context stored in field f`
+	return nil, func(*stepstub.Ctx) {}
+}

@@ -223,3 +223,18 @@ func storeInsideLiteral(c *Ctx, h *holder) {
 	in := c.Tick()
 	defer func() { h.in = in }() // want `inbox slice stored in field in`
 }
+
+// escapeThroughField stores a field read off a local that holds the
+// inbox: the selection carries what its operand carries.
+func escapeThroughField(c *Ctx) {
+	in := c.Tick()
+	h := holder{in: in}
+	global = h.in // want `inbox slice assigned to global, declared outside this function`
+}
+
+// escapeByNamedResult binds the inbox to a named result: declared in
+// the signature, yet it outlives the call through the bare return.
+func escapeByNamedResult(c *Ctx) (res []Msg) {
+	res = c.Tick() // want `inbox slice assigned to result res`
+	return
+}

@@ -161,3 +161,16 @@ func (s *swapStep) Step(c *stepstub.Ctx, in []stepstub.Incoming) bool {
 	s.held, in = in, nil // want `Step inbox stored in field held`
 	return len(in) == 0
 }
+
+// consumeStep consumes its inbox by reslicing the parameter: in is
+// declared in Step's own signature, so rebinding it stores nothing that
+// outlives the call.
+type consumeStep struct{}
+
+func (consumeStep) Step(c *stepstub.Ctx, in []stepstub.Incoming) bool {
+	for len(in) > 0 {
+		c.Emit(in[0].Msg.A)
+		in = in[1:]
+	}
+	return true
+}
