@@ -146,6 +146,21 @@ func BenchmarkEngineRoundReversed64(b *testing.B) {
 	benchEngineRounds(b, sim.NewComplete(64), 32, sim.WithInboxOrder(sim.OrderReversed))
 }
 
+// BenchmarkEngineRoundFaults96 is the per-round cost a fault sweep pays
+// at small n: 96 step-form nodes on a cycle broadcast for 20,000 rounds
+// under message loss, crash/restart and edge churn at once (the plan of
+// mubench's torus-1m-faults workload), warm. Every round re-keys the
+// shard's crash and loss streams and hashes each message's edge, so
+// ns/op divided by 20,000 is the engine's per-round cost with the whole
+// fault layer on.
+func BenchmarkEngineRoundFaults96(b *testing.B) {
+	plan, err := sim.ParseFaults("loss:p=0.01+crash:p=0.001,restart=5+edgedown:p=0.005,up=3")
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEngineRoundsStepWarm(b, graph.Cycle(96), 20_000, sim.WithFaults(plan))
+}
+
 // BenchmarkEngineRoundBroadcastComplete512 isolates the per-message
 // send path at high fan-out: 512 nodes broadcasting on the implicit
 // complete topology is ~262k Send meters + routed appends per round,

@@ -73,6 +73,10 @@ const (
 	// node's program form and runs its first step at run start (see
 	// bindNode in step.go).
 	phaseBind
+	// phaseFaults is the shard's slice of the fault point before the
+	// route phase: due restarts and crash draws (see faultShard in
+	// faults.go).
+	phaseFaults
 )
 
 // shardState is one shard's scratch, reused across rounds so the hot
@@ -80,6 +84,8 @@ const (
 // worker currently holding the shard or its route group (phase barriers
 // order the cross-shard bucket reads).
 type shardState struct {
+	// rng is the shard's OrderRandom stream, created only for runs
+	// with that inbox order.
 	rng *rand.Rand
 	// send is the shard's send arena: the messages its nodes staged
 	// since the shard last stepped them, in step order; senderOut[id] is
@@ -114,12 +120,16 @@ type shardState struct {
 	faultDropped int64
 	over         []overrun
 
-	// frng is the shard's fault-stream RNG, created only when a fault
-	// plan is active. It is re-seeded at every use point from
-	// FaultStreamSeed — with the crash tag at the serial fault point,
-	// with the loss tag when the route phase reaches the shard's
-	// senders — so one source serves both streams without interference.
-	frng *rand.Rand
+	// frng is the shard's fault stream, created only when a fault plan
+	// is active. It is re-keyed at every use point from FaultStreamSeed
+	// — with the crash tag in the fault phase, with the loss tag when
+	// the route phase reaches the shard's senders — so one stream serves
+	// both processes without interference.
+	frng *faultStream
+	// crashes and restarts count the fault layer's crashes and restarts
+	// of this shard's nodes, whole run.
+	crashes  int64
+	restarts int64
 
 	// Barrier bookkeeping staged by phaseRoute and drained (and reset)
 	// by the engine between phases: how many of the shard's nodes
@@ -162,9 +172,10 @@ func routeGroupSize(nshards, workers int) int { return max(1, nshards/(4*workers
 
 // initShards sizes the shard scratch for this run, reusing pooled shard
 // states where available: arenas and buckets keep their capacity, RNGs
-// keep their source (re-seeded below, so the draw stream is exactly
-// that of a fresh run), and counters reset. It also resolves the worker
-// count and, from it and n, the route groups.
+// keep their source (an OrderRandom stream is re-seeded below, so its
+// draws are exactly those of a fresh run; a fault stream is re-keyed at
+// every use), and counters reset. It also resolves the worker count
+// and, from it and n, the route groups.
 func (e *Engine) initShards(sc *runScratch) {
 	e.nshards = max(1, (e.n+ShardSpan-1)/ShardSpan)
 	e.poolSize = e.resolveWorkers()
@@ -175,10 +186,12 @@ func (e *Engine) initShards(sc *runScratch) {
 	}
 	e.shards = sc.shards[:e.nshards]
 	for s, st := range e.shards {
-		if st.rng == nil {
-			st.rng = rand.New(rand.NewSource(ShardStreamSeed(e.seed, s)))
-		} else {
-			st.rng.Seed(ShardStreamSeed(e.seed, s))
+		if e.order == OrderRandom {
+			if st.rng == nil {
+				st.rng = rand.New(rand.NewSource(ShardStreamSeed(e.seed, s)))
+			} else {
+				st.rng.Seed(ShardStreamSeed(e.seed, s))
+			}
 		}
 		switch {
 		case s%e.gsize != 0:
@@ -206,8 +219,10 @@ func (e *Engine) initShards(sc *runScratch) {
 		st.messages = 0
 		st.dropped = 0
 		st.faultDropped = 0
+		st.crashes = 0
+		st.restarts = 0
 		if e.hasFaults && st.frng == nil {
-			st.frng = rand.New(rand.NewSource(FaultStreamSeed(e.seed, 0, s, FaultKindCrash)))
+			st.frng = new(faultStream)
 		}
 		st.newlyFinished = 0
 		st.err = nil
@@ -260,6 +275,8 @@ func (e *Engine) runTask(k phaseKind, i int) {
 		for id := lo; id < hi; id++ {
 			e.bindNode(id)
 		}
+	case phaseFaults:
+		e.faultShard(st, i, lo, hi)
 	}
 }
 
@@ -276,8 +293,9 @@ func (e *Engine) runTask(k phaseKind, i int) {
 // into their shard's scratch — the engine folds those into active and
 // runErr between phases. The drop checks read the destination's status
 // byte: its done bit is written only by the phase that ran the node's
-// last step and its parked bit only at the serial fault point, so both
-// are immutable during the route phase and safe to read across shards.
+// last step and its parked bit only by its shard in the fault phase, so
+// both are immutable during the route phase and safe to read across
+// shards.
 //
 //muvet:hotpath
 func (e *Engine) routeGroup(g int) {
@@ -306,7 +324,7 @@ func (e *Engine) routeGroup(g int) {
 	share := staged / e.nshards
 	for s := first; s < end; s++ {
 		st := e.shards[s]
-		var lrng *rand.Rand
+		var lrng *faultStream
 		if faults && fp.Loss {
 			lrng = st.frng
 			lrng.Seed(FaultStreamSeed(e.seed, round, s, FaultKindLoss))

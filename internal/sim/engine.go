@@ -170,17 +170,11 @@ type Engine struct {
 	aborted bool
 	runErr  error
 
-	messages int64
-	dropped  int64
-
 	// Fault-injection state (see faults.go). hasFaults gates every
 	// fault branch so an empty plan keeps the fault-free hot path
 	// byte-identical and allocation-free.
 	faults    FaultPlan
 	hasFaults bool
-	crashes   int64
-	restarts  int64
-	parkedN   int // currently parked nodes
 
 	// senderOut[id] is node id's staged sends for the round: its span of
 	// its shard's send arena, written by the worker that stepped the node.
@@ -215,8 +209,8 @@ type span struct{ lo, hi int }
 // owns the round and the route phase's drop check may read any node's.
 // stFinished is the engine-side acknowledgment of stDone, set by the
 // owning shard's account phase. stParked means the node crashed and
-// awaits restart (written only at the serial fault point); it stays set
-// on a node the abort path terminates while parked.
+// awaits restart (written only by its shard in the fault phase); it
+// stays set on a node the abort path terminates while parked.
 const (
 	stDone uint8 = 1 << iota
 	stFinished
@@ -246,8 +240,8 @@ type nodeRT struct {
 	crashing  bool // node's program is being unwound by crashNode right now
 	violation bool // a Violation was already recorded for this node (dedup)
 	nodeErr   error
-	// Fault-layer state, all written at the serial fault point: a
-	// parked node restarts at restartRound.
+	// Fault-layer state, all written by the node's shard in the fault
+	// phase: a parked node restarts at restartRound.
 	restartRound int
 	restarts     int
 	vioIdx       int // index of this node's Violation in the run's slice
@@ -379,11 +373,6 @@ func (e *Engine) RunProgram(p Program) (*Result, error) {
 	e.round = 0
 	e.aborted = false
 	e.runErr = nil
-	e.messages = 0
-	e.dropped = 0
-	e.crashes = 0
-	e.restarts = 0
-	e.parkedN = 0
 	e.prog = p
 	var violations []Violation
 
@@ -407,12 +396,13 @@ func (e *Engine) RunProgram(p Program) (*Result, error) {
 
 	active := e.n
 	for active > 0 {
-		// Serial fault point: with every node quiescent between phases,
-		// draw this round's crash decisions and perform due restarts.
-		// Worker count and execution form are invisible here by
-		// construction.
-		if e.hasFaults {
-			e.applyFaults()
+		// Fault point: with every node quiescent between phases, each
+		// shard performs its due restarts and draws its crash decisions
+		// (see faultShard). Loss and edge churn act in the route phase,
+		// so only a crash plan has a fault phase. Worker count and
+		// execution form are invisible here by construction.
+		if e.faults.Crash {
+			e.runPhase(phaseFaults)
 		}
 		// The route phase also performs the barrier bookkeeping — counting
 		// newly finished nodes and harvesting their errors per shard — so
@@ -469,21 +459,17 @@ func (e *Engine) RunProgram(p Program) (*Result, error) {
 	}
 	returned = true
 
-	var faultDrops int64
-	for _, st := range e.shards {
-		e.messages += st.messages
-		e.dropped += st.dropped
-		faultDrops += st.faultDropped
-	}
 	res := &Result{
-		Messages:   e.messages,
-		Dropped:    e.dropped,
-		FaultDrops: faultDrops,
-		Crashes:    e.crashes,
-		Restarts:   e.restarts,
 		Outputs:    make([][]any, e.n),
 		PeakWords:  make([]int64, e.n),
 		Violations: violations,
+	}
+	for _, st := range e.shards {
+		res.Messages += st.messages
+		res.Dropped += st.dropped
+		res.FaultDrops += st.faultDropped
+		res.Crashes += st.crashes
+		res.Restarts += st.restarts
 	}
 	for i := range e.nodes {
 		rt := &e.nodes[i]

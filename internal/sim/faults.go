@@ -237,8 +237,8 @@ const (
 	FaultKindLoss uint32 = 1
 	// FaultKindCrash keys the per-shard crash streams: consumed once
 	// per crash-eligible node (live, not parked, not restarted this
-	// round) in ascending id within the shard, at the serial fault
-	// point before the round's route phase.
+	// round) in ascending id within the shard, in the fault phase before
+	// the round's route phase.
 	FaultKindCrash uint32 = 2
 	// FaultKindEdge keys the stateless edge-churn draws — see
 	// FaultPlan.EdgeIsDown. The "shard" operand of the derivation is
@@ -277,74 +277,64 @@ func edgeFailsAt(seed int64, round, u, v int, p float64) bool {
 	return float64(x>>11)/(1<<53) < p
 }
 
-// applyFaults is the engine's serial per-round fault point, run before
-// the route phase — the one moment every node is quiescent between
-// phases. It performs the restarts due this round, then draws crash
-// decisions from per-shard streams keyed (seed, round, shard) in
-// ascending shard and node order.
+// faultShard is one shard's slice of the engine's per-round fault
+// point, the fault phase, run before the route phase — the one moment
+// every node is quiescent between phases. It walks the shard's nodes in
+// ascending id, restarting those due this round and drawing a crash
+// decision for every other live one from the shard's crash stream,
+// keyed (seed, round, shard). A crash or restart touches only its own
+// shard's state, so the shards run in parallel like the bind phase, and
+// the crash and restart counts stay in the shard's scratch until the
+// run's end sums them.
 //
-// On an aborted run it instead terminates every parked node — their
-// programs are long unwound, so the engine publishes the done bit
+// On an aborted run it instead terminates the shard's parked nodes —
+// their programs are long unwound, so the engine publishes the done bit
 // itself and the route phase harvests them like any other finished
 // node, letting the run end.
-func (e *Engine) applyFaults() {
+func (e *Engine) faultShard(st *shardState, s, lo, hi int) {
+	state := e.state
 	if e.aborted {
-		for id, f := range e.state {
-			if f&(stParked|stDone) == stParked {
-				e.state[id] = f | stDone
-				e.parkedN--
+		for id := lo; id < hi; id++ {
+			if f := state[id]; f&(stParked|stDone) == stParked {
+				state[id] = f | stDone
 			}
 		}
 		return
 	}
-	fp := e.faults
-	if !fp.Crash && e.parkedN == 0 {
-		return // loss/churn-only plan with nothing parked: no per-node walk
-	}
-	round := e.round
-	for s := 0; s < e.nshards; s++ {
-		lo, hi := e.shardRange(s)
-		st := e.shards[s]
-		if fp.Crash {
-			st.frng.Seed(FaultStreamSeed(e.seed, round, s, FaultKindCrash))
+	round, p := e.round, e.faults.CrashP
+	st.frng.Seed(FaultStreamSeed(e.seed, round, s, FaultKindCrash))
+	for id := lo; id < hi; id++ {
+		f := state[id]
+		if f&stParked != 0 {
+			// A node restarted this round consumes no crash draw and
+			// cannot crash again until the next fault point.
+			if rt := &e.nodes[id]; rt.restartRound == round {
+				e.restartNode(st, id, rt)
+			}
+			continue
 		}
-		for id := lo; id < hi; id++ {
-			f := e.state[id]
-			if f&stParked != 0 {
-				// A node restarted this round consumes no crash draw and
-				// cannot crash again until the next fault point.
-				if rt := &e.nodes[id]; rt.restartRound == round {
-					e.restartNode(id, rt)
-				}
-				continue
-			}
-			if f != 0 || !fp.Crash {
-				continue // done or finished
-			}
-			if st.frng.Float64() < fp.CrashP {
-				e.crashNode(id, round)
-			}
+		if f == 0 && st.frng.Float64() < p {
+			e.crashNode(st, id, round)
 		}
 	}
 }
 
-// crashNode parks one node: a stepped node's machine is discarded, a
-// blocking node — sleeping in Idle or not — is unwound with its
-// crashing flag set, so its Tick panics errCrash, the program's
+// crashNode parks one node of shard st: a stepped node's machine is
+// discarded, a blocking node — sleeping in Idle or not — is unwound with
+// its crashing flag set, so its Tick panics errCrash, the program's
 // deferred code runs and its coroutine finishes. Sends the unwinding
 // program makes are cut off the shard's send arena again, unpublished.
 // The node's staged sends from the round boundary it already passed
 // still route — fail-stop at the barrier, not retroactive — but from
 // this round on it receives nothing and holds no memory.
-func (e *Engine) crashNode(id, round int) {
+func (e *Engine) crashNode(st *shardState, id, round int) {
 	rt := &e.nodes[id]
 	if rt.co != nil {
-		sh := e.ctxs[id].sh
-		staged := len(sh.send)
+		staged := len(st.send)
 		rt.crashing = true
 		rt.co.unwind()
 		rt.crashing = false
-		sh.send = sh.send[:staged]
+		st.send = st.send[:staged]
 	}
 	rt.step = nil
 	rt.co = nil
@@ -353,24 +343,22 @@ func (e *Engine) crashNode(id, round int) {
 	rt.restartRound = round + e.faults.RestartDelay()
 	rt.live = 0
 	rt.inboxWords = 0
-	e.crashes++
-	e.parkedN++
+	st.crashes++
 }
 
-// restartNode revives a parked node through the bound Program, exactly
-// like run-start binding: the Ctx slot is rebuilt from scratch (a
-// private RNG replaying its stream from the start, a
-// reset bandwidth meter, Round() back at 0 — only Restarts() tells a
+// restartNode revives a parked node of shard st through the bound
+// Program, exactly like run-start binding: the Ctx slot is rebuilt from
+// scratch (a private RNG replaying its stream from the start, a reset
+// bandwidth meter, Round() back at 0 — only Restarts() tells a
 // restarted execution from a fresh one), Node is re-invoked, and the
 // node runs its first step inline. Emitted outputs, the peak-memory
 // high-water mark and any recorded μ violation survive the crash.
-func (e *Engine) restartNode(id int, rt *nodeRT) {
+func (e *Engine) restartNode(st *shardState, id int, rt *nodeRT) {
 	e.state[id] &^= stParked
 	rt.restartRound = 0
 	rt.restarts++
 	rt.ticks = 0
-	e.restarts++
-	e.parkedN--
+	st.restarts++
 	c := &e.ctxs[id]
 	c.rng = nil
 	clear(c.sent)

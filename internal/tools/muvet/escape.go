@@ -112,8 +112,14 @@ func (ck *escapeCheck) eval(f analysis.Facts, e ast.Expr) analysis.FlowState {
 		if e.Op != token.AND {
 			return 0
 		}
-		if ix, ok := ast.Unparen(e.X).(*ast.IndexExpr); ok {
-			return ck.eval(f, ix.X) // &in[i] points into in's buffer
+		// &in[i] and &in[i].Msg.A point into in's buffer: strip the
+		// field selections before looking for the element.
+		x := ast.Unparen(e.X)
+		for sel, ok := x.(*ast.SelectorExpr); ok; sel, ok = x.(*ast.SelectorExpr) {
+			x = ast.Unparen(sel.X)
+		}
+		if ix, ok := x.(*ast.IndexExpr); ok {
+			return ck.eval(f, ix.X)
 		}
 		return ck.eval(f, e.X)
 	case *ast.CompositeLit:

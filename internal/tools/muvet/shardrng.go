@@ -3,24 +3,29 @@ package muvet
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 
 	"mucongest/internal/tools/muvet/analysis"
 )
 
 // ShardRNG pins the engine's RNG derivation contract: inside the
-// production engine and the reference engine, every rand.NewSource
-// seed must come from sim.ShardStreamSeed (the per-shard OrderRandom
-// streams), sim.FaultStreamSeed (the fault-injection streams keyed
+// production engine and the reference engine, every seed a generator is
+// keyed or re-keyed with — the argument of rand.NewSource, and of a
+// Seed method on a math/rand type (*rand.Rand, rand.Source) or on the
+// engine's fault stream (faultStream) — must come from
+// sim.ShardStreamSeed (the per-shard OrderRandom streams),
+// sim.FaultStreamSeed (the fault-injection streams keyed
 // (seed, round, shard, kind)) or the documented node-RNG derivation
 // `seed*1_000_003 + int64(id)`. Ad-hoc seeding — the PR-1-era
-// `rand.NewSource(seed + something)` style — silently re-keys golden
-// digests and breaks refsim/engine parity, so it fails vet.
+// `rand.NewSource(seed + something)` style, or a pooled stream re-keyed
+// with `Seed(seed + 1)` — silently re-keys golden digests and breaks
+// refsim/engine parity, so it fails vet.
 //
 // Suppress a deliberate new derivation (after updating refsim and the
 // determinism docs) with //muvet:allow shardrng(reason).
 var ShardRNG = &analysis.Analyzer{
 	Name: "shardrng",
-	Doc:  "engine RNG seeds must derive from ShardStreamSeed or the node-RNG rule",
+	Doc:  "engine RNG seeds and re-keys must derive from ShardStreamSeed, FaultStreamSeed or the node-RNG rule",
 	Run:  runShardRNG,
 }
 
@@ -47,17 +52,40 @@ func runShardRNG(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			if path, name := pkgFunc(pass.TypesInfo, call); path != "math/rand" || name != "NewSource" {
+			what := reKey(pass.TypesInfo, call)
+			if what == "" || len(call.Args) == 1 && isBlessedSeed(call.Args[0]) {
 				return true
 			}
-			if len(call.Args) == 1 && isBlessedSeed(call.Args[0]) {
-				return true
-			}
-			report(call.Pos(), "ad-hoc rand.NewSource seed in the engine: derive it via sim.ShardStreamSeed(seed, shard) or the node rule seed*%s+int64(id) so refsim and the golden digests stay in sync", nodeRNGFactor)
+			report(call.Pos(), "ad-hoc %s seed in the engine: derive it via sim.ShardStreamSeed(seed, shard), sim.FaultStreamSeed(seed, round, shard, kind) or the node rule seed*%s+int64(id) so refsim and the golden digests stay in sync", what, nodeRNGFactor)
 			return true
 		})
 	}
 	return nil
+}
+
+// reKey names the generator key call sets — "rand.NewSource", or
+// "<type>.Seed" for a Seed method of a math/rand type or of the
+// engine's fault stream — or returns "" when call keys none.
+func reKey(info *types.Info, call *ast.CallExpr) string {
+	if path, name := pkgFunc(info, call); path == "math/rand" && name == "NewSource" {
+		return "rand.NewSource"
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Name() != "Seed" || fn.Pkg() == nil {
+		return ""
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	if recv := recvTypeName(sig); fn.Pkg().Path() == "math/rand" || recv == "faultStream" {
+		return recv + ".Seed"
+	}
+	return ""
 }
 
 // isBlessedSeed recognizes the three sanctioned derivations:

@@ -15,6 +15,8 @@ var global []Msg
 
 type holder struct{ in []Msg }
 
+type fieldHolder struct{ p *int64 }
+
 func escapeToGlobal(c *Ctx) {
 	in := c.Tick()
 	global = in // want `inbox slice assigned to global, declared outside this function`
@@ -147,6 +149,11 @@ func escapeSubslice(c *Ctx, h *holder) {
 func escapeElementPointer(c *Ctx, p **Msg) {
 	in := c.Tick()
 	*p = &in[0] // want `inbox slice stored through a pointer`
+}
+
+func escapeFieldPointer(c *Ctx, h *fieldHolder) {
+	in := c.Tick()
+	h.p = &in[0].A // want `inbox slice stored in field p`
 }
 
 func escapeInLiteral(c *Ctx, hs []holder) []holder {

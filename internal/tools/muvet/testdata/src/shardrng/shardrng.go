@@ -1,5 +1,6 @@
 // Corpus for the shardrng analyzer: the three blessed seed derivations
-// pass, anything ad hoc fails.
+// pass, anything ad hoc fails — whether it keys a fresh source or
+// re-keys a pooled one through Seed.
 package shardrng
 
 import "math/rand"
@@ -34,6 +35,25 @@ func blessedNodeSeed(seed int64, id int) *rand.Rand {
 
 func blessedFaultSeed(seed int64, round, shard int) *rand.Rand {
 	return rand.New(rand.NewSource(FaultStreamSeed(seed, round, shard, 1)))
+}
+
+// faultStream stands in for the engine's fault stream: the analyzer
+// matches its Seed method by the receiver's type name.
+type faultStream struct{ key int64 }
+
+func (s *faultStream) Seed(seed int64) { s.key = seed }
+
+func adHocReKey(r *rand.Rand, seed int64) {
+	r.Seed(seed + 1) // want `ad-hoc Rand\.Seed seed in the engine`
+}
+
+func adHocFaultReKey(s *faultStream, seed int64, round int) {
+	s.Seed(seed ^ int64(round)) // want `ad-hoc faultStream\.Seed seed in the engine`
+}
+
+func blessedReKey(r *rand.Rand, s *faultStream, seed int64, round, shard int) {
+	r.Seed(ShardStreamSeed(seed, shard))
+	s.Seed(FaultStreamSeed(seed, round, shard, 2))
 }
 
 func allowedMigration(seed int64) *rand.Rand {

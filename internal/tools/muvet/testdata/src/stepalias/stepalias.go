@@ -56,6 +56,15 @@ func (s *ptrStep) Step(c *stepstub.Ctx, in []stepstub.Incoming) bool {
 	return true
 }
 
+type fieldPtrStep struct{ a *int64 }
+
+func (s *fieldPtrStep) Step(c *stepstub.Ctx, in []stepstub.Incoming) bool {
+	if len(in) > 0 {
+		s.a = &in[0].Msg.A // want `Step inbox stored in field a`
+	}
+	return true
+}
+
 // aliasStep escapes through a rename on one branch: the reaching-facts
 // lattice propagates the alias to the store.
 type aliasStep struct{ held []stepstub.Incoming }
