@@ -20,10 +20,10 @@ test:
 	go build ./...
 	go test ./...
 
-# Build the repo's vettool (eight analyzers enforcing the determinism,
-# inbox-aliasing, RNG-derivation, hot-path-allocation, record-purity and
-# step-contract — stepblock, stepalias, ctxretain — rules; see
-# internal/tools/muvet and DESIGN.md).
+# Build the repo's vettool (six analyzers enforcing the determinism —
+# wall clock, pointer identity, global RNG, RNG derivation, map order —,
+# inbox-aliasing, hot-path-allocation and step-contract — stepblock,
+# stepalias, ctxretain — rules; see internal/tools/muvet and DESIGN.md).
 $(MUVET): $(MUVET_SRC)
 	go build -o $(MUVET) ./cmd/muvet
 

@@ -11,7 +11,7 @@ import (
 	"mucongest/internal/topo"
 )
 
-// One benchmark per experiment of README.md's E1–E12 map. Each iteration runs the
+// One benchmark per experiment of README.md's E1–E13 map. Each iteration runs the
 // whole experiment (workload generation + simulation sweep); reported
 // ns/op therefore tracks the end-to-end cost of regenerating the
 // corresponding paper table. Sizes are scaled down from cmd/muexp's
@@ -344,4 +344,8 @@ func BenchmarkE11_RoutingTradeoff(b *testing.B) {
 
 func BenchmarkE12_DecompTradeoff(b *testing.B) {
 	runTables(b, func() *bench.Table { return bench.E11E12(topo.MustParse("gnp:n=32,p=0.5"), 2) })
+}
+
+func BenchmarkE13_SketchResilience(b *testing.B) {
+	runTables(b, func() *bench.Table { return bench.E13(topo.MustParse("gnp:n=16,p=0.15,conn=1"), 1) })
 }

@@ -1,7 +1,7 @@
 // Command muvet is the repo's static contract checker: a vet tool
-// running the eight muvet analyzers (nodeterm, inboxalias, shardrng,
-// hotalloc, recordpurity, stepblock, stepalias, ctxretain) over the
-// engine, reference engine, record layer and harness. See
+// running the six muvet analyzers (nodeterm, inboxalias, hotalloc,
+// stepblock, stepalias, ctxretain) over the engine, reference engine,
+// record layer and harness. See
 // internal/tools/muvet for the contracts and the //muvet:allow /
 // //muvet:hotpath annotation grammar.
 //

@@ -10,15 +10,13 @@ import (
 )
 
 // TestRegistry pins the analyzer registry the vet driver runs: exactly
-// these eight analyzers, in this order, each with a unique name and a
+// these six analyzers, in this order, each with a unique name and a
 // doc line. Adding or removing an analyzer must update this list.
 func TestRegistry(t *testing.T) {
 	want := []string{
 		"nodeterm",
 		"inboxalias",
-		"shardrng",
 		"hotalloc",
-		"recordpurity",
 		"stepblock",
 		"stepalias",
 		"ctxretain",

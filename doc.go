@@ -4,7 +4,7 @@
 // listing, and the streaming-simulation toolbox. README.md documents
 // the build and the muexp/mugraph commands; DESIGN.md is the
 // architecture tour (engine round loop, determinism, record and
-// topology layers); EXPERIMENTS.md maps experiments E1–E12 to the
+// topology layers); EXPERIMENTS.md maps experiments E1–E13 to the
 // paper's theorems with exact invocations and the record schema. The
 // implementation lives under internal/ and is exercised by cmd/muexp,
 // the examples/ programs, and the benchmarks in bench_test.go.

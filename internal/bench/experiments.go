@@ -400,14 +400,16 @@ func E10(tp topo.Spec, seed int64) *Table {
 		t.AddRow(mu, res.ListingRounds, res.SketchRounds, res.RefineRounds,
 			fmt.Sprint(res.HeavyColors), res.MonoTriangles)
 		t.AddRecord(Record{
-			Exp:       "E10",
-			Topo:      tp.String(),
-			Params:    P("mu", mu, "eps", 0.2),
-			Mu:        mu,
-			Rounds:    res.ListingRounds + res.SketchRounds + res.RefineRounds,
-			Messages:  res.Messages,
-			PeakWords: res.PeakWords,
-			WallTime:  time.Since(start),
+			Exp:          "E10",
+			Topo:         tp.String(),
+			Params:       P("mu", mu, "eps", 0.2),
+			Mu:           mu,
+			Rounds:       res.ListingRounds + res.SketchRounds + res.RefineRounds,
+			Messages:     res.Messages,
+			PeakWords:    res.PeakWords,
+			MuViolations: res.MuViolations,
+			OverMuRounds: res.OverMuRounds,
+			WallTime:     time.Since(start),
 		})
 	}
 	return t
@@ -592,16 +594,15 @@ func E13(tp topo.Spec, seed int64) *Table {
 
 // runE13Tree executes one loss-swept aggregation of
 // mergesim.LossyTreeProgram with edge cap M and returns the root's
-// merged summary.
+// merged summary, which node 0 emits as its serialized words.
 func runE13Tree(g *graph.Graph, kind stream.Kind, items [][]int64,
 	depth, parent []int, children [][]int, maxDepth int,
 	plan sim.FaultPlan, seed int64) (stream.Summary, *sim.Result) {
-	sums := make([]stream.Summary, g.N())
-	prog := mergesim.LossyTreeProgram(kind, items, depth, parent, children, maxDepth, sums)
+	prog := mergesim.LossyTreeProgram(kind, items, depth, parent, children, maxDepth)
 	e := sim.New(g, sim.WithSeed(seed), sim.WithEdgeCap(kind.M()), sim.WithFaults(plan))
 	res, err := e.Run(func(c *sim.Ctx) { prog(c) })
 	if err != nil {
 		panic(fmt.Sprintf("bench: E13: %v", err))
 	}
-	return sums[0], res
+	return kind.FromWords(res.Outputs[0][0].([]int64)), res
 }

@@ -21,7 +21,7 @@ const RecordSchema = "mucongest.records/v1"
 
 // Record is the structured result of one simulated execution inside an
 // experiment cell: the machine-readable counterpart of one table row.
-// Every E1–E12 runner emits Records alongside its rendered table;
+// Every E1–E13 runner emits Records alongside its rendered table;
 // cmd/muexp serializes them with -format csv|json.
 //
 // All serialized fields are deterministic in (cell, seed): output is

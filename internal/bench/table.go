@@ -1,5 +1,5 @@
 // Package bench is the experiment harness: one runner per experiment of
-// README.md’s experiment map (E1–E12), each producing a table with the paper’s
+// README.md’s experiment map (E1–E13), each producing a table with the paper’s
 // theory column next to the measured column plus structured Records
 // that the CSV/JSON emitters serialize for downstream tools (plots,
 // regression gates). Every runner builds its workload graph from a

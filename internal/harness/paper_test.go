@@ -12,7 +12,6 @@ import (
 	"mucongest/internal/sim"
 	"mucongest/internal/sim/refsim"
 	"mucongest/internal/sketch"
-	"mucongest/internal/stream"
 	"mucongest/internal/streamsim"
 )
 
@@ -122,8 +121,7 @@ func paperCases() []paperCase {
 			return clique.MuCongestTriangles(cfg, expander.NewRouter(tri, 2))
 		}},
 		{"E13 MG", []string{"E13"}, tree, mg.M(), "loss:p=0.1", func() func(sim.Node) {
-			sums := make([]stream.Summary, tree.N())
-			return mergesim.LossyTreeProgram(mg, treeItems, depth, parent, children, maxDepth, sums)
+			return mergesim.LossyTreeProgram(mg, treeItems, depth, parent, children, maxDepth)
 		}},
 	}
 }

@@ -41,10 +41,10 @@ func BFSTree(g *graph.Graph) (depth, parent []int, children [][]int, maxDepth in
 // is discarded with its whole subtree.
 //
 // depth, parent and children describe a spanning tree rooted at node 0
-// of depth maxDepth, as BFSTree returns. The root stores its merged
-// summary in sums[0].
+// of depth maxDepth, as BFSTree returns. The root emits its merged
+// summary's serialized words.
 func LossyTreeProgram(kind stream.Kind, items [][]int64, depth, parent []int,
-	children [][]int, maxDepth int, sums []stream.Summary) func(sim.Node) {
+	children [][]int, maxDepth int) func(sim.Node) {
 	M := kind.M()
 	return func(c sim.Node) {
 		id := c.ID()
@@ -72,7 +72,7 @@ func LossyTreeProgram(kind stream.Kind, items [][]int64, depth, parent []int,
 				merge()
 				p := c.PortOf(parent[id])
 				for i, w := range own.Words() {
-					c.Send(p, sim.Msg{Kind: 13, A: int64(i), B: w})
+					c.Send(p, sim.Msg{Kind: kindLossyWord, A: int64(i), B: w})
 				}
 			}
 			for _, in := range c.Tick() {
@@ -85,9 +85,9 @@ func LossyTreeProgram(kind stream.Kind, items [][]int64, depth, parent []int,
 				c.Charge(1)
 			}
 		}
-		if id == 0 {
+		if id == root {
 			merge()
-			sums[0] = kind.FromWords(append([]int64(nil), own.Words()...))
+			c.Emit(own.Words())
 		}
 	}
 }

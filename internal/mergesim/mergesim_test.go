@@ -1,8 +1,10 @@
 package mergesim
 
 import (
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -275,5 +277,39 @@ func TestOneWayRoundsScaleWithSqrtI(t *testing.T) {
 	r4 := rounds(64)
 	if float64(r4) > 3.2*float64(r1) {
 		t.Fatalf("|I|×4 inflated rounds %d→%d (>3.2×): not √|I| scaling", r1, r4)
+	}
+}
+
+// TestLossyTreeRootEmitsSummary runs E13's aggregation without loss:
+// the root alone emits, once, the merged summary's M words, and that
+// summary has absorbed every item.
+func TestLossyTreeRootEmitsSummary(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	graphs := testGraphsMerge(t, rng)
+	for _, name := range slices.Sorted(maps.Keys(graphs)) {
+		g := graphs[name]
+		items := randomItems(g.N(), 10, 30, rng)
+		kind := sketch.NewMGKind(9)
+		depth, parent, children, maxDepth := BFSTree(g)
+		prog := LossyTreeProgram(kind, items, depth, parent, children, maxDepth)
+		res, err := sim.New(g, sim.WithEdgeCap(kind.M())).Run(func(c *sim.Ctx) { prog(c) })
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for v, outs := range res.Outputs {
+			if v != root && len(outs) != 0 {
+				t.Fatalf("%s: node %d emitted %d outputs, want none", name, v, len(outs))
+			}
+		}
+		if len(res.Outputs[root]) != 1 {
+			t.Fatalf("%s: root emitted %d outputs, want 1", name, len(res.Outputs[root]))
+		}
+		words, ok := res.Outputs[root][0].([]int64)
+		if !ok || len(words) != kind.M() {
+			t.Fatalf("%s: root emitted %T of length %d, want []int64 of M=%d words", name, res.Outputs[root][0], len(words), kind.M())
+		}
+		if got, want := kind.FromWords(words).Count(), TotalItems(items); got != want {
+			t.Fatalf("%s: root summary count %d, want |I| = %d", name, got, want)
+		}
 	}
 }

@@ -41,6 +41,7 @@ const (
 	kindCluster
 	kindRole
 	kindMergeWord
+	kindLossyWord // LossyTreeProgram: word A of the sender's summary is B
 )
 
 // OneWayProgram returns the Theorem 1.6 node program. items[v] is node

@@ -344,9 +344,6 @@ func New(topo Topology, opts ...Option) *Engine {
 	return e
 }
 
-// Mu returns the configured memory bound (≤ 0 when unbounded).
-func (e *Engine) Mu() int64 { return e.mu }
-
 // N returns the node count.
 func (e *Engine) N() int { return e.n }
 

@@ -121,7 +121,7 @@ func (s *faultStream) Float64() float64 {
 // those upper words as taps, which yields words 333…61. The register is
 // the chain XOR the table, so the table is the chain XOR the register.
 func recoverCooked() (cooked [fsLen]int64) {
-	//muvet:allow shardrng(recovers math/rand's fixed seeding table from seed 1's output; it keys no stream)
+	//muvet:allow nodeterm(recovers math/rand's fixed seeding table from seed 1's output; it keys no stream)
 	src := rand.NewSource(1).(rand.Source64)
 	var out [fsLen + 1]int64 // out[k] is draw k
 	for k := 1; k <= fsLen; k++ {

@@ -22,8 +22,14 @@ func TestInScope(t *testing.T) {
 	if inScope("mucongest/internal/topo", nodetermScope...) {
 		t.Error("topo should not be in nodeterm scope")
 	}
-	if inScope("mucongest/internal/bench", shardRNGScope...) {
-		t.Error("bench should not be in shardrng scope")
+	if !inScope("mucongest/internal/sim/refsim", engineScope...) {
+		t.Error("refsim should be in the engine sub-scope")
+	}
+	if inScope("mucongest/internal/bench", engineScope...) {
+		t.Error("bench should not be in the engine sub-scope")
+	}
+	if !inScope("mucongest/internal/bench", nodetermScope...) {
+		t.Error("bench should be in nodeterm scope")
 	}
 }
 

@@ -1,17 +1,17 @@
-// Package muvet is the repo's static contract checker: eight analyzers
+// Package muvet is the repo's static contract checker: six analyzers
 // that enforce, at `go vet` time, the engine invariants the runtime
 // safety net (simdebug poisoning, golden determinism digests, the
 // 0-alloc round pin, the refsim differential harness) can only catch
 // after a violation executes.
 //
-//	nodeterm     no nondeterminism sources feeding serialized output
-//	inboxalias   Tick inboxes must not escape their round
-//	shardrng     engine RNGs derive from ShardStreamSeed / the node rule
-//	hotalloc     //muvet:hotpath functions stay allocation-free
-//	recordpurity bench.Record stays byte-deterministic
-//	stepblock    Step methods and their callees never block, spawn or yield
-//	stepalias    the Step inbox parameter never escapes the invocation
-//	ctxretain    Program.Node never retains the node context
+//	nodeterm    no wall clock, pointer identity, global RNG or map order
+//	            in serialized output; engine RNG keys derive from
+//	            ShardStreamSeed, FaultStreamSeed or the node rule
+//	inboxalias  Tick inboxes must not escape their round
+//	hotalloc    //muvet:hotpath functions stay allocation-free
+//	stepblock   Step methods and their callees never block, spawn or yield
+//	stepalias   the Step inbox parameter never escapes the invocation
+//	ctxretain   Program.Node never retains the node context
 //
 // The step-contract analyzers and the rebased inboxalias/hotalloc run
 // on a shared per-function control-flow graph with a reaching-values
@@ -54,12 +54,9 @@ import (
 	"mucongest/internal/tools/muvet/analysis"
 )
 
-// Suite returns the eight analyzers in reporting order.
+// Suite returns the six analyzers in reporting order.
 func Suite() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		NoDeterm, InboxAlias, ShardRNG, HotAlloc, RecordPurity,
-		StepBlock, StepAlias, CtxRetain,
-	}
+	return []*analysis.Analyzer{NoDeterm, InboxAlias, HotAlloc, StepBlock, StepAlias, CtxRetain}
 }
 
 // stripTestVariant normalizes the import path of a test variant
@@ -189,20 +186,6 @@ func calleeName(call *ast.CallExpr) string {
 		return fun.Sel.Name
 	}
 	return ""
-}
-
-// isSerializedField reports whether the struct field obj is part of a
-// serialized encoding: its tag carries a json: or csv: key that is not
-// "-". Fields without such a tag are treated as not serialized.
-func isSerializedField(s *types.Struct, i int) bool {
-	tag := s.Tag(i)
-	for _, key := range []string{"json", "csv"} {
-		v, ok := lookupTag(tag, key)
-		if ok && v != "-" {
-			return true
-		}
-	}
-	return false
 }
 
 // lookupTag is a minimal reflect.StructTag.Lookup clone (value up to

@@ -4,18 +4,24 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"mucongest/internal/tools/muvet/analysis"
 )
 
 // NoDeterm forbids nondeterminism sources in the packages whose output
-// is pinned byte-for-bit (engine, reference engine, record layer,
+// is pinned byte for byte (engine, reference engine, record layer,
 // differential harness):
 //
-//   - time.Now / time.Since values feeding a serialized struct field
-//     (json/csv-tagged, not "-") or a fmt formatting call. Wall time
-//     may be measured — bench.Record.WallTime does — as long as it
-//     never reaches serialized bytes.
+//   - a nondeterministic value reaching serialized bytes: a fmt
+//     formatting call, or a serialized field (json/csv-tagged, not "-")
+//     of any struct. The sources are wall-clock reads (time.Now,
+//     time.Since), pointer identity (a %p verb, %v on a pointer, a
+//     uintptr or unsafe.Pointer conversion) and the variables assigned
+//     from either; a serialized field also takes no time.Time or
+//     time.Duration variable. Wall time may be measured —
+//     bench.Record.WallTime is json:"-" — as long as it never reaches
+//     serialized bytes.
 //   - the global math/rand RNG (rand.Intn etc. without an explicit
 //     Source); all engine randomness must flow through seeded streams.
 //   - `range` over a map whose body is order-sensitive: appends,
@@ -24,22 +30,34 @@ import (
 //     (`for k := range m { keys = append(keys, k) }` + sort) and pure
 //     order-insensitive aggregation (counters, min/max, map writes)
 //     are recognized and allowed.
+//   - in the engine pair (sim, refsim), a generator key that is not a
+//     sanctioned derivation. The argument of rand.NewSource, and of a
+//     Seed method on a math/rand type or on the engine's fault stream,
+//     must come from sim.ShardStreamSeed (the per-shard OrderRandom
+//     streams), sim.FaultStreamSeed (the fault streams) or the node
+//     rule `seed*1_000_003 + int64(id)`. Ad-hoc seeding silently
+//     re-keys golden digests and breaks refsim/engine parity.
 //
 // Suppress a deliberate exception with //muvet:allow nodeterm(reason).
 var NoDeterm = &analysis.Analyzer{
 	Name: "nodeterm",
-	Doc:  "forbid wall-clock, global-RNG and map-order nondeterminism in determinism-pinned packages",
+	Doc:  "forbid wall-clock, pointer-identity, global-RNG, ad-hoc seed and map-order nondeterminism in determinism-pinned packages",
 	Run:  runNoDeterm,
 }
 
 // nodetermScope lists the packages whose observable behavior is pinned
-// bit-for-bit by golden digests and the differential harness.
+// bit-for-bit by golden digests and the differential harness, the
+// engine pair first.
 var nodetermScope = []string{
 	"mucongest/internal/sim",
 	"mucongest/internal/sim/refsim",
 	"mucongest/internal/bench",
 	"mucongest/internal/harness",
 }
+
+// engineScope is the engine pair, whose RNG keys refsim and the golden
+// digests mirror: the only part of nodetermScope with the seed rule.
+var engineScope = nodetermScope[:2]
 
 // globalRandFuncs are the math/rand (and v2) package-level functions
 // that draw from the unseeded process-global RNG.
@@ -70,122 +88,187 @@ var orderSensitiveMethods = map[string]bool{
 	"Send": true, "SendID": true, "Broadcast": true, "Charge": true, "Release": true,
 }
 
+// nodeRNGFactor is the documented node-RNG derivation multiplier
+// (Ctx.Rand streams are keyed seed*1_000_003 + id on both engines).
+const nodeRNGFactor = "1_000_003"
+
 func runNoDeterm(pass *analysis.Pass) error {
 	if !inScope(pass.ImportPath, nodetermScope...) {
 		return nil
 	}
+	engine := inScope(pass.ImportPath, engineScope...)
 	report := reporter(pass)
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f.Pos()) {
 			continue
 		}
+		checkRand(pass.TypesInfo, f, engine, report)
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
 			}
-			checkGlobalRand(pass, fn, report)
-			checkTimeTaint(pass, fn, report)
-			checkMapRange(pass, fn, report)
+			checkTaint(pass.TypesInfo, fn, report)
+			checkMapRange(pass.TypesInfo, fn, report)
 		}
 	}
 	return nil
 }
 
-// checkGlobalRand flags calls to the process-global math/rand RNG.
-func checkGlobalRand(pass *analysis.Pass, fn *ast.FuncDecl, report func(token.Pos, string, ...any)) {
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
+// checkRand flags calls to the process-global math/rand RNG and, in
+// the engine pair, generator keys that are not a sanctioned derivation.
+func checkRand(info *types.Info, f *ast.File, engine bool, report func(token.Pos, string, ...any)) {
+	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		path, name := pkgFunc(pass.TypesInfo, call)
-		if (path == "math/rand" || path == "math/rand/v2") && globalRandFuncs[name] {
+		if path, name := pkgFunc(info, call); (path == "math/rand" || path == "math/rand/v2") && globalRandFuncs[name] {
 			report(call.Pos(), "call to global math/rand.%s: derive randomness from a seeded stream (sim.ShardStreamSeed or the node RNG)", name)
 		}
-		return true
-	})
-}
-
-// isWallClockCall matches time.Now and time.Since calls.
-func isWallClockCall(info *types.Info, n ast.Node) (string, bool) {
-	call, ok := n.(*ast.CallExpr)
-	if !ok {
-		return "", false
-	}
-	if path, name := pkgFunc(info, call); path == "time" && (name == "Now" || name == "Since") {
-		return "time." + name, true
-	}
-	return "", false
-}
-
-// checkTimeTaint flags wall-clock values that reach serialized bytes:
-// it taints variables assigned from time.Now/time.Since within the
-// function, then reports fmt formatting calls and serialized struct
-// field writes whose value subtree contains a tainted variable or a
-// direct wall-clock call.
-func checkTimeTaint(pass *analysis.Pass, fn *ast.FuncDecl, report func(token.Pos, string, ...any)) {
-	info := pass.TypesInfo
-	tainted := map[types.Object]bool{}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		asg, ok := n.(*ast.AssignStmt)
-		if !ok || len(asg.Lhs) != len(asg.Rhs) {
+		if !engine {
 			return true
 		}
-		for i, rhs := range asg.Rhs {
-			if _, ok := isWallClockCall(info, rhs); !ok {
-				continue
+		if what := reKey(info, call); what != "" && (len(call.Args) != 1 || !isBlessedSeed(call.Args[0])) {
+			report(call.Pos(), "ad-hoc %s seed in the engine: derive it via sim.ShardStreamSeed(seed, shard), sim.FaultStreamSeed(seed, round, shard, kind) or the node rule seed*%s+int64(id) so refsim and the golden digests stay in sync", what, nodeRNGFactor)
+		}
+		return true
+	})
+}
+
+// reKey names the generator key call sets — "rand.NewSource", or
+// "<type>.Seed" for a Seed method of a math/rand type or of the
+// engine's fault stream — or returns "" when call keys none.
+func reKey(info *types.Info, call *ast.CallExpr) string {
+	if path, name := pkgFunc(info, call); path == "math/rand" && name == "NewSource" {
+		return "rand.NewSource"
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Name() != "Seed" || fn.Pkg() == nil {
+		return ""
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	if recv := recvTypeName(sig); fn.Pkg().Path() == "math/rand" || recv == "faultStream" {
+		return recv + ".Seed"
+	}
+	return ""
+}
+
+// isBlessedSeed recognizes the three sanctioned derivations:
+//
+//	ShardStreamSeed(seed, s)                  (any qualifier)
+//	FaultStreamSeed(seed, round, shard, kind) (any qualifier)
+//	<seed expr>*1_000_003 + <id expr>         (either operand order)
+func isBlessedSeed(e ast.Expr) bool {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.CallExpr:
+		name := calleeName(e)
+		return name == "ShardStreamSeed" || name == "FaultStreamSeed"
+	case *ast.BinaryExpr:
+		return e.Op == token.ADD && (isNodeRNGProduct(e.X) || isNodeRNGProduct(e.Y))
+	}
+	return false
+}
+
+// isNodeRNGProduct matches `x * 1_000_003` in either operand order.
+func isNodeRNGProduct(e ast.Expr) bool {
+	bin, ok := ast.Unparen(e).(*ast.BinaryExpr)
+	if !ok || bin.Op != token.MUL {
+		return false
+	}
+	for _, x := range []ast.Expr{bin.X, bin.Y} {
+		if lit, ok := ast.Unparen(x).(*ast.BasicLit); ok && (lit.Value == nodeRNGFactor || lit.Value == "1000003") {
+			return true
+		}
+	}
+	return false
+}
+
+// checkTaint flags nondeterministic values that reach serialized
+// bytes. It first taints the variables assigned or declared straight
+// from a source, then reports each fmt formatting call and each
+// serialized field write whose value contains a source, a tainted
+// variable, or — for a field — any time.Time or time.Duration
+// variable. A finding sits at the source, so one value reaching
+// several sinks is reported once.
+func checkTaint(info *types.Info, fn *ast.FuncDecl, report func(token.Pos, string, ...any)) {
+	tainted := map[types.Object]string{}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		var lhs, rhs []ast.Expr
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			lhs, rhs = n.Lhs, n.Rhs
+		case *ast.ValueSpec:
+			for _, id := range n.Names {
+				lhs = append(lhs, id)
 			}
-			if id, ok := asg.Lhs[i].(*ast.Ident); ok {
+			rhs = n.Values
+		}
+		if len(lhs) != len(rhs) {
+			return true
+		}
+		for i, v := range rhs {
+			id, ok := lhs[i].(*ast.Ident)
+			if src := taintSource(info, ast.Unparen(v)); ok && src != "" {
 				if obj := analysis.ObjOf(info, id); obj != nil {
-					tainted[obj] = true
+					tainted[obj] = src
 				}
 			}
 		}
 		return true
 	})
-	hasTaint := func(e ast.Expr) (string, bool) {
-		var src string
-		found := contains(e, func(n ast.Node) bool {
-			if s, ok := isWallClockCall(info, n); ok {
-				src = s
-				return true
-			}
+	// find returns the first nondeterministic value in e's subtree: its
+	// position and description, or "" when there is none.
+	find := func(e ast.Node, field bool) (pos token.Pos, src string) {
+		contains(e, func(n ast.Node) bool {
+			pos, src = n.Pos(), taintSource(info, n)
 			if id, ok := n.(*ast.Ident); ok {
-				if obj := analysis.ObjOf(info, id); obj != nil && tainted[obj] {
-					src = id.Name + " (from time.Now/time.Since)"
-					return true
+				obj := analysis.ObjOf(info, id)
+				if s, ok := tainted[obj]; ok {
+					src = s + " via " + id.Name
+				} else if v, ok := obj.(*types.Var); ok && field && isTimeType(v.Type()) {
+					src = v.Type().String() + " value " + id.Name
 				}
 			}
-			return false
+			return src != ""
 		})
-		return src, found
+		return pos, src
 	}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if path, name := pkgFunc(info, n); path == "fmt" && fmtFormatFuncs[name] {
-				for _, arg := range n.Args {
-					if src, ok := hasTaint(arg); ok {
-						report(arg.Pos(), "wall-clock value %s formatted by fmt.%s: output must be deterministic", src, name)
-					}
+				if pos, src := find(n, false); src != "" {
+					report(pos, "%s formatted by fmt.%s: output must be deterministic", src, name)
 				}
 			}
 		case *ast.CompositeLit:
-			checkSerializedFields(info, n, hasTaint, report)
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				if i >= len(n.Rhs) {
-					break
-				}
-				sel, ok := lhs.(*ast.SelectorExpr)
+			for _, el := range n.Elts {
+				kv, ok := el.(*ast.KeyValueExpr)
 				if !ok {
 					continue
 				}
-				if fieldIsSerialized(info, sel) {
-					if src, ok := hasTaint(n.Rhs[i]); ok {
-						report(n.Rhs[i].Pos(), "wall-clock value %s written to serialized field %s", src, sel.Sel.Name)
+				if key, ok := kv.Key.(*ast.Ident); ok && serialized(info.TypeOf(n), info.Uses[key]) {
+					if pos, src := find(kv.Value, true); src != "" {
+						report(pos, "%s assigned to serialized field %s", src, key.Name)
 					}
+				}
+			}
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				sel, ok := lhs.(*ast.SelectorExpr)
+				if !ok || i >= len(n.Rhs) || !serialized(info.TypeOf(sel.X), info.Uses[sel.Sel]) {
+					continue
+				}
+				if pos, src := find(n.Rhs[i], true); src != "" {
+					report(pos, "%s written to serialized field %s", src, sel.Sel.Name)
 				}
 			}
 		}
@@ -193,60 +276,85 @@ func checkTimeTaint(pass *analysis.Pass, fn *ast.FuncDecl, report func(token.Pos
 	})
 }
 
-// checkSerializedFields inspects a struct composite literal and reports
-// tainted values assigned to serialized (json/csv-tagged) fields.
-func checkSerializedFields(info *types.Info, lit *ast.CompositeLit,
-	hasTaint func(ast.Expr) (string, bool), report func(token.Pos, string, ...any)) {
-	st, ok := structTypeOf(info, lit)
+// taintSource describes n if it is a nondeterministic value — a
+// wall-clock read, or pointer identity (a fmt call that renders an
+// address, a conversion to uintptr or unsafe.Pointer) — and returns ""
+// otherwise.
+func taintSource(info *types.Info, n ast.Node) string {
+	call, ok := n.(*ast.CallExpr)
 	if !ok {
-		return
+		return ""
 	}
-	for _, el := range lit.Elts {
-		kv, ok := el.(*ast.KeyValueExpr)
-		if !ok {
-			continue
+	if path, name := pkgFunc(info, call); path == "time" && (name == "Now" || name == "Since") {
+		return "wall-clock value time." + name
+	}
+	if what, ok := fmtPointerVerb(info, call); ok {
+		return "pointer identity (" + what + ")"
+	}
+	if tv := info.Types[call.Fun]; tv.IsType() {
+		if b, ok := tv.Type.Underlying().(*types.Basic); ok && (b.Kind() == types.Uintptr || b.Kind() == types.UnsafePointer) {
+			return "pointer identity (" + tv.Type.String() + " conversion)"
 		}
-		key, ok := kv.Key.(*ast.Ident)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i).Name() == key.Name && isSerializedField(st, i) {
-				if src, ok := hasTaint(kv.Value); ok {
-					report(kv.Value.Pos(), "wall-clock value %s assigned to serialized field %s", src, key.Name)
-				}
+	}
+	return ""
+}
+
+// fmtPointerVerb reports whether a fmt formatting call renders pointer
+// identity: a %p verb, a %v applied to a pointer-typed argument, or,
+// without a literal format (a Print-style call, or a format held in a
+// variable), any pointer-typed argument.
+func fmtPointerVerb(info *types.Info, call *ast.CallExpr) (string, bool) {
+	path, name := pkgFunc(info, call)
+	if path != "fmt" || !fmtFormatFuncs[name] {
+		return "", false
+	}
+	args := call.Args
+	if len(args) > 0 && (strings.HasPrefix(name, "F") || strings.HasPrefix(name, "Append")) {
+		args = args[1:] // the io.Writer or the buffer
+	}
+	var lit *ast.BasicLit
+	if len(args) > 0 && strings.HasSuffix(name, "f") {
+		lit, _ = ast.Unparen(args[0]).(*ast.BasicLit)
+	}
+	switch {
+	case lit == nil || lit.Kind != token.STRING:
+		return "pointer argument", hasPointerArg(info, args)
+	case strings.Contains(lit.Value, "%p"):
+		return "%p", true
+	}
+	return "%v on a pointer", strings.Contains(lit.Value, "%v") && hasPointerArg(info, args[1:])
+}
+
+// hasPointerArg reports whether any argument prints as an address.
+func hasPointerArg(info *types.Info, args []ast.Expr) bool {
+	for _, a := range args {
+		if t := info.TypeOf(a); t != nil {
+			switch t.Underlying().(type) {
+			case *types.Pointer, *types.Chan, *types.Signature:
+				return true
 			}
 		}
 	}
+	return false
 }
 
-// structTypeOf resolves a composite literal to its underlying struct
-// type, unwrapping named types and pointers.
-func structTypeOf(info *types.Info, lit *ast.CompositeLit) (*types.Struct, bool) {
-	tv, ok := info.Types[lit]
-	if !ok {
-		return nil, false
-	}
-	t := tv.Type
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	return st, ok
-}
-
-// fieldIsSerialized reports whether sel names a serialized struct
-// field.
-func fieldIsSerialized(info *types.Info, sel *ast.SelectorExpr) bool {
-	obj, ok := info.Uses[sel.Sel].(*types.Var)
-	if !ok || !obj.IsField() {
-		return false
-	}
-	recv, ok := info.Types[sel.X]
+// isTimeType reports whether t is time.Time or time.Duration.
+func isTimeType(t types.Type) bool {
+	named, ok := t.(*types.Named)
 	if !ok {
 		return false
 	}
-	t := recv.Type
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "time" && (obj.Name() == "Time" || obj.Name() == "Duration")
+}
+
+// serialized reports whether field is a serialized field of the struct
+// t (or *t): its tag carries a json: or csv: key that is not "-".
+// Fields without such a tag are treated as not serialized.
+func serialized(t types.Type, field types.Object) bool {
+	if t == nil {
+		return false
+	}
 	if p, ok := t.Underlying().(*types.Pointer); ok {
 		t = p.Elem()
 	}
@@ -255,8 +363,13 @@ func fieldIsSerialized(info *types.Info, sel *ast.SelectorExpr) bool {
 		return false
 	}
 	for i := 0; i < st.NumFields(); i++ {
-		if st.Field(i) == obj {
-			return isSerializedField(st, i)
+		if st.Field(i) != field {
+			continue
+		}
+		for _, key := range []string{"json", "csv"} {
+			if v, ok := lookupTag(st.Tag(i), key); ok && v != "-" {
+				return true
+			}
 		}
 	}
 	return false
@@ -264,8 +377,7 @@ func fieldIsSerialized(info *types.Info, sel *ast.SelectorExpr) bool {
 
 // checkMapRange flags map iteration whose body observes the iteration
 // order.
-func checkMapRange(pass *analysis.Pass, fn *ast.FuncDecl, report func(token.Pos, string, ...any)) {
-	info := pass.TypesInfo
+func checkMapRange(info *types.Info, fn *ast.FuncDecl, report func(token.Pos, string, ...any)) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {

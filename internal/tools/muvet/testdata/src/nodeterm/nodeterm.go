@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 type stats struct {
@@ -16,6 +17,15 @@ type stats struct {
 	Wall     time.Duration `json:"-"`
 	scratch  string
 }
+
+// timing is a serialized struct other than bench.Record: the
+// time-value rule covers every struct in scope.
+type timing struct {
+	Took    time.Duration `json:"took"`
+	Timeout time.Duration `json:"timeout"`
+}
+
+var pkgDraw = rand.Intn(4) // want `call to global math/rand\.Intn`
 
 func globalRand() int {
 	n := rand.Intn(10) // want `call to global math/rand\.Intn`
@@ -38,9 +48,14 @@ func wallClockToField() stats {
 	el := time.Since(start)
 	return stats{
 		Rounds:   3,
-		ElapsedS: el.Seconds(), // want `wall-clock value el \(from time\.Now/time\.Since\) assigned to serialized field ElapsedS`
+		ElapsedS: el.Seconds(), // want `wall-clock value time\.Since via el assigned to serialized field ElapsedS`
 		Wall:     el,           // json:"-": measuring wall time is fine
 	}
+}
+
+func wallClockDeclared() string {
+	var t0 = time.Now()
+	return fmt.Sprint(t0.Unix()) // want `wall-clock value time\.Now via t0 formatted by fmt\.Sprint`
 }
 
 func wallClockFieldAssign(s *stats) {
@@ -114,4 +129,31 @@ func minValOK(m map[string]int) int {
 func allowedRand() int {
 	//muvet:allow nodeterm(diagnostic sampling, never serialized)
 	return rand.Intn(3)
+}
+
+func pointerInError(s *stats) error {
+	return fmt.Errorf("bad stats at %p", s) // want `pointer identity \(%p\) formatted by fmt\.Errorf`
+}
+
+func pointerPrinted(s *stats) string {
+	return fmt.Sprint("stats at ", s) // want `pointer identity \(pointer argument\) formatted by fmt\.Sprint`
+}
+
+func addressKey(s *stats) string {
+	key := uintptr(unsafe.Pointer(s))
+	return fmt.Sprint(key) // want `pointer identity \(uintptr conversion\) via key formatted by fmt\.Sprint`
+}
+
+func durationField(d time.Duration) timing {
+	return timing{Took: d} // want `time\.Duration value d assigned to serialized field Took`
+}
+
+func durationFieldAssign(t *timing, d time.Duration) {
+	t.Took = d // want `time\.Duration value d written to serialized field Took`
+}
+
+// A time value outside a serialized field, and a constant duration in
+// one, are deterministic.
+func durationOK(d time.Duration) (timing, error) {
+	return timing{Timeout: 5 * time.Second}, fmt.Errorf("timed out after %v", d)
 }

@@ -1,6 +1,7 @@
-// Corpus for the shardrng analyzer: the three blessed seed derivations
-// pass, anything ad hoc fails — whether it keys a fresh source or
-// re-keys a pooled one through Seed.
+// Seed-derivation corpus for the nodeterm analyzer, placed in the
+// engine pair: the three blessed seed derivations pass, anything ad hoc
+// fails — whether it keys a fresh source or re-keys a pooled one
+// through Seed.
 package shardrng
 
 import "math/rand"
@@ -57,6 +58,6 @@ func blessedReKey(r *rand.Rand, s *faultStream, seed int64, round, shard int) {
 }
 
 func allowedMigration(seed int64) *rand.Rand {
-	//muvet:allow shardrng(scratch stream for a local experiment, not part of any digest)
+	//muvet:allow nodeterm(scratch stream for a local experiment, not part of any digest)
 	return rand.New(rand.NewSource(seed + 99))
 }

@@ -44,6 +44,10 @@ type Result struct {
 	// the largest per-node memory peak any stage reached.
 	Messages  int64
 	PeakWords int64
+	// MuViolations and OverMuRounds sum the stages' violating nodes and
+	// (node, round) pairs over μ.
+	MuViolations int
+	OverMuRounds int
 }
 
 // monochrome returns the color if all three edges share it, else 0.
@@ -91,11 +95,7 @@ func Run(cfg Config) (*Result, error) {
 	mg := sum.(*sketch.MG)
 	thresh := int64(2.0 / 3.0 * cfg.Eps * float64(mono))
 	candidates := mg.Heavy(thresh)
-	messages := listRes.Messages + sketchRes.Messages
-	peak := listRes.MaxPeakWords()
-	if p := sketchRes.MaxPeakWords(); p > peak {
-		peak = p
-	}
+	stages := []*sim.Result{listRes, sketchRes}
 	// Stage 3: exact counts of the candidates over a BFS tree.
 	var exact map[int64]int64
 	var refineRounds int
@@ -105,10 +105,7 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		refineRounds = refineRes.Rounds
-		messages += refineRes.Messages
-		if p := refineRes.MaxPeakWords(); p > peak {
-			peak = p
-		}
+		stages = append(stages, refineRes)
 		exact = make(map[int64]int64, len(candidates))
 		for i, col := range candidates {
 			exact[col] = counts[i]
@@ -123,7 +120,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	sort.Slice(heavy, func(i, j int) bool { return heavy[i] < heavy[j] })
-	return &Result{
+	res := &Result{
 		TotalTriangles: len(tris),
 		MonoTriangles:  mono,
 		HeavyColors:    heavy,
@@ -131,7 +128,17 @@ func Run(cfg Config) (*Result, error) {
 		ListingRounds:  listRes.Rounds,
 		SketchRounds:   sketchRes.Rounds,
 		RefineRounds:   refineRounds,
-		Messages:       messages,
-		PeakWords:      peak,
-	}, nil
+	}
+	for _, st := range stages {
+		res.add(st)
+	}
+	return res, nil
+}
+
+// add folds one stage run into the cross-stage totals.
+func (r *Result) add(st *sim.Result) {
+	r.Messages += st.Messages
+	r.PeakWords = max(r.PeakWords, st.MaxPeakWords())
+	r.MuViolations += len(st.Violations)
+	r.OverMuRounds += st.OverMuRounds()
 }

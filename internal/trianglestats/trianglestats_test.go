@@ -6,7 +6,24 @@ import (
 
 	"mucongest/internal/clique"
 	"mucongest/internal/graph"
+	"mucongest/internal/sim"
 )
+
+// TestResultSumsStages checks the cross-stage totals E10's record
+// reads: messages and μ violations add up over the stage runs, and
+// the peak is the largest stage peak.
+func TestResultSumsStages(t *testing.T) {
+	var r Result
+	r.add(&sim.Result{Messages: 10, PeakWords: []int64{3, 9},
+		Violations: []sim.Violation{{Node: 1, OverRounds: 4}}})
+	r.add(&sim.Result{Messages: 5, PeakWords: []int64{7}})
+	r.add(&sim.Result{Messages: 1, PeakWords: []int64{2},
+		Violations: []sim.Violation{{Node: 0, OverRounds: 1}, {Node: 1, OverRounds: 2}}})
+	if r.Messages != 16 || r.PeakWords != 9 || r.MuViolations != 3 || r.OverMuRounds != 7 {
+		t.Fatalf("totals = messages %d, peak %d, violations %d, over-μ rounds %d; want 16, 9, 3, 7",
+			r.Messages, r.PeakWords, r.MuViolations, r.OverMuRounds)
+	}
+}
 
 func TestPipelineFindsHeavyColors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
